@@ -8,10 +8,10 @@ __version__ = "0.1.0"
 from .critic import BasisSet, CostConfig
 from .plant import ControlAffinePlant, DisturbanceSignal, EventSchedule, NoiseSpec
 from .scenarios import run_scenario
-from .sim import SimConfig, TrajectoryLog, accumulate_metrics, run_episode
+from .sim import SimConfig, TrajectoryLog, run_episode
 
 __all__ = [
     "BasisSet", "ControlAffinePlant", "CostConfig", "DisturbanceSignal",
     "EventSchedule", "NoiseSpec", "SimConfig", "TrajectoryLog",
-    "accumulate_metrics", "run_episode", "run_scenario", "__version__",
+    "run_episode", "run_scenario", "__version__",
 ]

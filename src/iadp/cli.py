@@ -164,12 +164,6 @@ def parse_config(path=None, overrides: dict | None = None) -> SimConfig:
         field_name, kind = CONFIG_KEYS[key]
         setattr(cfg, field_name, _coerce(key, kind, value))
     cfg.__post_init__()  # re-validate after overrides
-    # validate matrix shapes against the basis
-    from .critic import BasisSet, CostConfig
-    basis = BasisSet(cfg.basis_exponents)
-    CostConfig(cfg.Q, cfg.beta, cfg.c_bar)
-    if cfg.Gamma.shape != (basis.N, basis.N):
-        raise ConfigurationError("learner.Gamma shape does not match basis size")
     return cfg
 
 

@@ -1,134 +1,142 @@
-"""The three control laws and their scenario running costs.
+"""The control laws the closed loop runs, one object per controller.
 
-IADP is model-free: it reads only the constant surrogate g_bar, the critic
-basis/weights, and the delayed input u0. ZSADP and TADP are the model-based
-baselines; they capture the true plant's g and k at construction and keep
-using them even if the simulated plant is swapped mid-run (the robustness
-stress of the benchmark), unless explicitly re-bound.
+Each law has ``control(gphi, w) -> (u, aux)``, the tanh-saturated input and
+any auxiliary policy output, and ``pair(now, rec, gphi, aux) -> (Y, Theta)``,
+the regression pair of the critic update: the regressor and the running
+cost. ``now`` is the newest delay-line sample and ``rec`` its increments
+against the sample one delay earlier.
+
+IADP is model-free: it reads only the constant surrogate g_bar. ZSADP and
+TADP are the model-based baselines; they capture the true plant's g and k at
+construction and keep using them even if the simulated plant is swapped
+mid-run (the robustness stress of the benchmark), unless explicitly re-bound.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critic import BasisSet, CostConfig, grad_phi, penalty_W
-from .kernels import saturated_control
+from . import kernels
+from .critic import CostConfig
 from .tde import IncrementalModelConfig
 
 
-@dataclass
-class ControlOutput:
-    u: np.ndarray
-    du: np.ndarray | None = None
-    aux: np.ndarray = field(default_factory=lambda: np.zeros(0))
+class _Law:
+    """Shared part of the laws: the state and saturation terms of the cost,
+    x^T Q x + W(u), and no reaction to a plant swap."""
 
+    learns = True
 
-@dataclass
-class IadpController:
-    cfg: IncrementalModelConfig
-    cost: CostConfig
-    basis: BasisSet
+    def __init__(self, cost: CostConfig):
+        self.Q = cost.Q
+        self.beta = cost.beta
 
-
-def iadp_control(ctrl: IadpController, w, x, u0) -> ControlOutput:
-    """u = -beta tanh(g_bar^T grad_phi^T w / (2 beta)); du = u - u0."""
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    gphi = grad_phi(ctrl.basis, x)
-    u = saturated_control(ctrl.cfg.g_bar, gphi, np.asarray(w, dtype=float),
-                          ctrl.cost.beta)
-    return ControlOutput(u=u, du=u - u0)
-
-
-def iadp_cost(x, du, u0, cfg: CostConfig) -> float:
-    """Running cost of the incremental law; delegates to the shared form."""
-    from .critic import running_cost
-    return running_cost(x, du, u0, cfg)
-
-
-@dataclass
-class ZsadpController:
-    """Zero-sum-game baseline: needs the true g and k, plays a worst-case
-    disturbance policy inside its cost."""
-
-    g: np.ndarray
-    k: np.ndarray
-    gamma: float
-    cost: CostConfig
-    basis: BasisSet
-
-    def __post_init__(self):
-        self.g = np.atleast_2d(np.asarray(self.g, dtype=float)).reshape(-1, 1) \
-            if np.asarray(self.g).ndim == 1 else np.asarray(self.g, dtype=float)
-        self.k = np.atleast_2d(np.asarray(self.k, dtype=float)).reshape(-1, 1) \
-            if np.asarray(self.k).ndim == 1 else np.asarray(self.k, dtype=float)
-
-
-def zsadp_control(ctrl: ZsadpController, w, x) -> ControlOutput:
-    """u = -beta tanh(g^T grad_phi^T w / (2 beta)); aux is the worst-case
-    disturbance estimate d_hat = k^T grad_phi^T w / (2 gamma^2)."""
-    w = np.asarray(w, dtype=float)
-    gphi = grad_phi(ctrl.basis, x)
-    u = saturated_control(ctrl.g, gphi, w, ctrl.cost.beta)
-    d_hat = ctrl.k.T @ (gphi.T @ w) / (2.0 * ctrl.gamma ** 2)
-    return ControlOutput(u=u, aux=d_hat)
-
-
-def zsadp_cost(x, u, d_hat, cfg: CostConfig, gamma: float) -> float:
-    """x^T Q x + W(u) - gamma ||d_hat||^2."""
-    x = np.asarray(x, dtype=float)
-    d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-    return float(x @ cfg.Q @ x) + penalty_W(u, cfg.beta) - gamma * float(d_hat @ d_hat)
-
-
-@dataclass
-class TadpController:
-    """Transformed-optimal-control baseline with disturbance-bound cost terms.
-
-    h = (I - g g^+) k is the out-of-span disturbance direction; the bound
-    coefficients encode |d| <= (sqrt(2)/2)||x|| and l_M = 0.4 sqrt(2) ||x||.
-    """
-
-    g: np.ndarray
-    k: np.ndarray
-    rho: float
-    cost: CostConfig
-    basis: BasisSet
-    d_M_coeff: float = np.sqrt(2.0) / 2.0
-    l_M_coeff: float = 0.4 * np.sqrt(2.0)
-    h: np.ndarray = None
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float).reshape(-1, 1) \
-            if np.asarray(self.g).ndim == 1 else np.asarray(self.g, dtype=float)
-        self.k = np.asarray(self.k, dtype=float).reshape(-1, 1) \
-            if np.asarray(self.k).ndim == 1 else np.asarray(self.k, dtype=float)
-        self.rebind(self.g, self.k)
+    def _cost(self, now) -> float:
+        x = now.x
+        return float(x @ self.Q @ x) + kernels.penalty_sat(now.u, self.beta)
 
     def rebind(self, g, k) -> None:
-        """Recompute h from (possibly new) plant matrices."""
-        self.g = np.asarray(g, dtype=float).reshape(self.g.shape)
-        self.k = np.asarray(k, dtype=float).reshape(self.k.shape)
+        """Take the plant matrices after a swap; model-free laws ignore them."""
+
+
+class ZeroLaw(_Law):
+    """u = 0 at every step; the critic is not trained."""
+
+    learns = False
+
+    def __init__(self, m: int):
+        self.u = np.zeros(m)
+
+    def control(self, gphi, w):
+        return self.u, None
+
+
+class IadpLaw(_Law):
+    """u = -beta tanh(g_bar^T grad_phi^T w / (2 beta)).
+
+    Y = grad_phi (g_bar du + x0dot); Theta = x^T Q x + W(u) + c_bar^2 ||du||^2.
+    """
+
+    def __init__(self, imc: IncrementalModelConfig, cost: CostConfig):
+        super().__init__(cost)
+        self.g_bar = imc.g_bar
+        self.c_bar2 = cost.c_bar ** 2
+
+    def control(self, gphi, w):
+        return kernels.saturated_control(self.g_bar, gphi, w, self.beta), None
+
+    def pair(self, now, rec, gphi, aux):
+        du = rec.du
+        Y = gphi @ (self.g_bar @ du + rec.x0dot)
+        return Y, self._cost(now) + self.c_bar2 * float(du @ du)
+
+
+class _BaselineLaw(_Law):
+    """Shared part of the model-based baselines: the saturated law on the
+    true g, an auxiliary policy ``aux(grad_phi^T w)``, and the
+    Bellman-residual regressor Y = grad_phi xdot."""
+
+    def __init__(self, g, k, cost: CostConfig):
+        super().__init__(cost)
+        self.rebind(g, k)
+
+    def rebind(self, g, k) -> None:
+        self.g = np.asarray(g, dtype=float).reshape(len(g), -1)
+        self.k = np.asarray(k, dtype=float).reshape(len(k), -1)
+
+    def control(self, gphi, w):
+        u = kernels.saturated_control(self.g, gphi, w, self.beta)
+        return u, self.aux(gphi.T @ w)
+
+
+class ZsadpLaw(_BaselineLaw):
+    """Zero-sum-game baseline: aux is the worst-case disturbance estimate
+    d_hat = k^T grad_phi^T w / (2 gamma^2).
+
+    Theta = x^T Q x + W(u) - gamma ||d_hat||^2.
+    """
+
+    def __init__(self, g, k, gamma: float, cost: CostConfig):
+        self.gamma = gamma
+        self.d_scale = 2.0 * gamma ** 2
+        super().__init__(g, k, cost)
+
+    def aux(self, v):
+        return self.k.T @ v / self.d_scale
+
+    def pair(self, now, rec, gphi, d_hat):
+        Y = gphi @ now.xdot
+        return Y, self._cost(now) - self.gamma * float(d_hat.T @ d_hat)
+
+
+class TadpLaw(_BaselineLaw):
+    """Transformed-optimal-control baseline with disturbance-bound cost terms.
+
+    h = (I - g g^+) k is the out-of-span disturbance direction; aux is the
+    pseudo control v_hat = -h^T grad_phi^T w / (2 rho). The bound
+    coefficients encode |d| <= (sqrt(2)/2)||x|| and l_M = 0.4 sqrt(2) ||x||.
+
+    Theta = x^T Q x + W(u) + rho ||v_hat||^2 + (l_M^2 + d_M^2) ||x||^2.
+    """
+
+    d_M_coeff = np.sqrt(2.0) / 2.0
+    l_M_coeff = 0.4 * np.sqrt(2.0)
+
+    def __init__(self, g, k, rho: float, cost: CostConfig):
+        self.rho = rho
+        self.v_scale = 2.0 * rho
+        self.bound2 = self.l_M_coeff ** 2 + self.d_M_coeff ** 2
+        super().__init__(g, k, cost)
+
+    def rebind(self, g, k) -> None:
+        """Take new plant matrices and recompute h."""
+        super().rebind(g, k)
         n = self.g.shape[0]
-        g_pinv = np.linalg.pinv(self.g)
-        self.h = (np.eye(n) - self.g @ g_pinv) @ self.k
+        self.h = (np.eye(n) - self.g @ np.linalg.pinv(self.g)) @ self.k
 
+    def aux(self, v):
+        return -self.h.T @ v / self.v_scale
 
-def tadp_control(ctrl: TadpController, w, x) -> ControlOutput:
-    """u = -beta tanh(g^T grad_phi^T w / (2 beta)); aux is the pseudo control
-    v_hat = -h^T grad_phi^T w / (2 rho)."""
-    w = np.asarray(w, dtype=float)
-    gphi = grad_phi(ctrl.basis, x)
-    u = saturated_control(ctrl.g, gphi, w, ctrl.cost.beta)
-    v_hat = -ctrl.h.T @ (gphi.T @ w) / (2.0 * ctrl.rho)
-    return ControlOutput(u=u, aux=v_hat)
-
-
-def tadp_cost(x, u, v_hat, cfg: CostConfig, rho: float,
-              d_M_coeff: float = np.sqrt(2.0) / 2.0,
-              l_M_coeff: float = 0.4 * np.sqrt(2.0)) -> float:
-    """x^T Q x + W(u) + rho ||v_hat||^2 + (l_M^2 + d_M^2) ||x||^2 terms."""
-    x = np.asarray(x, dtype=float)
-    v_hat = np.atleast_1d(np.asarray(v_hat, dtype=float))
-    xx = float(x @ x)
-    return float(x @ cfg.Q @ x) + penalty_W(u, cfg.beta) + rho * float(v_hat @ v_hat) \
-        + (l_M_coeff ** 2) * xx + (d_M_coeff ** 2) * xx
+    def pair(self, now, rec, gphi, v_hat):
+        x = now.x
+        Y = gphi @ now.xdot
+        return Y, self._cost(now) + self.rho * float(v_hat.T @ v_hat) \
+            + self.bound2 * float(x @ x)

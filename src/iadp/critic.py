@@ -1,8 +1,8 @@
-"""Polynomial value-function approximator and the linear-in-parameters transform.
+"""Polynomial value-function approximator, cost weights and saturation penalty.
 
-The critic is V(x) ~ w^T Phi(x) with Phi a fixed monomial basis. Each step of
-the closed loop produces a regression pair (Y, Theta): Y is the gradient of
-the basis pushed through the incremental model, Theta is the running cost.
+The critic is V(x) ~ w^T Phi(x) with Phi a fixed monomial basis. The
+regression pairs (Y, Theta) it learns from are formed by the control laws
+in ``controllers``.
 """
 
 from dataclasses import dataclass
@@ -107,23 +107,3 @@ def penalty_W(v, beta: float) -> float:
     if over > 1e-6:
         raise SaturationDomainError(f"penalty argument exceeds beta by {over:.3g}")
     return float(penalty_sat(v, beta))
-
-
-def running_cost(x, du, u0, cfg: CostConfig) -> float:
-    """IADP running cost: x^T Q x + W(u0 + du) + c_bar^2 ||du||^2."""
-    x = np.asarray(x, dtype=float)
-    du = np.atleast_1d(np.asarray(du, dtype=float))
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    return float(x @ cfg.Q @ x) + penalty_W(u0 + du, cfg.beta) \
-        + cfg.c_bar ** 2 * float(du @ du)
-
-
-def regressor_Y(gphi: np.ndarray, g_bar: np.ndarray, du, x0dot) -> np.ndarray:
-    """Incremental-model regressor Y = grad_phi @ (g_bar du + xdot_0)."""
-    du = np.atleast_1d(np.asarray(du, dtype=float))
-    return gphi @ (g_bar @ du + np.asarray(x0dot, dtype=float))
-
-
-def baseline_regressor_Y(gphi: np.ndarray, xdot_meas) -> np.ndarray:
-    """Bellman-residual regressor for the model-based baselines: grad_phi @ xdot."""
-    return gphi @ np.asarray(xdot_meas, dtype=float)

@@ -1,33 +1,17 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy variants.
-
-Every kernel exists twice: a plain numpy implementation (suffix ``_np``)
-and, when numba is importable, an ``@njit``-compiled version. The active
-set is chosen once at import time; set the environment variable
-``IADP_NO_NUMBA=1`` to force the numpy fallbacks (useful for debugging
-and for the benchmark in ``benchmarks/bench_kernels.py``).
+"""Hot numeric kernels of the closed loop, in plain numpy.
 
 All kernels operate on float64 arrays and tiny dimensions (n=2, N=6 for
-the default pendulum setup), so the win from numba is mostly the removal
-of per-call numpy dispatch overhead inside the 10^5-step episode loop.
+the default pendulum setup). Callers look them up through the module
+(``kernels.saturated_control(...)``) so per-call tracing can wrap them.
 """
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("IADP_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
 
 # argument clamp for atanh: |v/beta| is kept off the boundary
 ATANH_MARGIN = 1e-9
 
 
-def monomial_eval_np(exponents, x):
+def monomial_eval(exponents, x):
     """Evaluate monomial features prod_i x_i**e_i for each row of exponents."""
     N, n = exponents.shape
     out = np.ones(N)
@@ -39,7 +23,7 @@ def monomial_eval_np(exponents, x):
     return out
 
 
-def monomial_grad_np(exponents, x):
+def monomial_grad(exponents, x):
     """Gradient rows of the monomial features; exact for integer exponents."""
     N, n = exponents.shape
     out = np.zeros((N, n))
@@ -61,7 +45,7 @@ def monomial_grad_np(exponents, x):
     return out
 
 
-def saturated_control_np(gmat, gphi, w, beta):
+def saturated_control(gmat, gphi, w, beta):
     """u = -beta * tanh(g^T (grad_phi^T w) / (2 beta)), clamped off +-beta."""
     z = gmat.T @ (gphi.T @ w) / (2.0 * beta)
     u = -beta * np.tanh(z)
@@ -69,7 +53,7 @@ def saturated_control_np(gmat, gphi, w, beta):
     return np.clip(u, -lim, lim)
 
 
-def penalty_sat_np(v, beta):
+def penalty_sat(v, beta):
     """Saturation penalty 2*b*v*atanh(v/b) + b^2*log(1 - v^2/b^2), summed."""
     total = 0.0
     for j in range(v.shape[0]):
@@ -82,7 +66,7 @@ def penalty_sat_np(v, beta):
     return total
 
 
-def weight_derivative_np(w, Y, theta, Yb, thetab, gamma, k_c, k_e):
+def weight_derivative_kernel(w, Y, theta, Yb, thetab, gamma, k_c, k_e):
     """Off-policy critic update: gradient of the current + replayed residuals.
 
     Replay residuals are recomputed against the live weights, so the
@@ -95,7 +79,7 @@ def weight_derivative_np(w, Y, theta, Yb, thetab, gamma, k_c, k_e):
     return -(gamma @ acc)
 
 
-def pendulum_rhs_np(x, u0, p, dist, t):
+def _pendulum_rhs(x, u0, p, dist, t):
     """RHS of the parametric pendulum family.
 
     p = [a, b, c, g2, k1, k2] encodes f = [a*x2, b*sin(x1) + c*x2],
@@ -112,35 +96,10 @@ def pendulum_rhs_np(x, u0, p, dist, t):
     return out
 
 
-def pendulum_rk4_np(x, u0, p, dist, t, dt):
+def pendulum_rk4(x, u0, p, dist, t, dt):
     """Classical RK4 step of the parametric pendulum under zero-order hold."""
-    k1 = pendulum_rhs_np(x, u0, p, dist, t)
-    k2 = pendulum_rhs_np(x + 0.5 * dt * k1, u0, p, dist, t + 0.5 * dt)
-    k3 = pendulum_rhs_np(x + 0.5 * dt * k2, u0, p, dist, t + 0.5 * dt)
-    k4 = pendulum_rhs_np(x + dt * k3, u0, p, dist, t + dt)
+    k1 = _pendulum_rhs(x, u0, p, dist, t)
+    k2 = _pendulum_rhs(x + 0.5 * dt * k1, u0, p, dist, t + 0.5 * dt)
+    k3 = _pendulum_rhs(x + 0.5 * dt * k2, u0, p, dist, t + 0.5 * dt)
+    k4 = _pendulum_rhs(x + dt * k3, u0, p, dist, t + dt)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-if USE_NUMBA:
-    _opts = dict(cache=True, fastmath=False)
-    monomial_eval = njit(**_opts)(monomial_eval_np)
-    monomial_grad = njit(**_opts)(monomial_grad_np)
-    saturated_control = njit(**_opts)(saturated_control_np)
-    penalty_sat = njit(**_opts)(penalty_sat_np)
-    weight_derivative_kernel = njit(**_opts)(weight_derivative_np)
-    _pendulum_rhs = njit(**_opts)(pendulum_rhs_np)
-
-    @njit(**_opts)
-    def pendulum_rk4(x, u0, p, dist, t, dt):
-        k1 = _pendulum_rhs(x, u0, p, dist, t)
-        k2 = _pendulum_rhs(x + 0.5 * dt * k1, u0, p, dist, t + 0.5 * dt)
-        k3 = _pendulum_rhs(x + 0.5 * dt * k2, u0, p, dist, t + 0.5 * dt)
-        k4 = _pendulum_rhs(x + dt * k3, u0, p, dist, t + dt)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-else:
-    monomial_eval = monomial_eval_np
-    monomial_grad = monomial_grad_np
-    saturated_control = saturated_control_np
-    penalty_sat = penalty_sat_np
-    weight_derivative_kernel = weight_derivative_np
-    pendulum_rk4 = pendulum_rk4_np

@@ -124,11 +124,15 @@ def weight_derivative(w, current: RegressionPair | None, buf: ExperienceBuffer,
                                     gains.Gamma, gains.k_c, gains.k_e)
 
 
-def step_weights(w, wdot, dt: float) -> np.ndarray:
-    """Explicit Euler step of the weight ODE."""
+def step_weights(w, wdot, dt: float) -> tuple[np.ndarray, bool]:
+    """Explicit Euler step of the weight ODE: (w + dt*wdot, finite).
+
+    A non-finite entry means the critic has diverged: it comes back zeroed,
+    so the logged weights stay finite, and ``finite`` is False.
+    """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
-    out = np.asarray(w, dtype=float) + dt * np.asarray(wdot, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("weight update produced non-finite entries")
-    return out
+    out = w + dt * wdot
+    if np.all(np.isfinite(out)):
+        return out, True
+    return np.where(np.isfinite(out), out, 0.0), False

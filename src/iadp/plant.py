@@ -34,7 +34,7 @@ class ControlAffinePlant:
     input_map: Callable[[np.ndarray], np.ndarray]
     disturbance_map: Callable[[np.ndarray], np.ndarray]
     name: str = "plant"
-    # coefficient vector for the fused numba step, pendulum family only
+    # coefficient vector for the fused RK4 kernel, pendulum family only
     pendulum_params: Optional[np.ndarray] = None
 
     def check_input_rank(self, states) -> None:

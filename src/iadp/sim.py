@@ -1,9 +1,9 @@
 """Fixed-step closed-loop simulation engine.
 
-Per step: measure (noise) -> estimate xdot -> controller -> increments ->
-learner update -> buffer candidate -> integrate plant -> fire events ->
-accumulate metrics. One episode is strictly sequential; separate episodes
-share no mutable state.
+Per step: measure (noise) -> control law -> delay line (xdot estimate,
+increments) -> learner update -> buffer candidate -> integrate plant -> fire
+events -> accumulate metrics. One episode is strictly sequential; separate
+episodes share no mutable state.
 """
 
 import time
@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .controllers import TadpController, ZsadpController
+from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
-from .learner import ExperienceBuffer, LearnerGains, try_insert
+from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
 from .plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                     EventSchedule, NoiseSpec, NoiseState, add_measurement_noise,
                     apply_event_schedule, disturbance_value, eval_dynamics)
-from .tde import IncrementalModelConfig
+from .tde import (DelayLine, DelaySample, IncrementalModelConfig,
+                  compute_increments, estimate_xdot, true_tde_error)
 
 DIVERGENCE_NORM = 1e6
 
@@ -57,6 +58,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigurationError("dt must be > 0")
+        if self.t_end <= 0:
+            raise ConfigurationError("t_end must be > 0")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigurationError("t_end must be a multiple of dt")
@@ -64,6 +67,19 @@ class SimConfig:
             raise ConfigurationError(f"unknown controller {self.controller!r}")
         if self.xdot_source not in ("backward_difference", "ground_truth"):
             raise ConfigurationError(f"unknown xdot source {self.xdot_source!r}")
+        if self.buffer_size < 1 or self.buffer_every < 1:
+            raise ConfigurationError("learner.P and learner.buffer_every must be >= 1")
+        basis = BasisSet(self.basis_exponents)
+        n = basis.n
+        if CostConfig(self.Q, self.beta, self.c_bar).Q.shape != (n, n):
+            raise ConfigurationError(f"Q must be {n}x{n}")
+        if np.shape(self.Gamma) != (basis.N, basis.N):
+            raise ConfigurationError("learner.Gamma shape does not match basis size")
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (n,) or not np.all(np.isfinite(x0)):
+            raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
+        if IncrementalModelConfig(self.g_bar).g_bar.shape[0] != n:
+            raise ConfigurationError(f"g_bar must have {n} rows")
 
 
 @dataclass
@@ -89,12 +105,6 @@ class TrajectoryLog:
 
     def rows(self) -> int:
         return self.t.shape[0]
-
-
-@dataclass
-class Metrics:
-    E_u: np.ndarray
-    E_x: np.ndarray
 
 
 class World:
@@ -144,18 +154,18 @@ def run_episode(cfg: SimConfig, world: World,
     buf = ExperienceBuffer(cfg.buffer_size, N, cfg.buffer_policy)
 
     g_ctrl, k_ctrl = _plant_matrices(world.plant, cfg.x0)
-    tadp = None
-    if cfg.controller == "tadp":
-        tadp = TadpController(g_ctrl, k_ctrl, cfg.rho, cost, basis)
-    zsadp = None
-    if cfg.controller == "zsadp":
-        zsadp = ZsadpController(g_ctrl, k_ctrl, cfg.gamma, cost, basis)
+    law = {
+        "iadp": lambda: IadpLaw(imc, cost),
+        "zsadp": lambda: ZsadpLaw(g_ctrl, k_ctrl, cfg.gamma, cost),
+        "tadp": lambda: TadpLaw(g_ctrl, k_ctrl, cfg.rho, cost),
+        "zero": lambda: ZeroLaw(m),
+    }[cfg.controller]()
+    learning = cfg.learning_enabled and law.learns
 
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     S = steps + 1
-    delay_steps = 1  # L = dt, one-sample delay
-    H = delay_steps + 2
+    line = DelayLine(dt)
 
     log = TrajectoryLog(
         t=np.arange(S) * dt,
@@ -165,25 +175,16 @@ def run_episode(cfg: SimConfig, world: World,
         E_u=np.zeros(S), E_x=np.zeros(S), rank=np.zeros(S, dtype=np.int64),
     )
 
-    hx = np.zeros((H, n))
-    hxd = np.zeros((H, n))
-    hu = np.zeros((H, m))
     x = np.asarray(cfg.x0, dtype=float).copy()
     w = np.zeros(N)
     noise_state = NoiseState(n)
-    beta = cfg.beta
-    c_bar2 = cfg.c_bar ** 2
-    Q = cost.Q
-    g_bar = imc.g_bar
-    g_bar_pinv = imc.g_bar_pinv
-    clamp = beta - 1e-12
+    clamp = cfg.beta - 1e-12
 
     rank_val = 0
     sigma_min = 0.0
     rank_complete = False
     prev_u_sq = 0.0
     prev_x_sq = float(x @ x)
-    xm_prev = x.copy()
     fused = world.plant.pendulum_params is not None and m == 1 and n == 2
     pparams = world.plant.pendulum_params
     dparams = world.disturbance.packed()
@@ -198,72 +199,45 @@ def run_episode(cfg: SimConfig, world: World,
         noise_state.update(x)
         xm = add_measurement_noise(x, world.noise, t, rng, noise_state)
 
-        # --- state derivative estimate (backward difference path)
-        if cfg.xdot_source == "backward_difference":
-            xdot = (xm - xm_prev) / dt if i >= 1 else np.zeros(n)
-
-        # --- control
-        warm = i < delay_steps + 1
-        d_hat = None
-        v_hat = None
-        if warm or cfg.controller == "zero":
+        # --- control; u is held at 0 until the sample one delay back
+        # carries a real xdot estimate
+        warm = i < 2
+        if warm:
             u = np.zeros(m)
-            u0 = np.zeros(m)
-            du = np.zeros(m)
-            gphi = None
+            aux = None
         else:
             gphi = kernels.monomial_grad(exps, xm)
-            u0 = hu[(i - delay_steps) % H]
-            if cfg.controller == "iadp":
-                u = kernels.saturated_control(g_bar, gphi, w, beta)
-            elif cfg.controller == "zsadp":
-                u = kernels.saturated_control(zsadp.g, gphi, w, beta)
-                d_hat = zsadp.k.T @ (gphi.T @ w) / (2.0 * cfg.gamma ** 2)
-            else:
-                u = kernels.saturated_control(tadp.g, gphi, w, beta)
-                v_hat = -tadp.h.T @ (gphi.T @ w) / (2.0 * cfg.rho)
-            du = u - u0
+            u, aux = law.control(gphi, w)
         if np.any(np.abs(u) > clamp):
             raise FloatingPointError("saturation invariant violated")
 
         # --- disturbance actually applied at the sample time (for log / gt xdot)
         d_val = disturbance_value(world.disturbance, x, t)
-        if cfg.xdot_source == "ground_truth":
-            xdot = eval_dynamics(world.plant, x, u, d_val, t) if i >= 0 else np.zeros(n)
 
-        hi = i % H
-        hx[hi] = xm
-        hxd[hi] = xdot
-        hu[hi] = u
+        # --- delay line: the newest sample and its xdot estimate
+        now = DelaySample(t, xm, None, u)
+        if cfg.xdot_source == "ground_truth":
+            now.xdot = eval_dynamics(world.plant, x, u, d_val, t)
+        line.push(now)
+        if cfg.xdot_source == "backward_difference":
+            now.xdot = estimate_xdot(line) if i >= 1 else np.zeros(n)
 
         theta_tilde = 0.0
-        xi = np.zeros(m)
-        if not warm:
-            x0dot = hxd[(i - delay_steps) % H]
-            dxdot = xdot - x0dot
-            xi = g_bar_pinv @ dxdot - du
-            if cfg.learning_enabled and cfg.controller != "zero":
-                if cfg.controller == "iadp":
-                    Y = gphi @ (g_bar @ du + x0dot)
-                    theta = float(xm @ Q @ xm) + kernels.penalty_sat(u, beta) \
-                        + c_bar2 * float(du @ du)
-                elif cfg.controller == "zsadp":
-                    Y = gphi @ xdot
-                    theta = float(xm @ Q @ xm) + kernels.penalty_sat(u, beta) \
-                        - cfg.gamma * float(d_hat.T @ d_hat)
-                else:
-                    Y = gphi @ xdot
-                    theta = float(xm @ Q @ xm) + kernels.penalty_sat(u, beta) \
-                        + cfg.rho * float(v_hat.T @ v_hat) \
-                        + (tadp.l_M_coeff ** 2 + tadp.d_M_coeff ** 2) * float(xm @ xm)
+        if warm:
+            du, xi = np.zeros(m), np.zeros(m)
+        else:
+            rec = compute_increments(line)
+            du = rec.du
+            xi = true_tde_error(rec, imc)
+            if learning:
+                Y, theta = law.pair(now, rec, gphi, aux)
                 theta_tilde = float(theta + w @ Y)
                 wdot = kernels.weight_derivative_kernel(
                     w, Y, theta, buf.Y, buf.Theta, gains.Gamma, gains.k_c, gains.k_e)
-                w = w + dt * wdot
-                if not np.all(np.isfinite(w)):
+                w, finite = step_weights(w, wdot, dt)
+                if not finite:
                     log.diverged = True
                     log.diverged_step = i
-                    w = np.where(np.isfinite(w), w, 0.0)
 
                 # buffer collection: cadence during the excitation phase, then
                 # keep collecting while the rank condition is unmet
@@ -299,7 +273,6 @@ def run_episode(cfg: SimConfig, world: World,
             log.E_u[i] = log.E_u[i - 1] + 0.5 * dt * (prev_u_sq + u_sq)
             log.E_x[i] = log.E_x[i - 1] + 0.5 * dt * (prev_x_sq + x_sq)
         prev_u_sq, prev_x_sq = u_sq, x_sq
-        xm_prev = xm
 
         if log.diverged:
             break
@@ -327,11 +300,7 @@ def run_episode(cfg: SimConfig, world: World,
                 pparams = world.plant.pendulum_params
                 dparams = world.disturbance.packed()
                 if cfg.baselines_track_swap:
-                    g_new, k_new = _plant_matrices(world.plant, x)
-                    if zsadp is not None:
-                        zsadp.g, zsadp.k = g_new, k_new
-                    if tadp is not None:
-                        tadp.rebind(g_new, k_new)
+                    law.rebind(*_plant_matrices(world.plant, x))
 
             if log.diverged:
                 # record the diverged state row, then stop
@@ -352,13 +321,3 @@ def run_episode(cfg: SimConfig, world: World,
     log.buffer_sigma_min = sigma_min
     log.wall_time = time.perf_counter() - t_start
     return log
-
-
-def accumulate_metrics(log: TrajectoryLog) -> Metrics:
-    """Trapezoidal running integrals of ||u||^2 and ||x||^2 over the log."""
-    dt = np.diff(log.t)
-    u_sq = np.sum(log.u * log.u, axis=1)
-    x_sq = np.sum(log.x_true * log.x_true, axis=1)
-    E_u = np.concatenate([[0.0], np.cumsum(0.5 * dt * (u_sq[:-1] + u_sq[1:]))])
-    E_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (x_sq[:-1] + x_sq[1:]))])
-    return Metrics(E_u=E_u, E_x=E_x)

@@ -48,24 +48,14 @@ class IncrementalModelConfig:
 
 
 class DelayLine:
-    """Ring buffer of equally spaced samples with an exact L = k*dt lookup."""
+    """The two newest samples of a stream spaced dt apart: the newest and the
+    one L = dt before it (the loop's one-sample delay)."""
 
-    def __init__(self, dt: float, delay: float, capacity: int | None = None):
+    def __init__(self, dt: float):
         if dt <= 0:
             raise ConfigurationError("dt must be > 0")
-        ratio = delay / dt
-        self.delay_steps = int(round(ratio))
-        if abs(ratio - self.delay_steps) > 1e-9 or self.delay_steps < 1:
-            raise ConfigurationError("delay must be a positive integer multiple of dt")
         self.dt = dt
-        self.delay = delay
-        self.capacity = capacity if capacity is not None else self.delay_steps + 2
-        if self.capacity < self.delay_steps + 1:
-            raise ConfigurationError("capacity too small for the configured delay")
-        self.samples: deque[DelaySample] = deque(maxlen=self.capacity)
-
-    def __len__(self) -> int:
-        return len(self.samples)
+        self.samples: deque[DelaySample] = deque(maxlen=2)
 
     def push(self, s: DelaySample) -> None:
         if self.samples:
@@ -76,13 +66,9 @@ class DelayLine:
 
     def delayed(self) -> DelaySample:
         """The sample at t - L relative to the most recent push."""
-        if len(self.samples) < self.delay_steps + 1:
+        if len(self.samples) < 2:
             raise WarmUpError("delay line not yet full")
-        return self.samples[-1 - self.delay_steps]
-
-
-def push_sample(line: DelayLine, s: DelaySample) -> None:
-    line.push(s)
+        return self.samples[0]
 
 
 def estimate_xdot(line: DelayLine, method: str = "backward_difference") -> np.ndarray:
@@ -103,17 +89,14 @@ def estimate_xdot(line: DelayLine, method: str = "backward_difference") -> np.nd
     raise ConfigurationError(f"unknown xdot method {method!r}")
 
 
-def compute_increments(line: DelayLine, now: DelaySample,
-                       cfg: IncrementalModelConfig) -> IncrementRecord:
+def compute_increments(line: DelayLine) -> IncrementRecord:
     """Increments between the newest sample and the one L seconds earlier."""
-    past = line.delayed()
-    if abs((now.t - past.t) - line.delay) > 1e-9:
-        raise WarmUpError("no sample at exactly t - L")
+    past, now = line.delayed(), line.samples[-1]
     return IncrementRecord(
         dx_dot=now.xdot - past.xdot,
         du=now.u - past.u,
-        u0=past.u.copy(),
-        x0dot=past.xdot.copy(),
+        u0=past.u,
+        x0dot=past.xdot,
     )
 
 

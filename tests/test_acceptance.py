@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from conftest import cached_run
 from iadp.cli import main
 from iadp.critic import BasisSet, grad_phi, penalty_W, phi
-from iadp.kernels import weight_derivative_np
+from iadp.kernels import weight_derivative_kernel
 from iadp.learner import (ExperienceBuffer, LearnerGains, RegressionPair,
                           residual, try_insert, weight_derivative)
 from iadp.plant import pendulum_nominal
@@ -90,8 +90,8 @@ def test_c03_weight_convergence_oracle():
     V[0] = float((w - w_star) @ (w - w_star))
     for i in range(10000):
         Yc = rng.uniform(-mag, mag, 6)
-        wdot = weight_derivative_np(w, Yc, -float(w_star @ Yc), Yb, Theta_b,
-                                    Gamma, 5.0, 3.0)
+        wdot = weight_derivative_kernel(w, Yc, -float(w_star @ Yc), Yb, Theta_b,
+                                        Gamma, 5.0, 3.0)
         w = w + dt * wdot
         V[i + 1] = float((w - w_star) @ (w - w_star))
     err = float(np.linalg.norm(w - w_star))

@@ -131,6 +131,21 @@ class TestMain:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, extra", [
+        ("init.x0=[1,2,3]", []),
+        ("init.x0=[nan,0]", ["--xdot-source", "ground_truth"]),
+        ("tde.g_bar=[[0,0.1,0]]", []),
+        ("cost.Q=[[1,0,0],[0,1,0],[0,0,1]]", []),
+        ("learner.P=0", []),
+        ("learner.buffer_every=0", []),
+        ("sim.t_end=-1", []),
+    ])
+    def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
+                   "--override", override, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from iadp.critic import (BasisSet, CostConfig, SaturationDomainError,
-                         baseline_regressor_Y, grad_phi, penalty_W, phi,
-                         regressor_Y, running_cost, value)
+from conftest import law_pair
+from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
+from iadp.critic import (BasisSet, CostConfig, SaturationDomainError, grad_phi,
+                         penalty_W, phi, value)
 from iadp.plant import ConfigurationError
+from iadp.tde import IncrementalModelConfig
+
+
+def iadp_law(cfg=None):
+    return IadpLaw(IncrementalModelConfig([[0.0], [0.1]]),
+                   cfg or CostConfig(Q=np.eye(2), beta=2.0, c_bar=2.0))
 
 
 class TestBasis:
@@ -99,23 +106,24 @@ class TestPenalty:
 
 
 class TestCost:
+    """The IADP running cost x^T Q x + W(u0 + du) + c_bar^2 ||du||^2."""
+
     def test_frozen_value(self):
-        cfg = CostConfig(Q=np.eye(2), beta=2.0, c_bar=2.0)
         # x^T x = 2, W(1) ~ 1.046496, c_bar^2 |du|^2 = 1
-        got = running_cost([1.0, 1.0], [0.5], [0.5], cfg)
+        _, got = law_pair(iadp_law(), [1.0, 1.0], [1.0], du=[0.5])
         assert got == pytest.approx(2.0 + 1.0464963 + 1.0, abs=1e-6)
 
     def test_zero_at_rest(self):
-        cfg = CostConfig(Q=np.eye(2))
-        assert running_cost([0.0, 0.0], [0.0], [0.0], cfg) == 0.0
+        law = iadp_law(CostConfig(Q=np.eye(2)))
+        assert law_pair(law, [0.0, 0.0], [0.0], du=[0.0])[1] == 0.0
 
     def test_nonnegative(self, rng):
-        cfg = CostConfig(Q=np.eye(2), beta=2.0, c_bar=2.0)
+        law = iadp_law()
         for _ in range(100):
             x = rng.uniform(-3, 3, 2)
             u0 = rng.uniform(-1.0, 1.0, 1)
             du = rng.uniform(-0.9, 0.9, 1)
-            assert running_cost(x, du, u0, cfg) >= 0.0
+            assert law_pair(law, x, u0 + du, du=du)[1] >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -130,23 +138,26 @@ class TestCost:
 
 class TestRegressor:
     def test_incremental_form(self):
-        gphi = grad_phi(BasisSet.default(), [2.0, -2.0])
         g_bar = np.array([[0.0], [0.1]])
         du = [0.5]
         x0dot = np.array([-2.0, -4.0])
-        got = regressor_Y(gphi, g_bar, du, x0dot)
+        got, _ = law_pair(iadp_law(), [2.0, -2.0], [0.5], du=du, x0dot=x0dot)
+        gphi = grad_phi(BasisSet.default(), [2.0, -2.0])
         assert np.allclose(got, gphi @ (g_bar @ np.array(du) + x0dot), atol=0)
 
     def test_baseline_form(self, rng):
-        gphi = grad_phi(BasisSet.default(), rng.uniform(-2, 2, 2))
+        cost = CostConfig(Q=np.eye(2))
+        g, k = np.array([[0.0], [0.25]]), np.array([[1.0], [-0.2]])
+        x = rng.uniform(-2, 2, 2)
         xdot = rng.uniform(-5, 5, 2)
-        assert np.allclose(baseline_regressor_Y(gphi, xdot), gphi @ xdot, atol=0)
+        gphi = grad_phi(BasisSet.default(), x)
+        for law in (ZsadpLaw(g, k, 1.0, cost), TadpLaw(g, k, 0.1, cost)):
+            got, _ = law_pair(law, x, [0.0], xdot=xdot, aux=np.zeros(1))
+            assert np.allclose(got, gphi @ xdot, atol=0)
 
     def test_linear_in_du(self, rng):
-        gphi = grad_phi(BasisSet.default(), [1.0, 0.5])
-        g_bar = np.array([[0.0], [0.1]])
+        law = iadp_law()
         x0dot = rng.uniform(-1, 1, 2)
-        y0 = regressor_Y(gphi, g_bar, [0.0], x0dot)
-        y1 = regressor_Y(gphi, g_bar, [1.0], x0dot)
-        y2 = regressor_Y(gphi, g_bar, [2.0], x0dot)
+        y0, y1, y2 = (law_pair(law, [1.0, 0.5], [0.0], du=[du], x0dot=x0dot)[0]
+                      for du in (0.0, 1.0, 2.0))
         assert np.allclose(y2 - y1, y1 - y0, atol=1e-12)

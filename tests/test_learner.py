@@ -150,13 +150,15 @@ class TestUpdateLaw:
 
 class TestStep:
     def test_euler(self):
-        out = step_weights([1.0, 2.0], [10.0, -10.0], 0.1)
+        out, finite = step_weights(np.array([1.0, 2.0]), np.array([10.0, -10.0]), 0.1)
+        assert finite
         assert np.allclose(out, [2.0, 1.0], atol=1e-15)
 
-    def test_nonfinite_raises(self):
-        with pytest.raises(FloatingPointError):
-            step_weights([1.0], [np.inf], 0.1)
+    def test_nonfinite_zeroed_and_flagged(self):
+        out, finite = step_weights(np.array([1.0, 2.0]), np.array([np.inf, 1.0]), 0.1)
+        assert not finite
+        assert np.array_equal(out, [0.0, 2.1])
 
     def test_bad_dt(self):
         with pytest.raises(ConfigurationError):
-            step_weights([1.0], [1.0], 0.0)
+            step_weights(np.array([1.0]), np.array([1.0]), 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,24 @@ from conftest import cached_run
 from iadp.plant import (ConfigurationError, DisturbanceSignal, NoiseSpec,
                         disturbance_value, pendulum_nominal)
 from iadp.scenarios import build_world, run_scenario
-from iadp.sim import (SimConfig, World, accumulate_metrics, rk4_step,
-                      run_episode)
+from iadp.sim import SimConfig, TrajectoryLog, World, rk4_step, run_episode
+
+
+@dataclass
+class Metrics:
+    E_u: np.ndarray
+    E_x: np.ndarray
+
+
+def accumulate_metrics(log: TrajectoryLog) -> Metrics:
+    """Trapezoidal running integrals of ||u||^2 and ||x||^2 over the log: the
+    oracle for the engine's in-loop E_u and E_x."""
+    dt = np.diff(log.t)
+    u_sq = np.sum(log.u * log.u, axis=1)
+    x_sq = np.sum(log.x_true * log.x_true, axis=1)
+    E_u = np.concatenate([[0.0], np.cumsum(0.5 * dt * (u_sq[:-1] + u_sq[1:]))])
+    E_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (x_sq[:-1] + x_sq[1:]))])
+    return Metrics(E_u=E_u, E_x=E_x)
 
 
 class TestConfig:
