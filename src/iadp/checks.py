@@ -58,7 +58,7 @@ def check_noise_determinism():
 
 def check_gbar_pinv():
     imc = IncrementalModelConfig([[0.0], [0.1]])
-    err = np.max(np.abs(imc.g_bar_pinv @ imc.g_bar - np.eye(1)))
+    err = np.max(np.abs(np.array(imc.g_bar_pinv) @ np.array(imc.g_bar) - np.eye(1)))
     return err < 1e-12, f"|g_bar^+ g_bar - I| = {err:.2e}"
 
 

@@ -1,16 +1,22 @@
 """The control laws the closed loop runs, one object per controller.
 
-Each law has ``control(gphi, w) -> (u, aux)``, the tanh-saturated input and
-any auxiliary policy output, and ``pair(now, rec, gphi, aux) -> (Y, Theta)``,
-the regression pair of the critic update: the regressor and the running
-cost. ``now`` is the newest delay-line sample and ``rec`` its increments
-against the sample one delay earlier.
+Each law has ``control(gphi_t, w) -> (u, aux)``, the tanh-saturated input
+and any auxiliary policy output, and ``pair(now, rec, gphi_t, aux) -> (Y,
+Theta)``, the regression pair of the critic update: the regressor and the
+running cost. ``gphi_t`` is the basis Jacobian transposed, grad_phi^T (n x
+N), as ``kernels.monomial_grad`` returns it; ``now`` is the newest
+delay-line sample and ``rec`` its increments against the sample one delay
+earlier. Vectors are sequences of floats and matrices sequences of rows, as
+in ``kernels``.
 
 IADP is model-free: it reads only the constant surrogate g_bar. ZSADP and
 TADP are the model-based baselines; they capture the true plant's g and k at
 construction and keep using them even if the simulated plant is swapped
 mid-run (the robustness stress of the benchmark), unless explicitly re-bound.
 """
+
+import math
+from operator import add
 
 import numpy as np
 
@@ -26,12 +32,14 @@ class _Law:
     learns = True
 
     def __init__(self, cost: CostConfig):
-        self.Q = cost.Q
+        self.Q_cols = tuple(zip(*cost.Q.tolist()))
         self.beta = cost.beta
 
     def _cost(self, now) -> float:
+        # x^T Q x, formed as (x^T Q) x
         x = now.x
-        return float(x @ self.Q @ x) + kernels.penalty_sat(now.u, self.beta)
+        return kernels.dot(kernels.matvec(self.Q_cols, x), x) \
+            + kernels.penalty_sat(now.u, self.beta)
 
     def rebind(self, g, k) -> None:
         """Take the plant matrices after a swap; model-free laws ignore them."""
@@ -43,9 +51,9 @@ class ZeroLaw(_Law):
     learns = False
 
     def __init__(self, m: int):
-        self.u = np.zeros(m)
+        self.u = (0.0,) * m
 
-    def control(self, gphi, w):
+    def control(self, gphi_t, w):
         return self.u, None
 
 
@@ -58,15 +66,17 @@ class IadpLaw(_Law):
     def __init__(self, imc: IncrementalModelConfig, cost: CostConfig):
         super().__init__(cost)
         self.g_bar = imc.g_bar
+        self.g_bar_cols = tuple(zip(*imc.g_bar))
         self.c_bar2 = cost.c_bar ** 2
 
-    def control(self, gphi, w):
-        return kernels.saturated_control(self.g_bar, gphi, w, self.beta), None
+    def control(self, gphi_t, w):
+        return kernels.saturated_control(self.g_bar, gphi_t, w, self.beta), None
 
-    def pair(self, now, rec, gphi, aux):
+    def pair(self, now, rec, gphi_t, aux):
         du = rec.du
-        Y = gphi @ (self.g_bar @ du + rec.x0dot)
-        return Y, self._cost(now) + self.c_bar2 * float(du @ du)
+        a = list(map(add, kernels.vecmat(du, self.g_bar_cols), rec.x0dot))
+        return kernels.vecmat(a, gphi_t), \
+            self._cost(now) + self.c_bar2 * kernels.dot(du, du)
 
 
 class _BaselineLaw(_Law):
@@ -79,12 +89,12 @@ class _BaselineLaw(_Law):
         self.rebind(g, k)
 
     def rebind(self, g, k) -> None:
-        self.g = np.asarray(g, dtype=float).reshape(len(g), -1)
-        self.k = np.asarray(k, dtype=float).reshape(len(k), -1)
+        self.g = _rows(g)
+        self.k = _rows(k)
 
-    def control(self, gphi, w):
-        u = kernels.saturated_control(self.g, gphi, w, self.beta)
-        return u, self.aux(gphi.T @ w)
+    def control(self, gphi_t, w):
+        u = kernels.saturated_control(self.g, gphi_t, w, self.beta)
+        return u, self.aux(kernels.matvec(gphi_t, w))
 
 
 class ZsadpLaw(_BaselineLaw):
@@ -100,11 +110,11 @@ class ZsadpLaw(_BaselineLaw):
         super().__init__(g, k, cost)
 
     def aux(self, v):
-        return self.k.T @ v / self.d_scale
+        return [a / self.d_scale for a in kernels.matvec(zip(*self.k), v)]
 
-    def pair(self, now, rec, gphi, d_hat):
-        Y = gphi @ now.xdot
-        return Y, self._cost(now) - self.gamma * float(d_hat.T @ d_hat)
+    def pair(self, now, rec, gphi_t, d_hat):
+        Y = kernels.vecmat(now.xdot, gphi_t)
+        return Y, self._cost(now) - self.gamma * kernels.dot(d_hat, d_hat)
 
 
 class TadpLaw(_BaselineLaw):
@@ -117,8 +127,8 @@ class TadpLaw(_BaselineLaw):
     Theta = x^T Q x + W(u) + rho ||v_hat||^2 + (l_M^2 + d_M^2) ||x||^2.
     """
 
-    d_M_coeff = np.sqrt(2.0) / 2.0
-    l_M_coeff = 0.4 * np.sqrt(2.0)
+    d_M_coeff = math.sqrt(2.0) / 2.0
+    l_M_coeff = 0.4 * math.sqrt(2.0)
 
     def __init__(self, g, k, rho: float, cost: CostConfig):
         self.rho = rho
@@ -129,14 +139,20 @@ class TadpLaw(_BaselineLaw):
     def rebind(self, g, k) -> None:
         """Take new plant matrices and recompute h."""
         super().rebind(g, k)
-        n = self.g.shape[0]
-        self.h = (np.eye(n) - self.g @ np.linalg.pinv(self.g)) @ self.k
+        g, k = np.array(self.g), np.array(self.k)
+        self.h = _rows((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)
 
     def aux(self, v):
-        return -self.h.T @ v / self.v_scale
+        return [-a / self.v_scale for a in kernels.matvec(zip(*self.h), v)]
 
-    def pair(self, now, rec, gphi, v_hat):
+    def pair(self, now, rec, gphi_t, v_hat):
         x = now.x
-        Y = gphi @ now.xdot
-        return Y, self._cost(now) + self.rho * float(v_hat.T @ v_hat) \
-            + self.bound2 * float(x @ x)
+        Y = kernels.vecmat(now.xdot, gphi_t)
+        return Y, self._cost(now) + self.rho * kernels.dot(v_hat, v_hat) \
+            + self.bound2 * kernels.dot(x, x)
+
+
+def _rows(mat) -> tuple:
+    """A matrix, or a vector as one column, as a tuple of float row tuples."""
+    mat = np.asarray(mat, dtype=float)
+    return tuple(map(tuple, mat.reshape(len(mat), -1).tolist()))

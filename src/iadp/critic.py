@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import monomial_eval, monomial_grad, penalty_sat
+from .kernels import monomial_eval, monomial_grad, monomial_partials, penalty_sat
 from .plant import ConfigurationError
 
 
@@ -31,7 +31,11 @@ DEFAULT_EXPONENTS = np.array([
 
 @dataclass
 class BasisSet:
-    """Monomial basis defined by an (N, n) integer exponent matrix."""
+    """Monomial basis defined by an (N, n) integer exponent matrix.
+
+    ``partials`` holds the features' partial derivatives in the form
+    ``kernels.monomial_grad`` evaluates.
+    """
 
     exponents: np.ndarray
 
@@ -39,6 +43,7 @@ class BasisSet:
         self.exponents = np.asarray(self.exponents, dtype=np.int64)
         if self.exponents.ndim != 2:
             raise ConfigurationError("basis exponents must be an (N, n) matrix")
+        self.partials = monomial_partials(self.exponents)
 
     @property
     def N(self) -> int:
@@ -66,7 +71,7 @@ def grad_phi(basis: BasisSet, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise ConfigurationError(f"state has shape {x.shape}, basis expects ({basis.n},)")
-    return monomial_grad(basis.exponents, x)
+    return np.array(monomial_grad(basis.partials, x)).T
 
 
 def value(w, basis: BasisSet, x) -> float:

@@ -6,7 +6,8 @@ against the live weights on every call, which is what makes the update law a
 true gradient flow on the summed squared residuals.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,8 @@ class LearnerGains:
 
 
 class ExperienceBuffer:
-    """Fixed-capacity replay store of (Y_l, Theta_l) regression points."""
+    """Fixed-capacity replay store of (Y_l, Theta_l) regression points: ``Y``
+    is a list of float rows, ``Theta`` a list of floats."""
 
     def __init__(self, capacity: int, N: int, policy: str = "sequential_fill"):
         if policy not in ("sequential_fill", "sigma_min_enrich"):
@@ -49,16 +51,16 @@ class ExperienceBuffer:
         self.capacity = capacity
         self.N = N
         self.policy = policy
-        self.Y = np.zeros((0, N))
-        self.Theta = np.zeros(0)
+        self.Y: list[list[float]] = []
+        self.Theta: list[float] = []
 
     def __len__(self) -> int:
-        return self.Y.shape[0]
+        return len(self.Y)
 
     def _report(self) -> RankReport:
         if len(self) == 0:
             return RankReport(0, 0.0)
-        sv = np.linalg.svd(self.Y.T, compute_uv=False)
+        sv = np.linalg.svd(np.array(self.Y).T, compute_uv=False)
         tol = 1e-8 * sv[0] if sv[0] > 0 else 0.0
         return RankReport(int(np.sum(sv > tol)), float(sv[-1]) if len(sv) == self.N else 0.0)
 
@@ -76,20 +78,22 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
     the candidate most increases sigma_min of the stacked Y matrix, and only
     if that increase is strict.
     """
-    Y = np.asarray(Y, dtype=float)
-    if not (np.all(np.isfinite(Y)) and np.isfinite(Theta)):
+    Y = [float(v) for v in Y]
+    Theta = float(Theta)
+    if not (all(map(math.isfinite, Y)) and math.isfinite(Theta)):
         return False, buf._report()
     if len(buf) < buf.capacity:
-        buf.Y = np.vstack([buf.Y, Y[None, :]])
-        buf.Theta = np.append(buf.Theta, Theta)
+        buf.Y.append(Y)
+        buf.Theta.append(Theta)
         return True, buf._report()
     if buf.policy == "sequential_fill":
         return False, buf._report()
 
-    base = np.linalg.svd(buf.Y.T, compute_uv=False)[-1]
+    stored = np.array(buf.Y)
+    base = np.linalg.svd(stored.T, compute_uv=False)[-1]
     best_gain, best_idx = 0.0, -1
     for i in range(buf.capacity):
-        trial = buf.Y.copy()
+        trial = stored.copy()
         trial[i] = Y
         s = np.linalg.svd(trial.T, compute_uv=False)[-1]
         if s - base > best_gain:
@@ -103,7 +107,7 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
 
 def residual(w, pair: RegressionPair) -> float:
     """Bellman residual Theta_tilde = Theta + w^T Y."""
-    return float(pair.Theta + np.asarray(w, dtype=float) @ pair.Y)
+    return float(pair.Theta + np.asarray(w, dtype=float) @ np.asarray(pair.Y, dtype=float))
 
 
 def weight_derivative(w, current: RegressionPair | None, buf: ExperienceBuffer,
@@ -124,15 +128,15 @@ def weight_derivative(w, current: RegressionPair | None, buf: ExperienceBuffer,
                                     gains.Gamma, gains.k_c, gains.k_e)
 
 
-def step_weights(w, wdot, dt: float) -> tuple[np.ndarray, bool]:
-    """Explicit Euler step of the weight ODE: (w + dt*wdot, finite).
+def step_weights(w, wdot, dt: float) -> tuple[list, bool]:
+    """Explicit Euler step of the weight ODE: (w + dt*wdot as a list, finite).
 
     A non-finite entry means the critic has diverged: it comes back zeroed,
     so the logged weights stay finite, and ``finite`` is False.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
-    out = w + dt * wdot
-    if np.all(np.isfinite(out)):
+    out = [wi + dt * di for wi, di in zip(w, wdot)]
+    if all(map(math.isfinite, out)):
         return out, True
-    return np.where(np.isfinite(out), out, 0.0), False
+    return [v if math.isfinite(v) else 0.0 for v in out], False

@@ -4,10 +4,13 @@ Everything here lives on the simulator side of the loop: the data-driven
 controller never reads these objects, it only sees measured samples.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+from . import kernels
 
 
 class ConfigurationError(ValueError):
@@ -133,16 +136,16 @@ class DisturbanceSignal:
                          self.t_on, self.t_off])
 
 
-def disturbance_value(signal: DisturbanceSignal, x, t: float) -> np.ndarray:
-    """Evaluate the scalar disturbance at state x and time t."""
+def disturbance_value(signal: DisturbanceSignal, x, t: float) -> tuple:
+    """Evaluate the scalar disturbance at state x and time t, as a 1-tuple."""
     d = 0.0
     if signal.kind in ("vanishing", "combined"):
-        d += signal.w1 * x[0] * np.sin(signal.w2 * x[1])
+        d += signal.w1 * x[0] * kernels.sin(signal.w2 * x[1])
     if signal.kind in ("square_wave", "combined"):
         if signal.t_on <= t < signal.t_off:
             phase = (t - signal.t_on) % signal.period
             d += signal.amplitude if phase < 0.5 * signal.period else -signal.amplitude
-    return np.array([d])
+    return (d,)
 
 
 @dataclass
@@ -167,29 +170,37 @@ class NoiseSpec:
 
 
 class NoiseState:
-    """Per-episode running signal-power tracker for SNR-referenced noise."""
+    """Per-episode running signal-power tracker for SNR-referenced noise;
+    ``msq`` is the per-channel running mean square, a list of floats."""
 
     def __init__(self, n: int):
-        self.msq = np.zeros(n)
+        self.msq = [0.0] * n
         self.count = 0
 
-    def update(self, x_true: np.ndarray) -> None:
+    def update(self, x_true) -> None:
         self.count += 1
-        self.msq += (x_true * x_true - self.msq) / self.count
+        c = self.count
+        self.msq = [m + (xi * xi - m) / c for m, xi in zip(self.msq, x_true)]
 
 
 def add_measurement_noise(x, spec: NoiseSpec, t: float, rng: np.random.Generator,
-                          state: Optional[NoiseState] = None) -> np.ndarray:
-    """Return x plus windowed Gaussian noise scaled per the spec."""
-    x = np.asarray(x, dtype=float)
+                          state: Optional[NoiseState] = None):
+    """Return x plus windowed Gaussian noise scaled per the spec.
+
+    Outside the noise window x itself comes back; inside it, a tuple of
+    floats. Each noisy call draws ``rng.standard_normal(len(x))``.
+    """
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
     if spec.absolute_power:
-        sigma = np.full(x.shape, np.sqrt(10.0 ** (spec.snr_db / 10.0)))
+        sigma = [math.sqrt(10.0 ** (spec.snr_db / 10.0))] * len(x)
     else:
-        msq = state.msq if state is not None and state.count > 0 else np.maximum(x * x, 1e-12)
-        sigma = np.sqrt(np.maximum(msq, 1e-12)) * 10.0 ** (-spec.snr_db / 20.0)
-    return x + sigma * rng.standard_normal(x.shape)
+        msq = state.msq if state is not None and state.count > 0 \
+            else [max(xi * xi, 1e-12) for xi in x]
+        scale = 10.0 ** (-spec.snr_db / 20.0)
+        sigma = [math.sqrt(max(m, 1e-12)) * scale for m in msq]
+    z = rng.standard_normal(len(x)).tolist()
+    return tuple(xi + si * zi for xi, si, zi in zip(x, sigma, z))
 
 
 @dataclass

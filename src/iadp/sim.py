@@ -6,6 +6,7 @@ events -> accumulate metrics. One episode is strictly sequential; separate
 episodes share no mutable state.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,8 +17,9 @@ from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
 from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
 from .plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
-                    EventSchedule, NoiseSpec, NoiseState, add_measurement_noise,
-                    apply_event_schedule, disturbance_value, eval_dynamics)
+                    EventSchedule, NoiseSpec, NoiseState, NumericFault,
+                    add_measurement_noise, apply_event_schedule, disturbance_value,
+                    eval_dynamics)
 from .tde import (DelayLine, DelaySample, IncrementalModelConfig,
                   compute_increments, estimate_xdot, true_tde_error)
 
@@ -78,7 +80,7 @@ class SimConfig:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
-        if IncrementalModelConfig(self.g_bar).g_bar.shape[0] != n:
+        if len(IncrementalModelConfig(self.g_bar).g_bar) != n:
             raise ConfigurationError(f"g_bar must have {n} rows")
 
 
@@ -139,18 +141,22 @@ def _plant_matrices(plant: ControlAffinePlant, x):
 
 def run_episode(cfg: SimConfig, world: World,
                 schedule: EventSchedule | None = None) -> TrajectoryLog:
-    """Run one closed-loop episode and return the complete per-step log."""
+    """Run one closed-loop episode and return the complete per-step log.
+
+    The per-step state (x, xm, u, w, ...) is held in Python floats and
+    tuples; each step's row is written into the preallocated log arrays.
+    """
     t_start = time.perf_counter()
     schedule = schedule or EventSchedule([])
     rng = np.random.default_rng(cfg.seed)
 
     basis = BasisSet(cfg.basis_exponents)
-    exps = basis.exponents
     N, n = basis.N, basis.n
     m = world.plant.m
     cost = CostConfig(cfg.Q, cfg.beta, cfg.c_bar)
     imc = IncrementalModelConfig(cfg.g_bar)
     gains = LearnerGains(cfg.Gamma, cfg.k_c, cfg.k_e)
+    gamma = gains.Gamma.tolist()
     buf = ExperienceBuffer(cfg.buffer_size, N, cfg.buffer_policy)
 
     g_ctrl, k_ctrl = _plant_matrices(world.plant, cfg.x0)
@@ -175,23 +181,34 @@ def run_episode(cfg: SimConfig, world: World,
         E_u=np.zeros(S), E_x=np.zeros(S), rank=np.zeros(S, dtype=np.int64),
     )
 
-    x = np.asarray(cfg.x0, dtype=float).copy()
-    w = np.zeros(N)
+    x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
+    w = [0.0] * N
+    zero_m, zero_n = (0.0,) * m, (0.0,) * n
     noise_state = NoiseState(n)
     clamp = cfg.beta - 1e-12
 
     rank_val = 0
     sigma_min = 0.0
     rank_complete = False
-    prev_u_sq = 0.0
-    prev_x_sq = float(x @ x)
-    fused = world.plant.pendulum_params is not None and m == 1 and n == 2
-    pparams = world.plant.pendulum_params
-    dparams = world.disturbance.packed()
+    E_u = E_x = 0.0
+    u_sq = 0.0
+    x_sq = kernels.dot(x, x)
+    ground_truth = cfg.xdot_source == "ground_truth"
+    buffer_every = cfg.buffer_every
 
-    # a diverging baseline overflows its quadratic cost terms before the
-    # divergence flag trips; silence the transient overflow warnings
-    _err = np.seterr(over="ignore", invalid="ignore")
+    def plant_kernel():
+        """Fused-kernel parameters of the current world, or None for the
+        generic RK4 path."""
+        p = world.plant.pendulum_params
+        if p is None or m != 1 or n != 2:
+            return None
+        return tuple(p.tolist()), tuple(world.disturbance.packed().tolist())
+
+    fused = plant_kernel()
+    x_log, xm_log, u_log, du_log, w_log = log.x_true, log.x_meas, log.u, log.du, log.w
+    tt_log, xi_log, d_log, rank_log = log.theta_tilde, log.xi, log.d, log.rank
+    E_u_log, E_x_log = log.E_u, log.E_x
+
     for i in range(S):
         t = i * dt
 
@@ -203,12 +220,12 @@ def run_episode(cfg: SimConfig, world: World,
         # carries a real xdot estimate
         warm = i < 2
         if warm:
-            u = np.zeros(m)
+            u = zero_m
             aux = None
         else:
-            gphi = kernels.monomial_grad(exps, xm)
-            u, aux = law.control(gphi, w)
-        if np.any(np.abs(u) > clamp):
+            gphi_t = kernels.monomial_grad(basis.partials, xm)
+            u, aux = law.control(gphi_t, w)
+        if max(map(abs, u)) > clamp:
             raise FloatingPointError("saturation invariant violated")
 
         # --- disturbance actually applied at the sample time (for log / gt xdot)
@@ -216,24 +233,24 @@ def run_episode(cfg: SimConfig, world: World,
 
         # --- delay line: the newest sample and its xdot estimate
         now = DelaySample(t, xm, None, u)
-        if cfg.xdot_source == "ground_truth":
-            now.xdot = eval_dynamics(world.plant, x, u, d_val, t)
+        if ground_truth:
+            now.xdot = tuple(eval_dynamics(world.plant, x, u, d_val, t).tolist())
         line.push(now)
-        if cfg.xdot_source == "backward_difference":
-            now.xdot = estimate_xdot(line) if i >= 1 else np.zeros(n)
+        if not ground_truth:
+            now.xdot = estimate_xdot(line) if i >= 1 else zero_n
 
         theta_tilde = 0.0
         if warm:
-            du, xi = np.zeros(m), np.zeros(m)
+            du = xi = zero_m
         else:
             rec = compute_increments(line)
             du = rec.du
             xi = true_tde_error(rec, imc)
             if learning:
-                Y, theta = law.pair(now, rec, gphi, aux)
-                theta_tilde = float(theta + w @ Y)
+                Y, theta = law.pair(now, rec, gphi_t, aux)
+                theta_tilde = theta + kernels.dot(w, Y)
                 wdot = kernels.weight_derivative_kernel(
-                    w, Y, theta, buf.Y, buf.Theta, gains.Gamma, gains.k_c, gains.k_e)
+                    w, Y, theta, buf.Y, buf.Theta, gamma, gains.k_c, gains.k_e)
                 w, finite = step_weights(w, wdot, dt)
                 if not finite:
                     log.diverged = True
@@ -241,8 +258,8 @@ def run_episode(cfg: SimConfig, world: World,
 
                 # buffer collection: cadence during the excitation phase, then
                 # keep collecting while the rank condition is unmet
-                if i % cfg.buffer_every == 0 and np.all(np.isfinite(Y)) \
-                        and np.isfinite(theta):
+                if i % buffer_every == 0 and all(map(math.isfinite, Y)) \
+                        and math.isfinite(theta):
                     want = t < cfg.buffer_until or not rank_complete
                     if want and (len(buf) < buf.capacity
                                  or buf.policy == "sigma_min_enrich"
@@ -254,25 +271,25 @@ def run_episode(cfg: SimConfig, world: World,
                         if ins:
                             rank_val, sigma_min = rep.rank, rep.sigma_min
                             rank_complete = rank_val >= N
-                if t >= cfg.rank_deadline and not rank_complete:
+                if not rank_complete and t >= cfg.rank_deadline:
                     log.insufficient_excitation = True
 
-        # --- log row
-        log.x_true[i] = x
-        log.x_meas[i] = xm
-        log.u[i] = u
-        log.du[i] = du
-        log.w[i] = w
-        log.theta_tilde[i] = theta_tilde
-        log.xi[i] = xi
-        log.d[i] = d_val[0] if d_val.shape[0] == 1 else np.linalg.norm(d_val)
-        log.rank[i] = rank_val
-        u_sq = float(u @ u)
-        x_sq = float(x @ x)
+        # --- log row; x_sq is x's, from the integrate step before
+        prev_u_sq, u_sq = u_sq, kernels.dot(u, u)
         if i > 0:
-            log.E_u[i] = log.E_u[i - 1] + 0.5 * dt * (prev_u_sq + u_sq)
-            log.E_x[i] = log.E_x[i - 1] + 0.5 * dt * (prev_x_sq + x_sq)
-        prev_u_sq, prev_x_sq = u_sq, x_sq
+            E_u += 0.5 * dt * (prev_u_sq + u_sq)
+            E_x += 0.5 * dt * (prev_x_sq + x_sq)
+        x_log[i] = x
+        xm_log[i] = xm
+        u_log[i] = u
+        du_log[i] = du
+        w_log[i] = w
+        tt_log[i] = theta_tilde
+        xi_log[i] = xi
+        d_log[i] = d_val[0]
+        rank_log[i] = rank_val
+        E_u_log[i] = E_u
+        E_x_log[i] = E_x
 
         if log.diverged:
             break
@@ -280,39 +297,45 @@ def run_episode(cfg: SimConfig, world: World,
         # --- integrate
         if i < steps:
             if fused:
-                x = kernels.pendulum_rk4(x, u[0], pparams, dparams, t, dt)
+                x = kernels.pendulum_rk4(x, u[0], *fused, t, dt)
             else:
-                x = rk4_step(world.plant, x, u,
-                             lambda xs, ts: disturbance_value(world.disturbance, xs, ts),
-                             t, dt)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+                try:
+                    # the generic path runs in numpy; a diverging state may
+                    # overflow it before the divergence check below trips
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        x = tuple(rk4_step(
+                            world.plant, x, u,
+                            lambda xs, ts: disturbance_value(world.disturbance, xs, ts),
+                            t, dt).tolist())
+                except NumericFault:
+                    x = (math.nan,) * n
+            prev_x_sq, x_sq = x_sq, kernels.dot(x, x)
+            # the norm is nan or inf when x is not finite
+            if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
                 log.diverged = True
                 log.diverged_step = i + 1
-                x = np.where(np.isfinite(x), x, np.sign(x) * DIVERGENCE_NORM)
-                x = np.nan_to_num(x, nan=DIVERGENCE_NORM,
-                                  posinf=DIVERGENCE_NORM, neginf=-DIVERGENCE_NORM)
+                x = tuple(v if math.isfinite(v)
+                          else (-DIVERGENCE_NORM if v == -math.inf else DIVERGENCE_NORM)
+                          for v in x)
 
             # --- events fire at the time the step lands on
             fired = apply_event_schedule(schedule, (i + 1) * dt, world)
             if fired:
                 log.fired_events.extend((ev.time, ev.action) for ev in fired)
-                fused = world.plant.pendulum_params is not None and m == 1 and n == 2
-                pparams = world.plant.pendulum_params
-                dparams = world.disturbance.packed()
+                fused = plant_kernel()
                 if cfg.baselines_track_swap:
                     law.rebind(*_plant_matrices(world.plant, x))
 
             if log.diverged:
                 # record the diverged state row, then stop
-                log.x_true[i + 1] = x
-                log.x_meas[i + 1] = x
-                log.w[i + 1] = w
-                log.rank[i + 1] = rank_val
-                log.E_u[i + 1] = log.E_u[i]
-                log.E_x[i + 1] = log.E_x[i]
+                x_log[i + 1] = x
+                xm_log[i + 1] = x
+                w_log[i + 1] = w
+                rank_log[i + 1] = rank_val
+                E_u_log[i + 1] = E_u
+                E_x_log[i + 1] = E_x
                 break
 
-    np.seterr(**_err)
     rows = log.diverged_step + 1 if log.diverged else S
     if log.diverged:
         for name in ("t", "x_true", "x_meas", "u", "du", "w", "theta_tilde",

@@ -7,10 +7,13 @@ reconstructed here for diagnostics only.
 """
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
+from . import kernels
 from .plant import ConfigurationError
 
 
@@ -18,33 +21,36 @@ class WarmUpError(LookupError):
     """History is too short for the requested quantity; caller holds u at 0."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DelaySample:
+    """One measured sample; x, xdot and u are sequences of floats."""
+
     t: float
-    x: np.ndarray
-    xdot: np.ndarray
-    u: np.ndarray
+    x: Sequence[float]
+    xdot: Sequence[float]
+    u: Sequence[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class IncrementRecord:
-    dx_dot: np.ndarray
-    du: np.ndarray
-    u0: np.ndarray
-    x0dot: np.ndarray
+    dx_dot: Sequence[float]
+    du: Sequence[float]
+    u0: Sequence[float]
+    x0dot: Sequence[float]
 
 
 class IncrementalModelConfig:
-    """Constant input-map surrogate g_bar and its left pseudo-inverse."""
+    """Constant input-map surrogate g_bar (n x m) and its left pseudo-inverse
+    (m x n), both held as tuples of row tuples."""
 
     def __init__(self, g_bar):
-        self.g_bar = np.atleast_2d(np.asarray(g_bar, dtype=float))
-        if self.g_bar.shape[0] < self.g_bar.shape[1]:
-            self.g_bar = self.g_bar.T
-        n, m = self.g_bar.shape
-        if np.linalg.matrix_rank(self.g_bar) < m:
+        g = np.atleast_2d(np.asarray(g_bar, dtype=float))
+        if g.shape[0] < g.shape[1]:
+            g = g.T
+        if np.linalg.matrix_rank(g) < g.shape[1]:
             raise ConfigurationError("g_bar must have full column rank")
-        self.g_bar_pinv = np.linalg.pinv(self.g_bar)
+        self.g_bar = tuple(map(tuple, g.tolist()))
+        self.g_bar_pinv = tuple(map(tuple, np.linalg.pinv(g).tolist()))
 
 
 class DelayLine:
@@ -71,7 +77,7 @@ class DelayLine:
         return self.samples[0]
 
 
-def estimate_xdot(line: DelayLine, method: str = "backward_difference") -> np.ndarray:
+def estimate_xdot(line: DelayLine, method: str = "backward_difference"):
     """State-derivative estimate at the newest sample.
 
     "backward_difference" returns (x(t) - x(t-dt))/dt; "ground_truth" passes
@@ -85,25 +91,22 @@ def estimate_xdot(line: DelayLine, method: str = "backward_difference") -> np.nd
         if len(line.samples) < 2:
             raise WarmUpError("backward difference needs two samples")
         a, b = line.samples[-2], line.samples[-1]
-        return (b.x - a.x) / line.dt
+        dt = line.dt
+        return [(xb - xa) / dt for xa, xb in zip(a.x, b.x)]
     raise ConfigurationError(f"unknown xdot method {method!r}")
 
 
 def compute_increments(line: DelayLine) -> IncrementRecord:
     """Increments between the newest sample and the one L seconds earlier."""
     past, now = line.delayed(), line.samples[-1]
-    return IncrementRecord(
-        dx_dot=now.xdot - past.xdot,
-        du=now.u - past.u,
-        u0=past.u,
-        x0dot=past.xdot,
-    )
+    return IncrementRecord(list(map(sub, now.xdot, past.xdot)),
+                           list(map(sub, now.u, past.u)), past.u, past.xdot)
 
 
-def true_tde_error(rec: IncrementRecord, cfg: IncrementalModelConfig) -> np.ndarray:
+def true_tde_error(rec: IncrementRecord, cfg: IncrementalModelConfig) -> list:
     """Diagnostic TDE error xi = g_bar^+ dx_dot - du (zero iff the incremental
     model reproduces the measured increment exactly)."""
-    return cfg.g_bar_pinv @ rec.dx_dot - rec.du
+    return list(map(sub, kernels.matvec(cfg.g_bar_pinv, rec.dx_dot), rec.du))
 
 
 def fit_tde_bound(xi_norms, du_norms) -> tuple[float, float]:

@@ -25,10 +25,11 @@ def rng():
 
 def law_pair(law, x, u, du=(0.0,), x0dot=(0.0, 0.0), xdot=(0.0, 0.0), aux=None):
     """law.pair at state x and input u, with increments du and x0dot against
-    the delayed sample; returns (Y, Theta)."""
+    the delayed sample; returns (Y as an array, Theta)."""
     x = np.asarray(x, dtype=float)
     du = np.asarray(du, dtype=float)
     now = DelaySample(0.0, x, np.asarray(xdot, dtype=float), np.asarray(u, dtype=float))
     rec = IncrementRecord(dx_dot=np.zeros(2), du=du, u0=now.u - du,
                           x0dot=np.asarray(x0dot, dtype=float))
-    return law.pair(now, rec, grad_phi(BasisSet.default(), x), aux)
+    Y, theta = law.pair(now, rec, grad_phi(BasisSet.default(), x).T, aux)
+    return np.asarray(Y), theta

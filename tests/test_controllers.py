@@ -20,7 +20,9 @@ def make_cost():
 
 
 def control(law, w, x):
-    return law.control(grad_phi(BASIS, x), np.asarray(w, dtype=float))
+    """law.control at state x; u and aux come back as arrays."""
+    u, aux = law.control(grad_phi(BASIS, x).T, np.asarray(w, dtype=float))
+    return np.asarray(u), aux if aux is None else np.asarray(aux)
 
 
 def make_laws():

@@ -1,12 +1,12 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from conftest import cached_run
-from iadp.plant import (ConfigurationError, DisturbanceSignal, NoiseSpec,
-                        disturbance_value, pendulum_nominal)
-from iadp.scenarios import build_world, run_scenario
+from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
+                        EventSchedule, NoiseSpec, disturbance_value, pendulum_nominal)
+from iadp.scenarios import VANISH_W1, VANISH_W2, build_world, run_scenario
 from iadp.sim import SimConfig, TrajectoryLog, World, rk4_step, run_episode
 
 
@@ -184,3 +184,32 @@ class TestEpisode:
         assert log.rows() < 80001
         assert log.rows() == log.diverged_step + 1
         assert np.all(np.isfinite(log.x_true))
+
+    def test_generic_plant_nonfinite_dynamics_truncates_log(self):
+        # x1**9 from x1 = 100 overflows inside the first RK4 step: the
+        # generic path ends the episode as diverged, like the fused path
+        plant = ControlAffinePlant(
+            2, 1, 1, drift=lambda x: np.array([x[0] ** 9, 0.0]),
+            input_map=lambda x: np.array([[0.0], [1.0]]),
+            disturbance_map=lambda x: np.zeros((2, 1)))
+        cfg = SimConfig(t_end=1.0, x0=np.array([100.0, 0.0]))
+        log = run_episode(cfg, World(plant, DisturbanceSignal(), NoiseSpec()),
+                          EventSchedule([]))
+        assert log.diverged and log.diverged_step == 1
+        assert log.rows() == 2
+        assert np.all(np.isfinite(log.x_true))
+
+    def test_generic_path_matches_fused_pendulum(self):
+        # the nominal pendulum without its fused-kernel parameters runs
+        # through sim.rk4_step; the closed loop must be the same
+        dist = DisturbanceSignal(kind="vanishing", w1=VANISH_W1, w2=VANISH_W2)
+        cfg = SimConfig(t_end=2.0)
+        logs = [run_episode(cfg, World(plant, dist, NoiseSpec()), EventSchedule([]))
+                for plant in (pendulum_nominal(),
+                              replace(pendulum_nominal(), pendulum_params=None))]
+        fused, generic = logs
+        assert generic.rows() == fused.rows() == 2001
+        for name in ("x_true", "u", "w"):
+            assert np.allclose(getattr(generic, name), getattr(fused, name),
+                               rtol=0, atol=1e-12), name
+        assert np.max(np.abs(fused.w[-1])) > 1e-3

@@ -122,7 +122,8 @@ class TestIncrements:
 
     def test_pinv_left_inverse(self):
         cfg = self.make_cfg()
-        assert np.allclose(cfg.g_bar_pinv @ cfg.g_bar, np.eye(1), atol=1e-14)
+        assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar), np.eye(1),
+                           atol=1e-14)
 
 
 class TestBoundFit:
