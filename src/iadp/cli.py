@@ -7,11 +7,15 @@ file values. Every run writes the trajectory CSV plus a manifest that parses
 back to the identical resolved config.
 
 Exit codes: 0 ok, 1 config error, 2 episode divergence, 3 property-check
-failure.
+failure, 4 engine fault (a broken invariant such as |u| > beta, reported with
+its time and values).
 """
 
 import argparse
+import contextlib
 import copy
+import itertools
+import operator
 import os
 import sys
 import time
@@ -188,8 +192,15 @@ def csv_header(n: int, m: int, N: int) -> str:
     return ",".join(cols)
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv(log: TrajectoryLog, path) -> None:
-    """Trajectory CSV, floats as shortest round-trip decimals."""
+    """Trajectory CSV, floats as shortest round-trip decimals.
+
+    Rows are formatted and written CSV_CHUNK_ROWS at a time; ``repr`` of a
+    Python float is its shortest round-trip decimal.
+    """
     n = log.x_true.shape[1]
     m = log.u.shape[1]
     N = log.w.shape[1]
@@ -197,12 +208,14 @@ def write_csv(log: TrajectoryLog, path) -> None:
         log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
         log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
     ])
-    lines = [f"# iadp csv schema v{CSV_SCHEMA_VERSION}", csv_header(n, m, N)]
     ranks = log.rank
-    for i in range(block.shape[0]):
-        row = ",".join(repr(float(v)) for v in block[i])
-        lines.append(f"{row},{int(ranks[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{csv_header(n, m, N)}\n")
+        for s in range(0, block.shape[0], CSV_CHUNK_ROWS):
+            e = s + CSV_CHUNK_ROWS
+            f.write("".join(
+                f"{','.join(map(repr, row))},{rank}\n"
+                for row, rank in zip(block[s:e].tolist(), ranks[s:e].tolist())))
 
 
 def read_csv(path):
@@ -319,6 +332,46 @@ FIGURES = {
 }
 
 
+def _figure_columns(path, names) -> dict:
+    """{figure: the CSV column indices it plots}, the time column first."""
+    if "t" not in names:
+        raise ConfigurationError(f"{path}: no time column t")
+    cols = {}
+    for fig, (prefixes, _) in FIGURES.items():
+        picked = [j for j, c in enumerate(names)
+                  if any(c == p or c.startswith(p) for p in prefixes)]
+        if not picked:
+            raise ConfigurationError(
+                f"{path}: no columns matching {prefixes} for figure {fig}")
+        cols[fig] = [names.index("t")] + picked
+    return cols
+
+
+def _write_figure_data(path, out: Path, stem: str) -> dict:
+    """Copy each figure's columns of a trajectory CSV into its .dat file.
+
+    The fields pass through as the CSV's text, CSV_CHUNK_ROWS lines at a
+    time, so each value keeps its shortest round-trip decimal. Returns
+    {figure: column names after t}.
+    """
+    with open(path) as src:
+        names = next((ln for ln in src if ln != "\n" and ln[0] != "#"),
+                     "").rstrip("\n").split(",")
+        cols = _figure_columns(path, names)
+        with contextlib.ExitStack() as stack:
+            sinks = []
+            for fig, idx in cols.items():
+                f = stack.enter_context(open(out / f"{stem}_{fig}.dat", "w"))
+                f.write("# " + " ".join(names[j] for j in idx) + "\n")
+                sinks.append((f, operator.itemgetter(*idx)))
+            while lines := list(itertools.islice(src, CSV_CHUNK_ROWS)):
+                rows = [ln.rstrip("\n").split(",") for ln in lines
+                        if ln != "\n" and ln[0] != "#"]
+                for f, pick in sinks:
+                    f.write("".join(" ".join(pick(r)) + "\n" for r in rows))
+    return {fig: [names[j] for j in idx[1:]] for fig, idx in cols.items()}
+
+
 def emit_plots(log_paths, out_dir) -> list:
     """Write per-figure data files plus gnuplot scripts for each log.
 
@@ -327,34 +380,26 @@ def emit_plots(log_paths, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    tables = {}
+    stems = {}
     for path in log_paths:
-        cols = read_csv(path)
         stem = Path(path).stem
-        tables[stem] = cols
-        for fig, (prefixes, title) in FIGURES.items():
-            names = [c for c in cols if any(
-                c == p or c.startswith(p) for p in prefixes)]
-            if not names:
-                raise ConfigurationError(
-                    f"{path}: no columns matching {prefixes} for figure {fig}")
+        stems[stem] = None
+        figures = _write_figure_data(path, out, stem)
+        for fig, (_, title) in FIGURES.items():
             dat = out / f"{stem}_{fig}.dat"
-            data = np.column_stack([cols["t"]] + [cols[c] for c in names])
-            header = "t " + " ".join(names)
-            np.savetxt(dat, data, header=header)
             gp = out / f"{stem}_{fig}.gp"
             plot_cmds = ", ".join(
                 f"'{dat.name}' using 1:{j+2} with lines title '{c}'"
-                for j, c in enumerate(names))
+                for j, c in enumerate(figures[fig]))
             gp.write_text(
                 f"set title '{stem}: {title}'\nset xlabel 't [s]'\n"
                 f"set terminal pngcairo\nset output '{stem}_{fig}.png'\n"
                 f"plot {plot_cmds}\n")
             written += [dat, gp]
-    if len(tables) > 1:
+    if len(stems) > 1:
         gp = out / "compare_E_u.gp"
         cmds = []
-        for stem, cols in tables.items():
+        for stem in stems:
             dat = out / f"{stem}_metrics.dat"
             idx = 2  # E_u is the first metrics column
             cmds.append(f"'{dat.name}' using 1:{idx} with lines title '{stem}'")
@@ -417,6 +462,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -185,6 +185,10 @@ def run_episode(cfg: SimConfig, world: World,
     w = [0.0] * N
     zero_m, zero_n = (0.0,) * m, (0.0,) * n
     noise_state = NoiseState(n)
+    # the SNR reference is a running mean from t = 0, so it is tracked on
+    # every step whenever noise is on or an event can switch it on
+    track_noise = world.noise.kind != "none" or any(
+        ev.action == "set_noise" for ev in schedule.events)
     clamp = cfg.beta - 1e-12
 
     rank_val = 0
@@ -213,7 +217,8 @@ def run_episode(cfg: SimConfig, world: World,
         t = i * dt
 
         # --- measurement
-        noise_state.update(x)
+        if track_noise:
+            noise_state.update(x)
         xm = add_measurement_noise(x, world.noise, t, rng, noise_state)
 
         # --- control; u is held at 0 until the sample one delay back
@@ -226,7 +231,9 @@ def run_episode(cfg: SimConfig, world: World,
             gphi_t = kernels.monomial_grad(basis.partials, xm)
             u, aux = law.control(gphi_t, w)
         if max(map(abs, u)) > clamp:
-            raise FloatingPointError("saturation invariant violated")
+            raise FloatingPointError(
+                f"saturation invariant violated at t={t!r}: u={list(u)!r}, "
+                f"beta={cfg.beta!r}")
 
         # --- disturbance actually applied at the sample time (for log / gt xdot)
         d_val = disturbance_value(world.disturbance, x, t)

@@ -9,10 +9,19 @@ from iadp.sim import SimConfig
 from iadp.tde import DelaySample, IncrementRecord
 
 
-@functools.lru_cache(maxsize=None)
 def cached_run(scenario="s1", controller="iadp", dt=1e-3, t_end=80.0, seed=0,
                xdot_source="backward_difference"):
-    """Full scenario episodes are expensive; share them across tests."""
+    """Full scenario episodes are expensive; share them across tests.
+
+    The cache keys on every argument, defaults filled in and passed by
+    position, so ``cached_run()`` and ``cached_run(scenario="s1")`` share one
+    episode.
+    """
+    return _run_cached(scenario, controller, dt, t_end, seed, xdot_source)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_cached(scenario, controller, dt, t_end, seed, xdot_source):
     cfg = SimConfig(scenario=scenario, controller=controller, dt=dt,
                     t_end=t_end, seed=seed, xdot_source=xdot_source)
     return run_scenario(cfg)

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from iadp.cli import (_format_value, _parse_value, config_dict, csv_header,
-                      emit_plots, main, parse_config, read_config_file,
-                      read_csv, write_csv, write_manifest)
+from conftest import cached_run
+from iadp.cli import (CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES, _format_value,
+                      _parse_value, config_dict, csv_header, emit_plots, main,
+                      parse_config, read_config_file, read_csv, write_csv,
+                      write_manifest)
 from iadp.plant import ConfigurationError
 from iadp.scenarios import run_scenario
 from iadp.sim import SimConfig
@@ -111,6 +115,72 @@ class TestCsv:
         assert path.read_text().splitlines()[0].startswith("# iadp csv schema v")
 
 
+def write_csv_row_loop(log, path):
+    """The per-row writer: each float through repr(float(v)), one line per row.
+    The streamed writer must give the same bytes."""
+    block = np.column_stack([
+        log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
+        log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
+    ])
+    lines = [f"# iadp csv schema v{CSV_SCHEMA_VERSION}",
+             csv_header(log.x_true.shape[1], log.u.shape[1], log.w.shape[1])]
+    for i in range(block.shape[0]):
+        row = ",".join(repr(float(v)) for v in block[i])
+        lines.append(f"{row},{int(log.rank[i])}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def io_logs():
+    """A log longer than one write chunk, and a diverged s3 zsadp log: cut
+    short, with non-finite theta_tilde entries."""
+    long_log = cached_run(t_end=5.0)
+    diverged = cached_run(scenario="s3", controller="zsadp")
+    assert long_log.rows() > CSV_CHUNK_ROWS
+    assert diverged.diverged and diverged.rows() < 80001
+    assert not np.all(np.isfinite(diverged.theta_tilde))
+    return {"long": long_log, "diverged": diverged}
+
+
+class TestStreamedIo:
+    @pytest.mark.parametrize("name", ["long", "diverged"])
+    def test_csv_bytes_match_row_loop(self, tmp_path, io_logs, name):
+        write_csv(io_logs[name], tmp_path / "streamed.csv")
+        write_csv_row_loop(io_logs[name], tmp_path / "rows.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["long", "diverged"])
+    def test_plot_data_equals_csv_columns(self, tmp_path, io_logs, name):
+        csv = tmp_path / f"{name}.csv"
+        write_csv(io_logs[name], csv)
+        emit_plots([csv], tmp_path / "figs")
+        cols = read_csv(csv)
+        expected = {
+            "weights": [f"w_{k}" for k in range(1, 7)],
+            "states": ["x_true_1", "x_true_2", "x_meas_1", "x_meas_2"],
+            "controls": ["u_1", "du_1"],
+            "metrics": ["E_u", "E_x"],
+        }
+        assert set(expected) == set(FIGURES)
+        for fig, names in expected.items():
+            dat = tmp_path / "figs" / f"{name}_{fig}.dat"
+            assert dat.read_text().splitlines()[0] == "# t " + " ".join(names)
+            data = np.loadtxt(dat, ndmin=2)
+            assert data.shape == (io_logs[name].rows(), len(names) + 1)
+            for j, c in enumerate(["t"] + names):
+                assert np.array_equal(data[:, j], cols[c], equal_nan=True), (fig, c)
+
+    def test_plots_without_weight_columns_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "now.csv"
+        csv.write_text("# iadp csv schema v1\nt,x_true_1,x_meas_1,u_1,du_1,E_u,E_x\n"
+                       "0.0,1.0,1.0,0.0,0.0,0.0,0.0\n")
+        with pytest.raises(ConfigurationError, match="figure weights"):
+            emit_plots([csv], tmp_path / "figs")
+        assert main(["plots", str(csv), "--out-dir", str(tmp_path / "figs")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
@@ -145,6 +215,16 @@ class TestMain:
                    "--override", override, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_saturation_fault_exit_four(self, tmp_path, capsys, monkeypatch):
+        from iadp.controllers import IadpLaw
+        monkeypatch.setattr(IadpLaw, "control", lambda self, gphi_t, w: ([3.0], None))
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: saturation invariant violated at t=0.002")
+        assert "u=[3.0]" in err
 
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])

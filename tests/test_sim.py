@@ -5,7 +5,8 @@ import pytest
 
 from conftest import cached_run
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
-                        EventSchedule, NoiseSpec, disturbance_value, pendulum_nominal)
+                        Event, EventSchedule, NoiseSpec, NoiseState,
+                        disturbance_value, pendulum_nominal)
 from iadp.scenarios import VANISH_W1, VANISH_W2, build_world, run_scenario
 from iadp.sim import SimConfig, TrajectoryLog, World, rk4_step, run_episode
 
@@ -213,3 +214,41 @@ class TestEpisode:
             assert np.allclose(getattr(generic, name), getattr(fused, name),
                                rtol=0, atol=1e-12), name
         assert np.max(np.abs(fused.w[-1])) > 1e-3
+
+    def test_saturation_fault_names_time_and_input(self, monkeypatch):
+        from iadp.controllers import IadpLaw
+        monkeypatch.setattr(IadpLaw, "control", lambda self, gphi_t, w: ([3.0], None))
+        with pytest.raises(FloatingPointError,
+                           match=r"saturation invariant violated at t=0\.002: u=\[3\.0\]"):
+            run_scenario(SimConfig(t_end=0.5))
+
+
+class TestNoiseTracker:
+    """The SNR reference is a running mean square from t = 0: it is tracked on
+    every step when noise can be on, and not at all when it never can."""
+
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        calls = []
+        update = NoiseState.update
+        monkeypatch.setattr(NoiseState, "update",
+                            lambda self, x: calls.append(x) or update(self, x))
+        return calls
+
+    def test_skipped_without_noise(self, updates):
+        log = run_scenario(SimConfig(scenario="s1", t_end=0.5))
+        assert log.rows() == 501
+        assert updates == []
+
+    def test_every_step_with_noise_spec(self, updates):
+        log = run_scenario(SimConfig(scenario="s2", t_end=0.5))
+        assert len(updates) == log.rows() == 501
+
+    def test_every_step_when_an_event_sets_noise(self, updates):
+        cfg = SimConfig(scenario="s1", t_end=0.5)
+        world, _ = build_world(cfg)
+        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=0.2, t_off=0.5)
+        log = run_episode(cfg, world, EventSchedule([Event(0.2, "set_noise", noise)]))
+        assert (0.2, "set_noise") in log.fired_events and not log.diverged
+        assert len(updates) == log.rows() == 501
+        assert not np.array_equal(log.x_meas, log.x_true)
