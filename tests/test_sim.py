@@ -215,13 +215,6 @@ class TestEpisode:
                                rtol=0, atol=1e-12), name
         assert np.max(np.abs(fused.w[-1])) > 1e-3
 
-    def test_saturation_fault_names_time_and_input(self, monkeypatch):
-        from iadp.controllers import IadpLaw
-        monkeypatch.setattr(IadpLaw, "control", lambda self, gphi_t, w: ([3.0], None))
-        with pytest.raises(FloatingPointError,
-                           match=r"saturation invariant violated at t=0\.002: u=\[3\.0\]"):
-            run_scenario(SimConfig(t_end=0.5))
-
 
 class TestNoiseTracker:
     """The SNR reference is a running mean square from t = 0: it is tracked on
