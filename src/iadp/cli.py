@@ -6,9 +6,9 @@ are bracketed comma lists (``[[1,0],[0,1]]`` for matrices). Flags override
 file values. Every run writes the trajectory CSV plus a manifest that parses
 back to the identical resolved config.
 
-Exit codes: 0 ok, 1 config error, 2 episode divergence, 3 property-check
-failure, 4 engine fault (a broken invariant such as |u| > beta, reported with
-its time and values).
+Exit codes: 0 ok, 1 config error, 2 episode divergence (``run`` names the
+log's stop cause), 3 property-check failure, 4 engine fault (a broken
+invariant such as |u| > beta, reported with its time and values).
 """
 
 import argparse
@@ -192,30 +192,32 @@ def csv_header(n: int, m: int, N: int) -> str:
     return ",".join(cols)
 
 
-CSV_CHUNK_ROWS = 4096
+# rows formatted per write; each chunk's rows live as Python floats and
+# strings (~1.5 KB a row) until written, so a larger chunk raises peak RSS
+CSV_CHUNK_ROWS = 1024
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
     """Trajectory CSV, floats as shortest round-trip decimals.
 
-    Rows are formatted and written CSV_CHUNK_ROWS at a time; ``repr`` of a
-    Python float is its shortest round-trip decimal.
+    Rows are stacked, formatted and written CSV_CHUNK_ROWS at a time, so no
+    copy of the whole log is made; ``repr`` of a Python float is its
+    shortest round-trip decimal.
     """
     n = log.x_true.shape[1]
     m = log.u.shape[1]
     N = log.w.shape[1]
-    block = np.column_stack([
-        log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
-        log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
-    ])
+    cols = (log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
+            log.theta_tilde, log.xi, log.d, log.E_u, log.E_x)
     ranks = log.rank
     with open(path, "w") as f:
         f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{csv_header(n, m, N)}\n")
-        for s in range(0, block.shape[0], CSV_CHUNK_ROWS):
+        for s in range(0, log.rows(), CSV_CHUNK_ROWS):
             e = s + CSV_CHUNK_ROWS
+            block = np.column_stack([c[s:e] for c in cols])
             f.write("".join(
                 f"{','.join(map(repr, row))},{rank}\n"
-                for row, rank in zip(block[s:e].tolist(), ranks[s:e].tolist())))
+                for row, rank in zip(block.tolist(), ranks[s:e].tolist())))
 
 
 def read_csv(path):
@@ -273,7 +275,7 @@ def cmd_run(args) -> int:
     write_csv(log, csv_path)
     write_manifest(cfg, out / f"{stem}.manifest", [csv_path],
                    time.perf_counter() - t0)
-    status = "diverged" if log.diverged else "completed"
+    status = f"diverged ({log.stop_cause})" if log.diverged else "completed"
     print(f"{stem}: {status}, rows={log.rows()}, "
           f"E_u={log.E_u[-1]:.6g}, E_x={log.E_x[-1]:.6g} -> {csv_path}")
     return 2 if log.diverged else 0

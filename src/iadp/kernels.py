@@ -147,21 +147,23 @@ def penalty_sat(v, beta):
     return total
 
 
-def weight_derivative_kernel(w, Y, theta, Yb, thetab, gamma, k_c, k_e):
+def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
     """Off-policy critic update: gradient of the current + replayed residuals.
 
-    Replay residuals are recomputed against the live weights, so the
-    returned vector is -Gamma * grad_w of
-    0.5*k_c*(theta + w.Y)^2 + 0.5*k_e*sum_l (theta_l + w.Y_l)^2.
-    ``gamma`` is Gamma's rows. The result comes back as a list, or as an
-    array when ``w`` is one.
+    Returns -Gamma (k_c resid Y + k_e (b + M w)), which is -Gamma * grad_w of
+    0.5*k_c*(theta + w.Y)^2 + 0.5*k_e*sum_l (theta_l + w.Y_l)^2: ``resid``
+    is the current residual theta + w.Y, and (M, b) = (sum_l Y_l Y_l^T,
+    sum_l theta_l Y_l) is the replay buffer's Gram summary, so the replayed
+    residuals are exact against the live weights without being re-formed.
+    A stored row with ||Y_l||^2 > 1.8e308 overflows M, and the result is
+    then non-finite. ``gamma`` and ``M`` are given as rows. The result comes
+    back as a list, or as an array when ``w`` is one.
     """
-    rows = [Y, *Yb]
-    # the sign goes on the coefficients: negation is exact, so -Gamma (sum_l
-    # c_l Y_l) and Gamma (sum_l -c_l Y_l) are the same floats
-    coef = [-(k * (th + sum(map(mul, w, row))))
-            for k, th, row in zip((k_c,) + (k_e,) * len(Yb), (theta, *thetab), rows)]
-    out = matvec(gamma, matvec(zip(*rows), coef))
+    kr = k_c * resid
+    # the sign goes on the sum: negation is exact, so -Gamma v and
+    # Gamma (-v) are the same floats
+    acc = [-(kr * yj + k_e * (bj + mwj)) for yj, bj, mwj in zip(Y, b, matvec(M, w))]
+    out = matvec(gamma, acc)
     return np.array(out) if isinstance(w, np.ndarray) else out
 
 

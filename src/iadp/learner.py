@@ -1,13 +1,16 @@
 """Experience buffer with rank-condition reporting and the off-policy
 critic weight update.
 
-The buffer stores raw (Y_l, Theta_l) pairs; replay residuals are recomputed
-against the live weights on every call, which is what makes the update law a
-true gradient flow on the summed squared residuals.
+The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
+M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
+The summed squared replay residuals are an exact quadratic in w with
+gradient b + M w, so the update law stays the exact gradient flow on them
+without re-forming each residual on every call.
 """
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -43,7 +46,9 @@ class LearnerGains:
 
 class ExperienceBuffer:
     """Fixed-capacity replay store of (Y_l, Theta_l) regression points: ``Y``
-    is a list of float rows, ``Theta`` a list of floats."""
+    is a list of float rows, ``Theta`` a list of floats, and ``M`` (N rows of
+    N floats) and ``b`` (N floats) are their Gram summary sum_l Y_l Y_l^T and
+    sum_l Theta_l Y_l, zeros while the buffer is empty."""
 
     def __init__(self, capacity: int, N: int, policy: str = "sequential_fill"):
         if policy not in ("sequential_fill", "sigma_min_enrich"):
@@ -53,9 +58,16 @@ class ExperienceBuffer:
         self.policy = policy
         self.Y: list[list[float]] = []
         self.Theta: list[float] = []
+        self._summarise()
 
     def __len__(self) -> int:
         return len(self.Y)
+
+    def _summarise(self) -> None:
+        """Rebuild M and b from the stored rows, summing in row order."""
+        cols = list(zip(*self.Y)) or [()] * self.N
+        self.M = [[sum(map(mul, cj, ck), 0.0) for ck in cols] for cj in cols]
+        self.b = [sum(map(mul, cj, self.Theta), 0.0) for cj in cols]
 
     def _report(self) -> RankReport:
         if len(self) == 0:
@@ -85,6 +97,7 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
     if len(buf) < buf.capacity:
         buf.Y.append(Y)
         buf.Theta.append(Theta)
+        buf._summarise()
         return True, buf._report()
     if buf.policy == "sequential_fill":
         return False, buf._report()
@@ -102,6 +115,7 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
         return False, buf._report()
     buf.Y[best_idx] = Y
     buf.Theta[best_idx] = Theta
+    buf._summarise()
     return True, buf._report()
 
 
@@ -120,11 +134,11 @@ def weight_derivative(w, current: RegressionPair | None, buf: ExperienceBuffer,
     w = np.asarray(w, dtype=float)
     if current is None:
         Y = np.zeros_like(w)
-        theta = 0.0
+        resid = 0.0
     else:
         Y = np.asarray(current.Y, dtype=float)
-        theta = float(current.Theta)
-    return weight_derivative_kernel(w, Y, theta, buf.Y, buf.Theta,
+        resid = float(current.Theta + w @ Y)
+    return weight_derivative_kernel(w, Y, resid, buf.M, buf.b,
                                     gains.Gamma, gains.k_c, gains.k_e)
 
 

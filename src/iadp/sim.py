@@ -9,6 +9,7 @@ episodes share no mutable state.
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .tde import (DelayLine, DelaySample, IncrementalModelConfig,
                   compute_increments, estimate_xdot, true_tde_error)
 
 DIVERGENCE_NORM = 1e6
+# log rows are staged as tuples and written into the log arrays this many at
+# a time; a larger chunk holds more Python objects alive (~660 B per row)
+LOG_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -86,6 +90,15 @@ class SimConfig:
 
 @dataclass
 class TrajectoryLog:
+    """The per-step record of one episode, one C-contiguous array per signal.
+
+    ``stop_cause`` says why a diverged episode stopped: "state_norm" (the
+    state left the DIVERGENCE_NORM ball while finite), "nonfinite_dynamics"
+    (the integrated state came back inf or nan) or "nonfinite_weights" (the
+    critic's Euler step came back inf or nan); it is "" when the episode ran
+    to its end.
+    """
+
     t: np.ndarray
     x_true: np.ndarray
     x_meas: np.ndarray
@@ -100,6 +113,7 @@ class TrajectoryLog:
     rank: np.ndarray
     diverged: bool = False
     diverged_step: int = -1
+    stop_cause: str = ""
     insufficient_excitation: bool = False
     fired_events: list = field(default_factory=list)
     buffer_sigma_min: float = 0.0
@@ -144,7 +158,9 @@ def run_episode(cfg: SimConfig, world: World,
     """Run one closed-loop episode and return the complete per-step log.
 
     The per-step state (x, xm, u, w, ...) is held in Python floats and
-    tuples; each step's row is written into the preallocated log arrays.
+    tuples. Each step stages its log row as a tuple, and every
+    LOG_CHUNK_ROWS rows (and once at the end) the staged rows are written
+    into the preallocated log arrays, one slice assignment per array.
     """
     t_start = time.perf_counter()
     schedule = schedule or EventSchedule([])
@@ -209,9 +225,24 @@ def run_episode(cfg: SimConfig, world: World,
         return tuple(p.tolist()), tuple(world.disturbance.packed().tolist())
 
     fused = plant_kernel()
-    x_log, xm_log, u_log, du_log, w_log = log.x_true, log.x_meas, log.u, log.du, log.w
-    tt_log, xi_log, d_log, rank_log = log.theta_tilde, log.xi, log.d, log.rank
-    E_u_log, E_x_log = log.E_u, log.E_x
+    # the arrays in the order of a staged row's fields
+    columns = (log.x_true, log.x_meas, log.u, log.du, log.w, log.theta_tilde,
+               log.xi, log.d, log.rank, log.E_u, log.E_x)
+    staged = []
+    stage = staged.append
+    chunk = LOG_CHUNK_ROWS
+    flushed = 0
+
+    def flush():
+        nonlocal flushed
+        k = len(staged)
+        for arr, col in zip(columns, zip(*staged)):
+            if arr.ndim == 2:
+                # one flat float stream converts faster than k short rows
+                col = np.fromiter(chain.from_iterable(col), float).reshape(k, -1)
+            arr[flushed:flushed + k] = col
+        flushed += k
+        staged.clear()
 
     for i in range(S):
         t = i * dt
@@ -257,11 +288,12 @@ def run_episode(cfg: SimConfig, world: World,
                 Y, theta = law.pair(now, rec, gphi_t, aux)
                 theta_tilde = theta + kernels.dot(w, Y)
                 wdot = kernels.weight_derivative_kernel(
-                    w, Y, theta, buf.Y, buf.Theta, gamma, gains.k_c, gains.k_e)
+                    w, Y, theta_tilde, buf.M, buf.b, gamma, gains.k_c, gains.k_e)
                 w, finite = step_weights(w, wdot, dt)
                 if not finite:
                     log.diverged = True
                     log.diverged_step = i
+                    log.stop_cause = "nonfinite_weights"
 
                 # buffer collection: cadence during the excitation phase, then
                 # keep collecting while the rank condition is unmet
@@ -286,17 +318,9 @@ def run_episode(cfg: SimConfig, world: World,
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        x_log[i] = x
-        xm_log[i] = xm
-        u_log[i] = u
-        du_log[i] = du
-        w_log[i] = w
-        tt_log[i] = theta_tilde
-        xi_log[i] = xi
-        d_log[i] = d_val[0]
-        rank_log[i] = rank_val
-        E_u_log[i] = E_u
-        E_x_log[i] = E_x
+        stage((x, xm, u, du, w, theta_tilde, xi, d_val[0], rank_val, E_u, E_x))
+        if len(staged) >= chunk:
+            flush()
 
         if log.diverged:
             break
@@ -321,6 +345,8 @@ def run_episode(cfg: SimConfig, world: World,
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
                 log.diverged = True
                 log.diverged_step = i + 1
+                log.stop_cause = ("state_norm" if all(map(math.isfinite, x))
+                                  else "nonfinite_dynamics")
                 x = tuple(v if math.isfinite(v)
                           else (-DIVERGENCE_NORM if v == -math.inf else DIVERGENCE_NORM)
                           for v in x)
@@ -335,14 +361,10 @@ def run_episode(cfg: SimConfig, world: World,
 
             if log.diverged:
                 # record the diverged state row, then stop
-                x_log[i + 1] = x
-                xm_log[i + 1] = x
-                w_log[i + 1] = w
-                rank_log[i + 1] = rank_val
-                E_u_log[i + 1] = E_u
-                E_x_log[i + 1] = E_x
+                stage((x, x, zero_m, zero_m, w, 0.0, zero_m, 0.0, rank_val, E_u, E_x))
                 break
 
+    flush()
     rows = log.diverged_step + 1 if log.diverged else S
     if log.diverged:
         for name in ("t", "x_true", "x_meas", "u", "du", "w", "theta_tilde",

@@ -88,10 +88,11 @@ def test_c03_weight_convergence_oracle():
     dt = 1e-3
     V = np.empty(10001)
     V[0] = float((w - w_star) @ (w - w_star))
+    M, b = Yb.T @ Yb, Yb.T @ Theta_b
     for i in range(10000):
         Yc = rng.uniform(-mag, mag, 6)
-        wdot = weight_derivative_kernel(w, Yc, -float(w_star @ Yc), Yb, Theta_b,
-                                        Gamma, 5.0, 3.0)
+        wdot = weight_derivative_kernel(w, Yc, -float(w_star @ Yc) + float(w @ Yc),
+                                        M, b, Gamma, 5.0, 3.0)
         w = w + dt * wdot
         V[i + 1] = float((w - w_star) @ (w - w_star))
     err = float(np.linalg.norm(w - w_star))

@@ -226,6 +226,16 @@ class TestMain:
         assert err.startswith("error: saturation invariant violated at t=0.002")
         assert "u=[3.0]" in err
 
+    def test_run_names_stop_cause(self, tmp_path, capsys, monkeypatch):
+        from iadp import kernels
+        monkeypatch.setattr(kernels, "weight_derivative_kernel",
+                            lambda w, *args: [float("inf")] * len(w))
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "s1_iadp_seed0: diverged (nonfinite_weights), rows=3," \
+            in capsys.readouterr().out
+
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1

@@ -60,6 +60,13 @@ def derivative_reference(w, Y, theta, Yb, thetab, gamma, k_c, k_e):
     return -gamma @ (k_c * (theta + w @ Y) * Y + k_e * Yb.T @ (thetab + Yb @ w))
 
 
+def gram(Yb, thetab):
+    """The replay buffer's Gram summary (M, b) of stored rows Yb and targets
+    thetab, as rows and a list. Yb has shape (P, N), also when P = 0."""
+    Yb = np.asarray(Yb, dtype=float)
+    return (Yb.T @ Yb).tolist(), (Yb.T @ np.asarray(thetab, dtype=float)).tolist()
+
+
 def test_monomial_eval_parity(rng):
     for _ in range(25):
         x = rng.uniform(-3, 3, 2)
@@ -110,12 +117,14 @@ def test_weight_derivative_parity(w, Y, theta, Yb, thetab):
     ref = derivative_reference(w, Y_a, theta, Yb_a, thetab_a, GAMMA, 5.0, 3.0)
     scale = derivative_reference(np.abs(w), np.abs(Y_a), abs(theta), np.abs(Yb_a),
                                  np.abs(thetab_a), -np.abs(GAMMA), 5.0, 3.0)
-    got = kernels.weight_derivative_kernel(list(w), Y, theta, Yb, thetab,
+    M, b = gram(Yb_a, thetab_a)
+    resid = theta + kernels.dot(w, Y)
+    got = kernels.weight_derivative_kernel(list(w), Y, resid, M, b,
                                            GAMMA.tolist(), 5.0, 3.0)
     assert isinstance(got, list)
     assert close(got, ref, scale)
     # an array w gets an array back, for callers doing array arithmetic
-    arr = kernels.weight_derivative_kernel(w, Y, theta, Yb, thetab, GAMMA, 5.0, 3.0)
+    arr = kernels.weight_derivative_kernel(w, Y, resid, M, b, GAMMA, 5.0, 3.0)
     assert isinstance(arr, np.ndarray) and np.array_equal(arr, got)
 
 
@@ -162,7 +171,8 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
     u = kernels.saturated_control([[0.0], [0.1]], gphi_t, w, 2.0)
     assert np.isnan(u[0])  # inf - inf inside grad_phi^T w
     Y = [1e4] * 6
-    got = kernels.weight_derivative_kernel(w, Y, 1.0, [Y] * 8, [1.0] * 8,
+    M, b = gram([Y] * 8, [1.0] * 8)
+    got = kernels.weight_derivative_kernel(w, Y, 1.0 + kernels.dot(w, Y), M, b,
                                            np.eye(6).tolist(), 5.0, 3.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = derivative_reference(np.array(w), np.array(Y), 1.0, np.array([Y] * 8),

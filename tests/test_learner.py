@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from iadp.learner import (ExperienceBuffer, LearnerGains, RegressionPair,
                           rank_report, residual, step_weights, try_insert,
@@ -76,6 +79,42 @@ class TestBuffer:
         assert not ok
         assert rep.sigma_min == pytest.approx(base)
         assert 9.0 not in buf.Theta
+
+    def test_empty_gram_summary_is_zero(self):
+        buf = ExperienceBuffer(3, 4)
+        assert buf.M == [[0.0] * 4] * 4 and buf.b == [0.0] * 4
+        assert all(isinstance(v, float) for row in buf.M for v in row)
+        try_insert(buf, [math.nan, 0.0, 0.0, 0.0], 1.0)
+        assert buf.M == [[0.0] * 4] * 4 and buf.b == [0.0] * 4
+
+    @given(policy=st.sampled_from(["sequential_fill", "sigma_min_enrich"]),
+           capacity=st.integers(1, 5), data=st.data())
+    def test_gram_summary_matches_stored_rows(self, policy, capacity, data):
+        # any sequence of inserts, replacements and rejected non-finite
+        # candidates leaves M = Yb^T Yb and b = Yb^T Theta_b of the stored rows
+        N = data.draw(st.integers(1, 4))
+        value = st.floats(-10.0, 10.0)
+        candidate = st.tuples(st.lists(value, min_size=N, max_size=N), value,
+                              st.sampled_from([None] * 4 + [math.nan, math.inf, -math.inf]),
+                              st.integers(0, N))
+        buf = ExperienceBuffer(capacity, N, policy)
+        for Y, theta, bad, at in data.draw(st.lists(candidate, max_size=16)):
+            if bad is not None:
+                # the bad value lands in Y, or in Theta when at == N
+                if at < N:
+                    Y = Y[:at] + [bad] + Y[at + 1:]
+                else:
+                    theta = bad
+            stored = list(buf.Y)
+            ok, _ = try_insert(buf, Y, theta)
+            assert ok or buf.Y == stored
+            assert bad is None or not ok
+        Yb, Tb = np.array(buf.Y).reshape(len(buf), N), np.array(buf.Theta)
+        assert np.array(buf.M).shape == (N, N) and np.array(buf.b).shape == (N,)
+        # rtol 1e-13 of the summed magnitudes, as in tests/test_kernels.py
+        scale_M, scale_b = np.abs(Yb).T @ np.abs(Yb), np.abs(Yb).T @ np.abs(Tb)
+        assert np.all(np.abs(np.array(buf.M) - Yb.T @ Yb) <= 1e-13 * scale_M + 1e-300)
+        assert np.all(np.abs(np.array(buf.b) - Yb.T @ Tb) <= 1e-13 * scale_b + 1e-300)
 
     def test_unknown_policy(self):
         with pytest.raises(ConfigurationError):

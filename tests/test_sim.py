@@ -1,14 +1,17 @@
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from conftest import cached_run
+from iadp import kernels, sim
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                         Event, EventSchedule, NoiseSpec, NoiseState,
-                        disturbance_value, pendulum_nominal)
+                        disturbance_value, make_pendulum, pendulum_nominal)
 from iadp.scenarios import VANISH_W1, VANISH_W2, build_world, run_scenario
-from iadp.sim import SimConfig, TrajectoryLog, World, rk4_step, run_episode
+from iadp.sim import (DIVERGENCE_NORM, SimConfig, TrajectoryLog, World, rk4_step,
+                      run_episode)
 
 
 @dataclass
@@ -174,14 +177,8 @@ class TestEpisode:
         assert np.array_equal(a.x_true, b.x_true)
 
     def test_divergence_truncates_log(self):
-        # an unstable plant with no control authority blows up quickly
-        from iadp.plant import make_pendulum
-        cfg = SimConfig(controller="zero", t_end=80.0)
-        world = World(make_pendulum(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
-                      DisturbanceSignal(), NoiseSpec())
-        from iadp.plant import EventSchedule
-        log = run_episode(cfg, world, EventSchedule([]))
-        assert log.diverged
+        log = unstable_uncontrolled_run()
+        assert log.diverged and log.stop_cause == "state_norm"
         assert log.rows() < 80001
         assert log.rows() == log.diverged_step + 1
         assert np.all(np.isfinite(log.x_true))
@@ -197,6 +194,7 @@ class TestEpisode:
         log = run_episode(cfg, World(plant, DisturbanceSignal(), NoiseSpec()),
                           EventSchedule([]))
         assert log.diverged and log.diverged_step == 1
+        assert log.stop_cause == "nonfinite_dynamics"
         assert log.rows() == 2
         assert np.all(np.isfinite(log.x_true))
 
@@ -214,6 +212,96 @@ class TestEpisode:
             assert np.allclose(getattr(generic, name), getattr(fused, name),
                                rtol=0, atol=1e-12), name
         assert np.max(np.abs(fused.w[-1])) > 1e-3
+
+
+def unstable_uncontrolled_run():
+    """An unstable pendulum under the zero controller: the state leaves the
+    DIVERGENCE_NORM ball, finite, after 2.3 s."""
+    world = World(make_pendulum(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
+                  DisturbanceSignal(), NoiseSpec())
+    return run_episode(SimConfig(controller="zero", t_end=80.0), world,
+                       EventSchedule([]))
+
+
+class TestStopCause:
+    """The stop cause of a full episode is empty. The state_norm and
+    nonfinite_dynamics stops are checked in TestEpisode's divergence tests."""
+
+    def test_completed_has_no_cause(self):
+        log = cached_run(t_end=2.0)
+        assert not log.diverged and log.stop_cause == ""
+
+    def test_nonfinite_weights(self, monkeypatch):
+        monkeypatch.setattr(kernels, "weight_derivative_kernel",
+                            lambda w, *args: [math.inf] * len(w))
+        log = run_scenario(SimConfig(t_end=1.0))
+        # the first learning step (after two warm-up steps) stops the episode
+        assert log.diverged and log.diverged_step == 2 and log.rows() == 3
+        assert log.stop_cause == "nonfinite_weights"
+        assert np.all(log.w == 0.0)
+
+    def test_s3_baselines_stop_on_weights(self):
+        # the s3 baselines keep their pre-swap model: after the reset at 20 s
+        # their critic weights overflow while the saturated loop keeps the
+        # state near the origin
+        log = cached_run(scenario="s3", controller="zsadp", t_end=21.0)
+        assert log.diverged and log.diverged_step == 20176
+        assert log.stop_cause == "nonfinite_weights"
+        assert np.max(np.linalg.norm(log.x_true[20000:], axis=1)) < 1.0
+
+
+def assert_logs_identical(a, b):
+    """Every field of two logs equal, arrays bit for bit; the wall clock aside."""
+    fields = vars(a).keys() - {"wall_time"}
+    assert fields == vars(b).keys() - {"wall_time"}
+    for name in sorted(fields):
+        va, vb = getattr(a, name), getattr(b, name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.shape == vb.shape, name
+            assert va.flags.c_contiguous and vb.flags.c_contiguous, name
+            assert va.tobytes() == vb.tobytes(), name
+        else:
+            assert va == vb, name
+
+
+class TestStagedLog:
+    """Rows staged and flushed in chunks give the same log as rows written
+    one at a time (a chunk of 1), at and around the chunk boundary and for
+    an episode that stops mid-chunk."""
+
+    @pytest.mark.parametrize("t_end, rows", [(0.254, 255), (0.255, 256), (0.256, 257)])
+    def test_chunk_boundaries(self, monkeypatch, t_end, rows):
+        assert sim.LOG_CHUNK_ROWS == 256
+        chunked = run_scenario(SimConfig(t_end=t_end))
+        monkeypatch.setattr(sim, "LOG_CHUNK_ROWS", 1)
+        single = run_scenario(SimConfig(t_end=t_end))
+        assert chunked.rows() == rows
+        assert_logs_identical(chunked, single)
+        # the last row is written (x(t) of the pendulum from (2, -2) is not 0)
+        assert np.all(chunked.x_true[-1] != 0.0) and chunked.E_x[-1] > 0.0
+
+    def test_weights_stop_mid_chunk(self, monkeypatch):
+        def run():
+            return run_scenario(SimConfig(scenario="s3", controller="zsadp", t_end=21.0))
+        chunked = run()
+        assert chunked.rows() % sim.LOG_CHUNK_ROWS not in (0, 1)
+        monkeypatch.setattr(sim, "LOG_CHUNK_ROWS", 1)
+        assert_logs_identical(chunked, run())
+        # the stopping step's row: zeroed weights, non-finite residual
+        assert np.all(chunked.w[-1] == 0.0) and np.any(chunked.w[-2] != 0.0)
+        assert np.isinf(chunked.theta_tilde[-1])
+        assert np.all(chunked.x_true[-1] != 0.0) and chunked.E_x[-1] > 0.0
+
+    def test_state_stop_mid_chunk(self, monkeypatch):
+        chunked = unstable_uncontrolled_run()
+        assert chunked.rows() % sim.LOG_CHUNK_ROWS not in (0, 1)
+        monkeypatch.setattr(sim, "LOG_CHUNK_ROWS", 1)
+        assert_logs_identical(chunked, unstable_uncontrolled_run())
+        # the diverged row holds the state that left the ball, measured as is
+        last = chunked.x_true[-1]
+        assert np.linalg.norm(last) > DIVERGENCE_NORM
+        assert np.array_equal(chunked.x_meas[-1], last)
+        assert chunked.E_x[-1] == chunked.E_x[-2] > 0.0
 
 
 class TestNoiseTracker:
