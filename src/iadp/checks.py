@@ -2,15 +2,16 @@
 
 Each check returns (name, passed, detail). These are deliberately cheap
 (seconds, short horizons); the full acceptance suite lives in the test
-tree and also covers the long scenario runs.
+tree and also covers the long scenario runs. The checks call the kernels
+through the module, as the engine does, so they test the code it runs.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from .critic import BasisSet, CostConfig, grad_phi, penalty_W, phi
-from .learner import (ExperienceBuffer, LearnerGains, RegressionPair, residual,
-                      try_insert, weight_derivative)
+from . import kernels
+from .critic import BasisSet
+from .learner import ExperienceBuffer, LearnerGains, try_insert
 from .plant import DisturbanceSignal, NoiseSpec, add_measurement_noise, \
     disturbance_value, eval_dynamics, pendulum_nominal
 from .scenarios import run_scenario
@@ -68,11 +69,12 @@ def check_grad_phi_fd(rng):
     worst = 0.0
     for _ in range(200):
         x = rng.uniform(-3, 3, 2)
-        g = grad_phi(basis, x)
+        g = np.array(kernels.monomial_grad(basis.partials, x)).T
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (phi(basis, x + e) - phi(basis, x - e)) / (2 * h)
+            fd = (np.prod((x + e) ** basis.exponents, axis=1)
+                  - np.prod((x - e) ** basis.exponents, axis=1)) / (2 * h)
             denom = np.maximum(np.abs(g[:, j]), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - g[:, j]) / denom)))
     return worst < 1e-6, f"max grad rel err {worst:.2e}"
@@ -85,19 +87,19 @@ def check_penalty_quadrature(rng):
         v = rng.uniform(-0.99 * beta, 0.99 * beta)
         ref, _ = quad(lambda s: 2 * beta * np.arctanh(s / beta), 0.0, v,
                       epsabs=1e-12, epsrel=1e-12)
-        got = penalty_W([v], beta)
+        got = kernels.penalty_sat([v], beta)
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
     return worst < 1e-8, f"max penalty rel err {worst:.2e}"
 
 
 def check_penalty_shape(rng):
     beta = 2.0
-    if penalty_W([0.0], beta) != 0.0:
+    if kernels.penalty_sat([0.0], beta) != 0.0:
         return False, "penalty nonzero at 0"
     prev = 0.0
     for v in np.linspace(0.05, 1.9, 40):
-        p = penalty_W([v], beta)
-        if p <= prev or abs(p - penalty_W([-v], beta)) > 1e-12:
+        p = kernels.penalty_sat([v], beta)
+        if p <= prev or abs(p - kernels.penalty_sat([-v], beta)) > 1e-12:
             return False, f"monotonicity/evenness broken at v={v}"
         prev = p
     return True, "nonnegative, even, increasing in |v|"
@@ -107,8 +109,7 @@ def check_lip_identity(rng):
     for _ in range(50):
         w = rng.uniform(-5, 5, 6)
         Y = rng.uniform(-10, 10, 6)
-        pair = RegressionPair(Y=Y, Theta=float(-w @ Y))
-        if abs(residual(w, pair)) > 1e-9:
+        if abs(float(-w @ Y) + kernels.dot(w, Y)) > 1e-9:
             return False, "synthetic residual nonzero"
     return True, "residual(w, Y, -w.Y) == 0"
 
@@ -121,11 +122,12 @@ def check_update_gradient(rng):
         for _ in range(8):
             try_insert(buf, rng.uniform(-5, 5, 6), rng.uniform(-1, 5))
         w = rng.uniform(-3, 3, 6)
-        pair = RegressionPair(rng.uniform(-5, 5, 6), rng.uniform(-1, 5))
-        wdot = weight_derivative(w, pair, buf, gains)
+        Y, theta = rng.uniform(-5, 5, 6), rng.uniform(-1, 5)
+        wdot = np.array(kernels.weight_derivative_kernel(
+            w, Y, theta + w @ Y, buf.M, buf.b, gains.Gamma, gains.k_c, gains.k_e))
 
         def energy(wv):
-            e = 0.5 * gains.k_c * residual(wv, pair) ** 2
+            e = 0.5 * gains.k_c * (theta + wv @ Y) ** 2
             for l in range(len(buf)):
                 e += 0.5 * gains.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
             return e

@@ -82,6 +82,8 @@ def _parse_value(text: str):
     if not t.endswith("]"):
         raise ConfigurationError(f"unbalanced brackets in {text!r}")
     inner = t[1:-1]
+    if not inner.strip():
+        return []
     parts, depth, cur = [], 0, []
     for ch in inner:
         if ch == "[":
@@ -93,9 +95,10 @@ def _parse_value(text: str):
             cur = []
         else:
             cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
-    return [_parse_value(p) for p in parts if p.strip()]
+    parts.append("".join(cur))
+    if not all(p.strip() for p in parts):
+        raise ConfigurationError(f"empty list element in {text!r}")
+    return [_parse_value(p) for p in parts]
 
 
 def _format_value(v) -> str:
@@ -113,7 +116,7 @@ def _format_value(v) -> str:
     return "[" + ", ".join(_format_value(row) for row in arr) + "]"
 
 
-def _coerce(key: str, kind: str, value, n_hint: int = 2, N_hint: int = 6):
+def _coerce(key: str, kind: str, value):
     try:
         if kind == "str":
             return str(value)
@@ -129,16 +132,13 @@ def _coerce(key: str, kind: str, value, n_hint: int = 2, N_hint: int = 6):
             return np.asarray(value, dtype=float).ravel()
         if kind == "imatrix":
             return np.atleast_2d(np.asarray(value, dtype=np.int64))
-        if kind == "matrix":
-            # scalar shorthand: c -> c * I
-            if np.isscalar(value):
-                size = N_hint if key == "learner.Gamma" else n_hint
-                return float(value) * np.eye(size)
-            arr = np.asarray(value, dtype=float)
-            return arr if arr.ndim == 2 else arr.reshape(-1, 1)
+        # matrix; a scalar c stands for c * I, which SimConfig sizes
+        if np.isscalar(value):
+            return float(value)
+        arr = np.asarray(value, dtype=float)
+        return arr if arr.ndim == 2 else arr.reshape(-1, 1)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad value for {key}: {exc}") from exc
-    raise ConfigurationError(f"unknown kind {kind}")
 
 
 def read_config_file(path) -> dict:

@@ -25,18 +25,6 @@ import numpy as np
 ATANH_MARGIN = 1e-9
 
 
-def monomial_eval(exponents, x):
-    """Evaluate monomial features prod_i x_i**e_i for each row of exponents."""
-    N, n = exponents.shape
-    out = np.ones(N)
-    for k in range(N):
-        for i in range(n):
-            e = exponents[k, i]
-            if e > 0:
-                out[k] *= x[i] ** e
-    return out
-
-
 def monomial_partials(exponents):
     """The partial derivatives of the monomial features, for ``monomial_grad``.
 
@@ -156,15 +144,14 @@ def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
     sum_l theta_l Y_l) is the replay buffer's Gram summary, so the replayed
     residuals are exact against the live weights without being re-formed.
     A stored row with ||Y_l||^2 > 1.8e308 overflows M, and the result is
-    then non-finite. ``gamma`` and ``M`` are given as rows. The result comes
-    back as a list, or as an array when ``w`` is one.
+    then non-finite. ``gamma`` and ``M`` are given as rows; the result is a
+    list.
     """
     kr = k_c * resid
     # the sign goes on the sum: negation is exact, so -Gamma v and
     # Gamma (-v) are the same floats
     acc = [-(kr * yj + k_e * (bj + mwj)) for yj, bj, mwj in zip(Y, b, matvec(M, w))]
-    out = matvec(gamma, acc)
-    return np.array(out) if isinstance(w, np.ndarray) else out
+    return matvec(gamma, acc)
 
 
 def _pendulum_rhs(x0, x1, u0, p, dist, t):

@@ -1,11 +1,12 @@
-"""Experience buffer with rank-condition reporting and the off-policy
-critic weight update.
+"""The critic's experience buffer, its Gram summary, and the Euler step of
+the weight ODE.
 
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
 The summed squared replay residuals are an exact quadratic in w with
-gradient b + M w, so the update law stays the exact gradient flow on them
-without re-forming each residual on every call.
+gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
+stays the exact gradient flow on them without re-forming each residual on
+every call. ``step_weights`` integrates that law one step.
 """
 
 import math
@@ -14,14 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from .kernels import weight_derivative_kernel
 from .plant import ConfigurationError
-
-
-@dataclass
-class RegressionPair:
-    Y: np.ndarray
-    Theta: float
 
 
 @dataclass
@@ -69,17 +63,13 @@ class ExperienceBuffer:
         self.M = [[sum(map(mul, cj, ck), 0.0) for ck in cols] for cj in cols]
         self.b = [sum(map(mul, cj, self.Theta), 0.0) for cj in cols]
 
-    def _report(self) -> RankReport:
+    def report(self) -> RankReport:
+        """Numerical rank and smallest singular value of the stacked regressors."""
         if len(self) == 0:
             return RankReport(0, 0.0)
         sv = np.linalg.svd(np.array(self.Y).T, compute_uv=False)
         tol = 1e-8 * sv[0] if sv[0] > 0 else 0.0
         return RankReport(int(np.sum(sv > tol)), float(sv[-1]) if len(sv) == self.N else 0.0)
-
-
-def rank_report(buf: ExperienceBuffer) -> RankReport:
-    """Numerical rank and smallest singular value of the stacked regressors."""
-    return buf._report()
 
 
 def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport]:
@@ -93,14 +83,14 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
     Y = [float(v) for v in Y]
     Theta = float(Theta)
     if not (all(map(math.isfinite, Y)) and math.isfinite(Theta)):
-        return False, buf._report()
+        return False, buf.report()
     if len(buf) < buf.capacity:
         buf.Y.append(Y)
         buf.Theta.append(Theta)
         buf._summarise()
-        return True, buf._report()
+        return True, buf.report()
     if buf.policy == "sequential_fill":
-        return False, buf._report()
+        return False, buf.report()
 
     stored = np.array(buf.Y)
     base = np.linalg.svd(stored.T, compute_uv=False)[-1]
@@ -112,34 +102,11 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
         if s - base > best_gain:
             best_gain, best_idx = s - base, i
     if best_idx < 0:
-        return False, buf._report()
+        return False, buf.report()
     buf.Y[best_idx] = Y
     buf.Theta[best_idx] = Theta
     buf._summarise()
-    return True, buf._report()
-
-
-def residual(w, pair: RegressionPair) -> float:
-    """Bellman residual Theta_tilde = Theta + w^T Y."""
-    return float(pair.Theta + np.asarray(w, dtype=float) @ np.asarray(pair.Y, dtype=float))
-
-
-def weight_derivative(w, current: RegressionPair | None, buf: ExperienceBuffer,
-                      gains: LearnerGains) -> np.ndarray:
-    """Off-policy update: -Gamma (k_c Y Theta_tilde + k_e sum_l Y_l Theta_tilde_l).
-
-    ``current`` may be None (replay-only update, e.g. after the excitation
-    phase when no fresh pair is available).
-    """
-    w = np.asarray(w, dtype=float)
-    if current is None:
-        Y = np.zeros_like(w)
-        resid = 0.0
-    else:
-        Y = np.asarray(current.Y, dtype=float)
-        resid = float(current.Theta + w @ Y)
-    return weight_derivative_kernel(w, Y, resid, buf.M, buf.b,
-                                    gains.Gamma, gains.k_c, gains.k_e)
+    return True, buf.report()
 
 
 def step_weights(w, wdot, dt: float) -> tuple[list, bool]:

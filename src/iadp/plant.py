@@ -27,7 +27,7 @@ class ControlAffinePlant:
 
     ``drift`` maps (n,) -> (n,), ``input_map`` maps (n,) -> (n, m),
     ``disturbance_map`` maps (n,) -> (n, q). g(x) is assumed full column
-    rank (checked at sampled states by ``check_input_rank``).
+    rank.
     """
 
     n: int
@@ -39,12 +39,6 @@ class ControlAffinePlant:
     name: str = "plant"
     # coefficient vector for the fused RK4 kernel, pendulum family only
     pendulum_params: Optional[np.ndarray] = None
-
-    def check_input_rank(self, states) -> None:
-        for x in states:
-            g = np.atleast_2d(self.input_map(np.asarray(x, dtype=float)))
-            if np.linalg.svd(g.reshape(self.n, self.m), compute_uv=False)[-1] <= 0.0:
-                raise ConfigurationError(f"g(x) rank deficient at x={x}")
 
 
 def eval_dynamics(plant: ControlAffinePlant, x, u, d, t: float = 0.0) -> np.ndarray:

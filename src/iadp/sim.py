@@ -32,7 +32,11 @@ LOG_CHUNK_ROWS = 256
 
 @dataclass
 class SimConfig:
-    """Fully resolved episode configuration (benchmark defaults)."""
+    """Fully resolved episode configuration (benchmark defaults).
+
+    ``Q`` and ``Gamma`` may be given as a scalar c, which stands for c times
+    the identity of the basis's state size n and basis size N.
+    """
 
     scenario: str = "s1"
     controller: str = "iadp"
@@ -77,6 +81,10 @@ class SimConfig:
             raise ConfigurationError("learner.P and learner.buffer_every must be >= 1")
         basis = BasisSet(self.basis_exponents)
         n = basis.n
+        if np.ndim(self.Q) == 0:
+            self.Q = float(self.Q) * np.eye(n)
+        if np.ndim(self.Gamma) == 0:
+            self.Gamma = float(self.Gamma) * np.eye(basis.N)
         if CostConfig(self.Q, self.beta, self.c_bar).Q.shape != (n, n):
             raise ConfigurationError(f"Q must be {n}x{n}")
         if np.shape(self.Gamma) != (basis.N, basis.N):

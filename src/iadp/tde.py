@@ -1,9 +1,9 @@
-"""Time-delay estimation layer: delayed sample history and measured increments.
+"""Time-delay estimation: the delay line, its increments and the xi diagnostic.
 
 The controller never sees the plant; it sees (x, xdot, u) samples. The delay
-line holds them and produces the incremental quantities (dx_dot, du, u0,
-x0dot) that stand in for the unknown dynamics. The true lumped-term gap xi is
-reconstructed here for diagnostics only.
+line holds them, estimates xdot by a backward difference, and produces the
+increments (dx_dot, du, x0dot) that stand in for the unknown dynamics. The
+TDE error xi is reconstructed here for diagnostics only.
 """
 
 from collections import deque
@@ -35,7 +35,6 @@ class DelaySample:
 class IncrementRecord:
     dx_dot: Sequence[float]
     du: Sequence[float]
-    u0: Sequence[float]
     x0dot: Sequence[float]
 
 
@@ -77,51 +76,24 @@ class DelayLine:
         return self.samples[0]
 
 
-def estimate_xdot(line: DelayLine, method: str = "backward_difference"):
-    """State-derivative estimate at the newest sample.
-
-    "backward_difference" returns (x(t) - x(t-dt))/dt; "ground_truth" passes
-    through the xdot the simulator stored on the newest sample.
-    """
-    if not line.samples:
-        raise WarmUpError("empty delay line")
-    if method == "ground_truth":
-        return line.samples[-1].xdot
-    if method == "backward_difference":
-        if len(line.samples) < 2:
-            raise WarmUpError("backward difference needs two samples")
-        a, b = line.samples[-2], line.samples[-1]
-        dt = line.dt
-        return [(xb - xa) / dt for xa, xb in zip(a.x, b.x)]
-    raise ConfigurationError(f"unknown xdot method {method!r}")
+def estimate_xdot(line: DelayLine):
+    """Backward-difference state derivative (x(t) - x(t-dt))/dt at the
+    newest sample."""
+    if len(line.samples) < 2:
+        raise WarmUpError("backward difference needs two samples")
+    a, b = line.samples
+    dt = line.dt
+    return [(xb - xa) / dt for xa, xb in zip(a.x, b.x)]
 
 
 def compute_increments(line: DelayLine) -> IncrementRecord:
     """Increments between the newest sample and the one L seconds earlier."""
     past, now = line.delayed(), line.samples[-1]
     return IncrementRecord(list(map(sub, now.xdot, past.xdot)),
-                           list(map(sub, now.u, past.u)), past.u, past.xdot)
+                           list(map(sub, now.u, past.u)), past.xdot)
 
 
 def true_tde_error(rec: IncrementRecord, cfg: IncrementalModelConfig) -> list:
     """Diagnostic TDE error xi = g_bar^+ dx_dot - du (zero iff the incremental
     model reproduces the measured increment exactly)."""
     return list(map(sub, kernels.matvec(cfg.g_bar_pinv, rec.dx_dot), rec.du))
-
-
-def fit_tde_bound(xi_norms, du_norms) -> tuple[float, float]:
-    """Least-squares fit ||xi|| ~ c*||du|| + delta1 over a logged episode.
-
-    Degenerate logs (all du zero) collapse to an intercept-only fit.
-    """
-    xi_norms = np.asarray(xi_norms, dtype=float)
-    du_norms = np.asarray(du_norms, dtype=float)
-    if xi_norms.shape != du_norms.shape or xi_norms.ndim != 1:
-        raise ConfigurationError("xi and du norm logs must be equal-length vectors")
-    if len(xi_norms) < 100:
-        raise ConfigurationError("need at least 100 logged pairs")
-    if np.ptp(du_norms) < 1e-15:
-        return 0.0, float(np.mean(xi_norms))
-    A = np.column_stack([du_norms, np.ones_like(du_norms)])
-    (c_fit, delta1_fit), *_ = np.linalg.lstsq(A, xi_norms, rcond=None)
-    return float(c_fit), float(delta1_fit)

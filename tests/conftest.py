@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from iadp.critic import BasisSet, grad_phi
+from iadp import kernels
+from iadp.critic import DEFAULT_EXPONENTS, BasisSet
 from iadp.scenarios import run_scenario
 from iadp.sim import SimConfig
 from iadp.tde import DelaySample, IncrementRecord
@@ -32,13 +33,23 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def monomials(x, exponents=DEFAULT_EXPONENTS):
+    """The monomial features prod_i x_i**e_i of each exponent row, in numpy."""
+    return np.prod(np.asarray(x, dtype=float) ** exponents, axis=1)
+
+
+def gphi_t(x, basis=BasisSet.default()):
+    """grad_phi^T at x as the engine forms it (``kernels.monomial_grad``), as
+    an (n, N) array."""
+    return np.array(kernels.monomial_grad(basis.partials, x))
+
+
 def law_pair(law, x, u, du=(0.0,), x0dot=(0.0, 0.0), xdot=(0.0, 0.0), aux=None):
     """law.pair at state x and input u, with increments du and x0dot against
     the delayed sample; returns (Y as an array, Theta)."""
     x = np.asarray(x, dtype=float)
     du = np.asarray(du, dtype=float)
     now = DelaySample(0.0, x, np.asarray(xdot, dtype=float), np.asarray(u, dtype=float))
-    rec = IncrementRecord(dx_dot=np.zeros(2), du=du, u0=now.u - du,
-                          x0dot=np.asarray(x0dot, dtype=float))
-    Y, theta = law.pair(now, rec, grad_phi(BasisSet.default(), x).T, aux)
+    rec = IncrementRecord(dx_dot=np.zeros(2), du=du, x0dot=np.asarray(x0dot, dtype=float))
+    Y, theta = law.pair(now, rec, gphi_t(x), aux)
     return np.asarray(Y), theta

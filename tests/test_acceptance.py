@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import cached_run
+from conftest import cached_run, monomials
+from iadp import kernels
 from iadp.cli import main
-from iadp.critic import BasisSet, grad_phi, penalty_W, phi
-from iadp.kernels import weight_derivative_kernel
-from iadp.learner import (ExperienceBuffer, LearnerGains, RegressionPair,
-                          residual, try_insert, weight_derivative)
-from iadp.plant import pendulum_nominal
-from iadp.sim import rk4_step
+from iadp.critic import BasisSet
+from iadp.learner import ExperienceBuffer, LearnerGains, try_insert
+from iadp.plant import DisturbanceSignal, pendulum_nominal
 
 CONTROLLERS = ("iadp", "zsadp", "tadp")
 SCENARIOS = ("s1", "s2", "s3")
@@ -51,11 +49,11 @@ def test_c01_basis_gradient_oracle():
     for _ in range(200):
         x = rng.uniform(-3, 3, 2)
         x *= min(1.0, 3.0 / max(np.linalg.norm(x), 1e-12))
-        g = grad_phi(basis, x)
+        g = np.array(kernels.monomial_grad(basis.partials, x)).T
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (phi(basis, x + e) - phi(basis, x - e)) / (2 * h)
+            fd = (monomials(x + e) - monomials(x - e)) / (2 * h)
             denom = np.maximum(np.abs(g[:, j]), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - g[:, j]) / denom)))
     report(1, "basis-gradient-oracle", worst < 1e-6, f"max rel err {worst:.2e}")
@@ -69,7 +67,7 @@ def test_c02_penalty_quadrature_oracle():
         v = rng.uniform(-0.99 * beta, 0.99 * beta)
         ref, _ = quad(lambda s: 2 * beta * np.arctanh(s / beta), 0.0, v,
                       epsabs=1e-13, epsrel=1e-13)
-        worst = max(worst, abs(penalty_W([v], beta) - ref) / max(abs(ref), 1e-300))
+        worst = max(worst, abs(kernels.penalty_sat([v], beta) - ref) / max(abs(ref), 1e-300))
     report(2, "penalty-quadrature-oracle", worst < 1e-8, f"max rel err {worst:.2e}")
 
 
@@ -91,8 +89,8 @@ def test_c03_weight_convergence_oracle():
     M, b = Yb.T @ Yb, Yb.T @ Theta_b
     for i in range(10000):
         Yc = rng.uniform(-mag, mag, 6)
-        wdot = weight_derivative_kernel(w, Yc, -float(w_star @ Yc) + float(w @ Yc),
-                                        M, b, Gamma, 5.0, 3.0)
+        wdot = np.array(kernels.weight_derivative_kernel(
+            w, Yc, -float(w_star @ Yc) + float(w @ Yc), M, b, Gamma, 5.0, 3.0))
         w = w + dt * wdot
         V[i + 1] = float((w - w_star) @ (w - w_star))
     err = float(np.linalg.norm(w - w_star))
@@ -110,14 +108,14 @@ def test_c04_update_law_gradient_identity():
         for _ in range(8):
             try_insert(buf, rng.uniform(-5, 5, 6), rng.uniform(-1, 5))
         w = rng.uniform(-3, 3, 6)
-        pair = RegressionPair(rng.uniform(-5, 5, 6), rng.uniform(-1, 5))
-        wdot = weight_derivative(w, pair, buf, gains)
+        Y, theta = rng.uniform(-5, 5, 6), rng.uniform(-1, 5)
+        wdot = np.array(kernels.weight_derivative_kernel(
+            w, Y, theta + w @ Y, buf.M, buf.b, gains.Gamma, gains.k_c, gains.k_e))
 
         def energy(wv):
-            e = 0.5 * gains.k_c * residual(wv, pair) ** 2
+            e = 0.5 * gains.k_c * (theta + wv @ Y) ** 2
             for l in range(len(buf)):
-                e += 0.5 * gains.k_e * residual(
-                    wv, RegressionPair(buf.Y[l], buf.Theta[l])) ** 2
+                e += 0.5 * gains.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
             return e
 
         h = 1e-6
@@ -194,15 +192,15 @@ def test_c10_tde_first_order_scaling():
 
 
 def test_c11_integrator_order():
-    plant = pendulum_nominal()
-    x0 = np.array([2.0, -2.0])
-    d_fn = lambda xs, ts: np.zeros(1)
+    p = tuple(pendulum_nominal().pendulum_params.tolist())
+    dist = tuple(DisturbanceSignal().packed().tolist())
+    x0 = (2.0, -2.0)
 
     def integrate(dt, t_end=0.5):
-        x = x0.copy()
+        x = x0
         for k in range(int(round(t_end / dt))):
-            x = rk4_step(plant, x, np.zeros(1), d_fn, k * dt, dt)
-        return x
+            x = kernels.pendulum_rk4(x, 0.0, p, dist, k * dt, dt)
+        return np.array(x)
 
     ref = integrate(1e-5)
     e_coarse = float(np.linalg.norm(integrate(2e-2) - ref))

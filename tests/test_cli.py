@@ -1,9 +1,13 @@
+import struct
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import cached_run
+from iadp import kernels
 from iadp.cli import (CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES, _format_value,
                       _parse_value, config_dict, csv_header, emit_plots, main,
                       parse_config, read_config_file, read_csv, write_csv,
@@ -11,6 +15,15 @@ from iadp.cli import (CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES, _format_value
 from iadp.plant import ConfigurationError
 from iadp.scenarios import run_scenario
 from iadp.sim import SimConfig
+
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
+# what a manifest holds: ints, bools, config strings, and floats, vectors and
+# matrices, including +-0, +-inf and subnormals
+MANIFEST_VALUES = st.one_of(
+    st.integers(), st.booleans(), st.floats(allow_nan=False),
+    st.sampled_from(["s1", "iadp", "sigma_min_enrich"]),
+    hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False)),
+    hnp.arrays(np.int64, SHAPES))
 
 
 class TestValueParsing:
@@ -30,11 +43,22 @@ class TestValueParsing:
         with pytest.raises(ConfigurationError):
             _parse_value("[1, 2")
 
-    def test_format_round_trip(self):
-        for v in (3, 2.5, True, False, "s1"):
-            assert _parse_value(_format_value(v)) == v
-        for v in (np.array([1.0, -2.5]), np.eye(2)):
-            assert np.array_equal(np.asarray(_parse_value(_format_value(v))), v)
+    @pytest.mark.parametrize("text", ["[2.0,,-2.0]", "[1,]", "[,]", "[[1, 2], ]"])
+    def test_empty_element_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            _parse_value(text)
+
+    @given(MANIFEST_VALUES)
+    def test_format_round_trip(self, v):
+        # every value comes back bit-equal
+        back = _parse_value(_format_value(v))
+        if isinstance(v, np.ndarray):
+            back = np.asarray(back, dtype=v.dtype)
+            assert back.shape == v.shape and back.tobytes() == v.tobytes()
+        elif isinstance(v, float):
+            assert type(back) is float and struct.pack("<d", back) == struct.pack("<d", v)
+        else:
+            assert type(back) is type(v) and back == v
 
 
 class TestConfigFile:
@@ -78,6 +102,13 @@ class TestConfigFile:
         cfg = parse_config(None, {"cost.Q": "2.5", "learner.Gamma": "0.001"})
         assert np.array_equal(cfg.Q, 2.5 * np.eye(2))
         assert np.array_equal(cfg.Gamma, 1e-3 * np.eye(6))
+
+    def test_scalar_shorthand_sized_by_basis(self):
+        # c * I takes the resolved basis's size, whichever key comes first
+        keys = [("basis.exponents", "[[2,0],[1,1],[0,2]]"), ("learner.Gamma", "1e-4")]
+        for order in (keys, keys[::-1]):
+            cfg = parse_config(None, dict(order))
+            assert np.array_equal(cfg.Gamma, 1e-4 * np.eye(3))
 
     def test_invalid_value_is_config_error(self):
         with pytest.raises(ConfigurationError):
@@ -209,6 +240,7 @@ class TestMain:
         ("learner.P=0", []),
         ("learner.buffer_every=0", []),
         ("sim.t_end=-1", []),
+        ("init.x0=[2.0,,-2.0]", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
@@ -245,6 +277,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "11/11 checks passed" in out
+
+    @pytest.mark.parametrize("kernel, check", [
+        ("monomial_grad", "grad_phi_finite_difference"),
+        ("penalty_sat", "penalty_vs_quadrature"),
+        ("weight_derivative_kernel", "update_law_gradient_identity"),
+    ])
+    def test_check_fails_on_a_broken_kernel(self, capsys, monkeypatch, kernel, check):
+        # the checks reach the kernels the engine runs
+        real = getattr(kernels, kernel)
+        monkeypatch.setattr(kernels, kernel,
+                            lambda *args: np.multiply(real(*args), 1.01).tolist())
+        assert main(["check"]) == 3
+        assert f"FAIL  {check}:" in capsys.readouterr().out
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IADP_OUT_DIR", str(tmp_path / "envout"))

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import law_pair
+from conftest import gphi_t, law_pair
 from iadp import kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import BasisSet, CostConfig, grad_phi, penalty_W
+from iadp.critic import CostConfig
 from iadp.tde import DelayLine, DelaySample, IncrementalModelConfig, compute_increments
 
 G_TRUE = np.array([[0.0], [0.25]])
 K_TRUE = np.array([[1.0], [-0.2]])
-BASIS = BasisSet.default()
 
 
 def make_cost():
@@ -21,7 +20,7 @@ def make_cost():
 
 def control(law, w, x):
     """law.control at state x; u and aux come back as arrays."""
-    u, aux = law.control(grad_phi(BASIS, x).T, np.asarray(w, dtype=float))
+    u, aux = law.control(gphi_t(x), np.asarray(w, dtype=float))
     return np.asarray(u), aux if aux is None else np.asarray(aux)
 
 
@@ -64,7 +63,7 @@ class TestIadpLaw:
     def test_cost_matches_shared_form(self):
         # x^T Q x + W(u) + c_bar^2 ||du||^2 at u = u0 + du = 0.5 + 0.5
         _, got = law_pair(self.make(), [1.0, 1.0], [1.0], du=[0.5])
-        assert got == pytest.approx(2.0 + penalty_W([1.0], 2.0) + 1.0, abs=1e-12)
+        assert got == pytest.approx(2.0 + kernels.penalty_sat([1.0], 2.0) + 1.0, abs=1e-12)
         assert got == pytest.approx(2.0 + 1.0464963 + 1.0, abs=1e-6)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import law_pair
+from conftest import gphi_t, law_pair, monomials
+from iadp import kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import (BasisSet, CostConfig, SaturationDomainError, grad_phi,
-                         penalty_W, phi, value)
+from iadp.critic import BasisSet, CostConfig
 from iadp.plant import ConfigurationError
 from iadp.tde import IncrementalModelConfig
 
@@ -20,11 +20,11 @@ def iadp_law(cfg=None):
 class TestBasis:
     def test_phi_frozen_point(self):
         # [x1^2, x1 x2, x2^2, x2^3, x1 x2^2, x1^2 x2] at (2, -2)
-        assert np.array_equal(phi(BasisSet.default(), [2.0, -2.0]),
+        assert np.array_equal(monomials([2.0, -2.0]),
                               [4.0, -4.0, 4.0, -8.0, 8.0, -8.0])
 
     def test_phi_zero_at_origin(self):
-        assert np.array_equal(phi(BasisSet.default(), [0.0, 0.0]), np.zeros(6))
+        assert np.array_equal(monomials([0.0, 0.0]), np.zeros(6))
 
     def test_grad_frozen_point(self):
         expect = np.array([
@@ -35,54 +35,44 @@ class TestBasis:
             [4.0, -8.0],
             [-8.0, 4.0],
         ])
-        assert np.array_equal(grad_phi(BasisSet.default(), [2.0, -2.0]), expect)
+        assert np.array_equal(gphi_t([2.0, -2.0]).T, expect)
 
     def test_grad_matches_finite_difference(self, rng):
-        basis = BasisSet.default()
         h = 1e-6
         for _ in range(50):
             x = rng.uniform(-3, 3, 2)
-            g = grad_phi(basis, x)
+            g = gphi_t(x).T
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fd = (phi(basis, x + e) - phi(basis, x - e)) / (2 * h)
+                fd = (monomials(x + e) - monomials(x - e)) / (2 * h)
                 assert np.allclose(fd, g[:, j], atol=1e-5, rtol=1e-6)
 
     def test_custom_exponents(self):
         basis = BasisSet([[1, 0, 0], [0, 2, 1]])
         assert basis.N == 2 and basis.n == 3
-        out = phi(basis, [2.0, 3.0, 4.0])
-        assert np.array_equal(out, [2.0, 36.0])
+        assert np.array_equal(monomials([2.0, 3.0, 4.0], basis.exponents), [2.0, 36.0])
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            phi(BasisSet.default(), [1.0, 2.0, 3.0])
-        with pytest.raises(ConfigurationError):
             BasisSet(np.arange(6))
-
-    def test_value(self):
-        w = np.arange(1.0, 7.0)
-        x = [2.0, -2.0]
-        assert value(w, BasisSet.default(), x) == pytest.approx(
-            float(w @ phi(BasisSet.default(), x)), abs=0)
 
 
 class TestPenalty:
     def test_frozen_value(self):
         # 2*2*1*atanh(0.5) + 4*log(0.75)
         expect = 4 * math.atanh(0.5) + 4 * math.log(0.75)
-        assert penalty_W([1.0], 2.0) == pytest.approx(expect, abs=1e-12)
-        assert penalty_W([1.0], 2.0) == pytest.approx(1.0464963, abs=1e-6)
+        assert kernels.penalty_sat([1.0], 2.0) == pytest.approx(expect, abs=1e-12)
+        assert kernels.penalty_sat([1.0], 2.0) == pytest.approx(1.0464963, abs=1e-6)
 
     def test_zero(self):
-        assert penalty_W([0.0], 2.0) == 0.0
+        assert kernels.penalty_sat([0.0], 2.0) == 0.0
 
     def test_even_and_monotone(self):
         prev = 0.0
         for v in np.linspace(0.1, 1.95, 30):
-            p = penalty_W([v], 2.0)
-            assert p == pytest.approx(penalty_W([-v], 2.0), abs=1e-12)
+            p = kernels.penalty_sat([v], 2.0)
+            assert p == pytest.approx(kernels.penalty_sat([-v], 2.0), abs=1e-12)
             assert p > prev
             prev = p
 
@@ -92,17 +82,16 @@ class TestPenalty:
             v = rng.uniform(-1.9, 1.9)
             ref, _ = quad(lambda s: 2 * beta * math.atanh(s / beta), 0.0, v,
                           epsabs=1e-12, epsrel=1e-12)
-            assert penalty_W([v], beta) == pytest.approx(ref, abs=1e-9)
+            assert kernels.penalty_sat([v], beta) == pytest.approx(ref, abs=1e-9)
 
     def test_sum_over_channels(self):
-        assert penalty_W([1.0, -1.0], 2.0) == pytest.approx(
-            2 * penalty_W([1.0], 2.0), abs=1e-12)
+        assert kernels.penalty_sat([1.0, -1.0], 2.0) == pytest.approx(
+            2 * kernels.penalty_sat([1.0], 2.0), abs=1e-12)
 
     def test_domain_clamp_and_error(self):
-        # arguments within 1e-6 of the bound are clamped, beyond that rejected
-        assert math.isfinite(penalty_W([2.0], 2.0))
-        with pytest.raises(SaturationDomainError):
-            penalty_W([2.1], 2.0)
+        # arguments at the bound are clamped off it; the engine raises on
+        # |u| > beta itself (tests/test_cli.py, exit code 4)
+        assert math.isfinite(kernels.penalty_sat([2.0], 2.0))
 
 
 class TestCost:
@@ -142,7 +131,7 @@ class TestRegressor:
         du = [0.5]
         x0dot = np.array([-2.0, -4.0])
         got, _ = law_pair(iadp_law(), [2.0, -2.0], [0.5], du=du, x0dot=x0dot)
-        gphi = grad_phi(BasisSet.default(), [2.0, -2.0])
+        gphi = gphi_t([2.0, -2.0]).T
         assert np.allclose(got, gphi @ (g_bar @ np.array(du) + x0dot), atol=0)
 
     def test_baseline_form(self, rng):
@@ -150,7 +139,7 @@ class TestRegressor:
         g, k = np.array([[0.0], [0.25]]), np.array([[1.0], [-0.2]])
         x = rng.uniform(-2, 2, 2)
         xdot = rng.uniform(-5, 5, 2)
-        gphi = grad_phi(BasisSet.default(), x)
+        gphi = gphi_t(x).T
         for law in (ZsadpLaw(g, k, 1.0, cost), TadpLaw(g, k, 0.1, cost)):
             got, _ = law_pair(law, x, [0.0], xdot=xdot, aux=np.zeros(1))
             assert np.allclose(got, gphi @ xdot, atol=0)

@@ -67,14 +67,6 @@ def gram(Yb, thetab):
     return (Yb.T @ Yb).tolist(), (Yb.T @ np.asarray(thetab, dtype=float)).tolist()
 
 
-def test_monomial_eval_parity(rng):
-    for _ in range(25):
-        x = rng.uniform(-3, 3, 2)
-        ref = np.prod(x ** DEFAULT_EXPONENTS, axis=1)
-        got = kernels.monomial_eval(DEFAULT_EXPONENTS, x)
-        assert np.allclose(got, ref, rtol=1e-13, atol=1e-15)
-
-
 @given(x=states)
 def test_monomial_grad_parity(x):
     assert close(kernels.monomial_grad(PARTIALS, tuple(x)), grad_reference(x))
@@ -123,9 +115,6 @@ def test_weight_derivative_parity(w, Y, theta, Yb, thetab):
                                            GAMMA.tolist(), 5.0, 3.0)
     assert isinstance(got, list)
     assert close(got, ref, scale)
-    # an array w gets an array back, for callers doing array arithmetic
-    arr = kernels.weight_derivative_kernel(w, Y, resid, M, b, GAMMA, 5.0, 3.0)
-    assert isinstance(arr, np.ndarray) and np.array_equal(arr, got)
 
 
 SIG = DisturbanceSignal(kind="combined", w1=-0.3906, w2=1.0051,

@@ -4,8 +4,8 @@ import pytest
 from iadp.plant import (ConfigurationError, DisturbanceSignal, Event,
                         EventSchedule, NoiseSpec, NoiseState,
                         add_measurement_noise, apply_event_schedule,
-                        disturbance_value, eval_dynamics, make_pendulum,
-                        pendulum_nominal, pendulum_reset_mild)
+                        disturbance_value, eval_dynamics, pendulum_nominal,
+                        pendulum_reset_mild)
 from iadp.sim import World
 
 
@@ -40,12 +40,6 @@ class TestEvalDynamics:
             rhs = (a * eval_dynamics(plant, x, u1, [0.3])
                    + (1 - a) * eval_dynamics(plant, x, u2, [0.3]))
             assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_input_rank_check(self):
-        pendulum_nominal().check_input_rank([[0, 0], [2, -2]])
-        bad = make_pendulum(1.0, -4.9, -0.2, 0.0, 1.0, -0.2)
-        with pytest.raises(ConfigurationError):
-            bad.check_input_rank([[0, 0]])
 
 
 class TestDisturbance:

@@ -4,7 +4,7 @@ import pytest
 from iadp.plant import ConfigurationError
 from iadp.tde import (DelayLine, DelaySample, IncrementalModelConfig,
                       WarmUpError, compute_increments, estimate_xdot,
-                      fit_tde_bound, true_tde_error)
+                      true_tde_error)
 
 
 def sample(t, x, xdot, u):
@@ -51,19 +51,15 @@ class TestXdotEstimate:
         line.push(sample(0.5, [2.0, 1.0], [9, 9], 0.0))
         assert np.allclose(estimate_xdot(line), [2.0, -2.0], atol=1e-12)
 
-    def test_ground_truth_passthrough(self):
-        line = DelayLine(dt=0.5)
-        line.push(sample(0.0, [1.0, 2.0], [3.0, 4.0], 0.0))
-        assert np.array_equal(estimate_xdot(line, "ground_truth"), [3.0, 4.0])
-
     def test_warm_up_and_bad_method(self):
         line = DelayLine(dt=0.5)
         with pytest.raises(WarmUpError):
             estimate_xdot(line)
         line.push(sample(0.0, [0, 0], [0, 0], 0.0))
         with pytest.raises(WarmUpError):
-            estimate_xdot(line, "backward_difference")
-        with pytest.raises(ConfigurationError):
+            estimate_xdot(line)
+        # backward difference is the only estimate; no method is taken
+        with pytest.raises(TypeError):
             estimate_xdot(line, "spline")
 
     def test_first_order_accuracy(self):
@@ -91,7 +87,6 @@ class TestIncrements:
         rec = compute_increments(line)
         assert np.allclose(rec.dx_dot, [0.5, -1.0], atol=1e-15)
         assert np.allclose(rec.du, [0.3], atol=1e-15)
-        assert np.array_equal(rec.u0, [0.5])
         assert np.array_equal(rec.x0dot, [1.0, 2.0])
 
     def test_xi_zero_when_model_exact(self):
@@ -125,23 +120,3 @@ class TestIncrements:
         assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar), np.eye(1),
                            atol=1e-14)
 
-
-class TestBoundFit:
-    def test_recovers_planted_line(self, rng):
-        du = rng.uniform(0.0, 2.0, 500)
-        xi = 0.7 * du + 0.05
-        c, d1 = fit_tde_bound(xi, du)
-        assert c == pytest.approx(0.7, abs=1e-9)
-        assert d1 == pytest.approx(0.05, abs=1e-9)
-
-    def test_intercept_only_when_du_constant(self):
-        xi = np.full(200, 0.3)
-        c, d1 = fit_tde_bound(xi, np.zeros(200))
-        assert c == 0.0
-        assert d1 == pytest.approx(0.3)
-
-    def test_input_validation(self):
-        with pytest.raises(ConfigurationError):
-            fit_tde_bound(np.ones(50), np.ones(50))
-        with pytest.raises(ConfigurationError):
-            fit_tde_bound(np.ones(200), np.ones(150))
