@@ -127,7 +127,10 @@ def _coerce(key: str, kind: str, value):
         if kind == "bool":
             if isinstance(value, bool):
                 return value
-            return str(value).lower() in ("1", "true", "yes")
+            text = str(value).lower()
+            if text not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError(f"{value!r} is not a boolean")
+            return text in ("1", "true", "yes")
         if kind == "vector":
             return np.asarray(value, dtype=float).ravel()
         if kind == "imatrix":

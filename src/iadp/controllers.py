@@ -70,7 +70,8 @@ class IadpLaw(_Law):
         self.c_bar2 = cost.c_bar ** 2
 
     def control(self, gphi_t, w):
-        return kernels.saturated_control(self.g_bar, gphi_t, w, self.beta), None
+        return kernels.saturated_control(
+            self.g_bar, kernels.matvec(gphi_t, w), self.beta), None
 
     def pair(self, now, rec, gphi_t, aux):
         du = rec.du
@@ -91,10 +92,11 @@ class _BaselineLaw(_Law):
     def rebind(self, g, k) -> None:
         self.g = _rows(g)
         self.k = _rows(k)
+        self.k_cols = tuple(zip(*self.k))
 
     def control(self, gphi_t, w):
-        u = kernels.saturated_control(self.g, gphi_t, w, self.beta)
-        return u, self.aux(kernels.matvec(gphi_t, w))
+        v = kernels.matvec(gphi_t, w)
+        return kernels.saturated_control(self.g, v, self.beta), self.aux(v)
 
 
 class ZsadpLaw(_BaselineLaw):
@@ -110,7 +112,7 @@ class ZsadpLaw(_BaselineLaw):
         super().__init__(g, k, cost)
 
     def aux(self, v):
-        return [a / self.d_scale for a in kernels.matvec(zip(*self.k), v)]
+        return [a / self.d_scale for a in kernels.matvec(self.k_cols, v)]
 
     def pair(self, now, rec, gphi_t, d_hat):
         Y = kernels.vecmat(now.xdot, gphi_t)
@@ -141,9 +143,10 @@ class TadpLaw(_BaselineLaw):
         super().rebind(g, k)
         g, k = np.array(self.g), np.array(self.k)
         self.h = _rows((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)
+        self.h_cols = tuple(zip(*self.h))
 
     def aux(self, v):
-        return [-a / self.v_scale for a in kernels.matvec(zip(*self.h), v)]
+        return [-a / self.v_scale for a in kernels.matvec(self.h_cols, v)]
 
     def pair(self, now, rec, gphi_t, v_hat):
         x = now.x

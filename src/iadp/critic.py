@@ -1,7 +1,7 @@
 """The critic's monomial basis and the running-cost weights.
 
 The critic is V(x) ~ w^T Phi(x) with Phi a fixed monomial basis; the loop
-only ever needs its Jacobian, which ``kernels.monomial_grad`` evaluates from
+only ever needs its Jacobian, which ``kernels.monomial_grad`` evaluates with
 ``BasisSet.partials``. The saturation penalty W(u) is ``kernels.penalty_sat``,
 and the regression pairs (Y, Theta) the critic learns from are formed by the
 control laws in ``controllers``.
@@ -30,8 +30,8 @@ DEFAULT_EXPONENTS = np.array([
 class BasisSet:
     """Monomial basis defined by an (N, n) integer exponent matrix.
 
-    ``partials`` holds the features' partial derivatives in the form
-    ``kernels.monomial_grad`` evaluates.
+    ``partials`` is the basis gradient compiled for this basis's exponents,
+    which ``kernels.monomial_grad`` calls.
     """
 
     exponents: np.ndarray

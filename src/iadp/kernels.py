@@ -3,9 +3,14 @@
 The loop's dimensions are tiny (n=2, m=1, N=6 for the default pendulum
 set-up), so numpy's per-call dispatch would cost more than the arithmetic.
 The kernels take and return floats, and vectors as short sequences of
-floats; a matrix is a sequence of rows. Inner products are the built-in
-``sum`` of the products, which adds in index order up to Python 3.11 and
-compensates rounding from 3.12 on.
+floats; a matrix is a sequence of rows.
+
+``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis gradient
+run straight-line code generated once per shape; its source holds only
+names and integer indices, and matrices and gains are arguments. Their sums
+run in index order from 0.0, ((0.0 + p0) + p1) + ..., which equals the
+built-in ``sum`` on Python 3.11 and does not depend on 3.12's compensated
+``sum`` (which ``dot`` and ``saturated_control`` still call).
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
 raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
@@ -16,6 +21,8 @@ Callers look the kernels up through the module (``kernels.saturated_control(...)
 so per-call tracing can wrap them.
 """
 
+import functools
+import itertools
 import math
 from operator import mul
 
@@ -25,15 +32,80 @@ import numpy as np
 ATANH_MARGIN = 1e-9
 
 
-def monomial_partials(exponents):
-    """The partial derivatives of the monomial features, for ``monomial_grad``.
+def _compile(name, params, lines):
+    """The function ``def name(params):`` with the given body lines."""
+    scope = {}
+    exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines), scope)
+    return scope[name]
 
-    Each partial is a constant times a monomial of lower degree. Returns
-    (steps, columns): the monomials are built in order as
-    ``table.append(table[s] * x[i])`` for (s, i) in steps, from table =
-    [1.0], each from a smaller one times one variable; and columns[j][k] =
-    (c, t) with d phi_k/d x_j = c * table[t] (c is 0.0 where x_j does not
-    appear in feature k). Computed once per basis.
+
+def _names(prefix, rows, cols=None):
+    """Names prefix0.. of a vector, or rows of names prefix0_0.. of a matrix."""
+    if cols is None:
+        return [f"{prefix}{i}" for i in range(rows)]
+    return [_names(f"{prefix}{i}_", cols) for i in range(rows)]
+
+
+def _pack(items):
+    """A tuple display, or an unpacking target, of names; lists nest."""
+    return "(" + "".join(f"{_pack(i) if isinstance(i, list) else i}, " for i in items) + ")"
+
+
+def _sum(row, v):
+    """Sum of row_i * v_i from 0.0 in index order, as ``sum`` adds (so -0.0 sums to 0.0)."""
+    return " + ".join(["0.0", *map("{} * {}".format, row, v)])
+
+
+@functools.lru_cache(maxsize=None)
+def _matvec(R, C):
+    v, rows = _names("v", C), _names("r", R, C)
+    return _compile("matvec", "rows, v", [
+        f"{_pack([v, rows])} = v, rows", f"return [{', '.join(_sum(row, v) for row in rows)}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _vecmat(J, K):
+    v, rows = _names("v", J), _names("r", J, K)
+    # from the first product, as the sum of scaled rows adds
+    out = (" + ".join(map("{} * {}".format, v, col)) for col in zip(*rows))
+    return _compile("vecmat", "v, rows", [
+        f"{_pack([v, rows])} = v, rows", f"return [{', '.join(out)}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_derivative(N):
+    w, y, b, a = (_names(p, N) for p in "wyba")
+    M, G = _names("m", N, N), _names("g", N, N)
+    # the sign goes on the sum: negation is exact, so -Gamma v and
+    # Gamma (-v) are the same floats
+    acc = (f"{a[j]} = -(kr * {y[j]} + k_e * ({b[j]} + ({_sum(M[j], w)})))"
+           for j in range(N))
+    return _compile("weight_derivative", "w, Y, resid, M, b, gamma, k_c, k_e", [
+        f"{_pack([w, y, b, M, G])} = w, Y, b, M, gamma", "kr = k_c * resid", *acc,
+        f"return [{', '.join(_sum(g, a) for g in G)}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _grad_factory(n, steps, columns):
+    """bind(*nonzero coefficients) -> grad(x), for ``monomial_partials``."""
+    x, used = _names("x", n), itertools.count()
+    # an absent variable's partial is 0.0 * t_0 = 0.0
+    rows = ["[" + ", ".join("0.0" if t < 0 else f"c{next(used)} * t{t}" for t in column)
+            + "]" for column in columns]
+    return _compile("bind", ", ".join(_names("c", next(used))), [
+        "def monomial_grad(x):", f"    {_pack(x)} = x", "    t0 = 1.0",
+        *(f"    t{k} = t{s} * {x[i]}" for k, (s, i) in enumerate(steps, 1)),
+        f"    return [{', '.join(rows)}]", "return monomial_grad"])
+
+
+def monomial_partials(exponents):
+    """The compiled basis gradient x -> grad_phi^T, for ``monomial_grad``.
+
+    Each partial is a constant times a monomial of lower degree. The
+    monomials are built as t_k = t_s * x_i from t_0 = 1.0, each from a
+    smaller one times one variable, and d phi_k/d x_j = c * t_t with c the
+    exponent of x_j in feature k; columns[j][k] is that t, or -1 where x_j
+    does not appear in feature k.
     """
     E = np.asarray(exponents, dtype=np.int64)
     n = E.shape[1]
@@ -43,33 +115,22 @@ def monomial_partials(exponents):
     def monomial(powers):
         if powers not in index:
             i = max(j for j, p in enumerate(powers) if p > 0)
-            smaller = tuple(p - (j == i) for j, p in enumerate(powers))
-            steps.append((monomial(smaller), i))
+            steps.append((monomial(tuple(p - (j == i) for j, p in enumerate(powers))), i))
             index[powers] = len(steps)
         return index[powers]
 
-    columns = []
-    for j in range(n):
-        column = []
-        for row in E.tolist():
-            if row[j] == 0:
-                column.append((0.0, 0))
-            else:
-                column.append((float(row[j]),
-                               monomial(tuple(e - (i == j) for i, e in enumerate(row)))))
-        columns.append(tuple(column))
-    return tuple(steps), tuple(columns)
+    rows = E.tolist()
+    columns = tuple(tuple(monomial(tuple(e - (i == j) for i, e in enumerate(row)))
+                          if row[j] else -1 for row in rows) for j in range(n))
+    coefficients = [float(row[j]) for j in range(n) for row in rows if row[j]]
+    return _grad_factory(n, tuple(steps), columns)(*coefficients)
 
 
 def monomial_grad(partials, x):
     """The transposed Jacobian grad_phi^T of the monomial features at x: row
     j holds d phi_k/d x_j for every feature k. ``partials`` comes from
     ``monomial_partials``. Exact for integer exponents."""
-    steps, columns = partials
-    table = [1.0]
-    for s, i in steps:
-        table.append(table[s] * x[i])
-    return [[c * table[t] for c, t in column] for column in columns]
+    return partials(x)
 
 
 def sin(a):
@@ -86,27 +147,22 @@ def dot(a, b) -> float:
 
 
 def matvec(rows, v):
-    """The matrix-vector product: [row . v for row in rows]."""
-    return [sum(map(mul, row, v)) for row in rows]
+    """The matrix-vector product [row . v for row in rows]; rows is a sequence."""
+    return _matvec(len(rows), len(v))(rows, v)
 
 
 def vecmat(v, rows):
     """The vector-matrix product v^T M: sum_j v_j * rows[j], summed in j order
-    (v must not be empty)."""
-    pairs = zip(v, rows)
-    vj, row = next(pairs)
-    out = [vj * r for r in row]
-    for vj, row in pairs:
-        out = [o + vj * r for o, r in zip(out, row)]
-    return out
+    from v_0 * rows[0] (v must not be empty)."""
+    return _vecmat(len(v), len(rows[0]))(v, rows)
 
 
-def saturated_control(gmat, gphi_t, w, beta):
-    """u = -beta * tanh(g^T (grad_phi^T w) / (2 beta)), clamped off +-beta.
+def saturated_control(gmat, v, beta):
+    """u = -beta * tanh(g^T v / (2 beta)), clamped off +-beta.
 
-    ``gphi_t`` is grad_phi^T (n x N), as ``monomial_grad`` returns it.
+    ``v`` is grad_phi^T w, the critic's state gradient: ``matvec`` of
+    ``monomial_grad``'s grad_phi^T (n x N) and the weights.
     """
-    v = matvec(gphi_t, w)
     scale = 2.0 * beta
     lim = beta - 1e-12
     u = []
@@ -147,11 +203,7 @@ def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
     then non-finite. ``gamma`` and ``M`` are given as rows; the result is a
     list.
     """
-    kr = k_c * resid
-    # the sign goes on the sum: negation is exact, so -Gamma v and
-    # Gamma (-v) are the same floats
-    acc = [-(kr * yj + k_e * (bj + mwj)) for yj, bj, mwj in zip(Y, b, matvec(M, w))]
-    return matvec(gamma, acc)
+    return _weight_derivative(len(w))(w, Y, resid, M, b, gamma, k_c, k_e)
 
 
 def _pendulum_rhs(x0, x1, u0, p, dist, t):

@@ -375,9 +375,10 @@ def run_episode(cfg: SimConfig, world: World,
     flush()
     rows = log.diverged_step + 1 if log.diverged else S
     if log.diverged:
+        # copies, so the truncated log does not keep all S rows alive
         for name in ("t", "x_true", "x_meas", "u", "du", "w", "theta_tilde",
                      "xi", "d", "E_u", "E_x", "rank"):
-            setattr(log, name, getattr(log, name)[:rows])
+            setattr(log, name, getattr(log, name)[:rows].copy())
     log.buffer_sigma_min = sigma_min
     log.wall_time = time.perf_counter() - t_start
     return log

@@ -241,12 +241,25 @@ class TestMain:
         ("learner.buffer_every=0", []),
         ("sim.t_end=-1", []),
         ("init.x0=[2.0,,-2.0]", []),
+        ("baselines.track_swap=ture", []),
+        ("noise.absolute_power=2", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
                    "--override", override, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expect", [
+        (True, True), (False, False), (1, True), (0, False), ("1", True),
+        ("0", False), ("TRUE", True), ("false", False), ("Yes", True), ("no", False)])
+    def test_bool_spellings(self, value, expect):
+        assert parse_config(None, {"baselines.track_swap": value}).baselines_track_swap is expect
+
+    @pytest.mark.parametrize("value", ["ture", "2", 2, 1.0, "on", ""])
+    def test_non_boolean_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="not a boolean"):
+            parse_config(None, {"baselines.track_swap": value})
 
     def test_saturation_fault_exit_four(self, tmp_path, capsys, monkeypatch):
         from iadp.controllers import IadpLaw

@@ -4,9 +4,16 @@ numpy expression, or the generic RK4 integrator for the fused pendulum step.
 The kernels sum in index order and numpy in its own, so where a result is
 a sum, the tolerance is rtol 1e-13 of the summed magnitudes: the same
 expression over absolute values.
+
+The generated linear-algebra kernels and basis gradient are also checked
+bit for bit against loop forms of the same arithmetic, on every shape up to
+8 and on entries that include +-0, +-inf, nan and subnormals.
 """
 
+import functools
 import math
+import struct
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -89,7 +96,8 @@ def test_saturated_control_parity(x, w, gmat):
     gphi_t = grad_reference(x)
     ref = control_reference(gmat, gphi_t, w, beta)
     scale = 0.5 * np.abs(gmat).T @ (np.abs(gphi_t) @ np.abs(w))
-    got = kernels.saturated_control(gmat, kernels.monomial_grad(PARTIALS, x), w, beta)
+    got = kernels.saturated_control(
+        gmat, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w), beta)
     assert close(got, ref, scale)
 
 
@@ -157,7 +165,7 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
     x = (1e200, -1e200)
     gphi_t = kernels.monomial_grad(PARTIALS, x)
     assert not np.all(np.isfinite(gphi_t))
-    u = kernels.saturated_control([[0.0], [0.1]], gphi_t, w, 2.0)
+    u = kernels.saturated_control([[0.0], [0.1]], kernels.matvec(gphi_t, w), 2.0)
     assert np.isnan(u[0])  # inf - inf inside grad_phi^T w
     Y = [1e4] * 6
     M, b = gram([Y] * 8, [1.0] * 8)
@@ -176,10 +184,121 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
 def test_saturation_clamped_off_boundary():
     # huge weights drive tanh to 1 in float64; the clamp keeps |u| < beta
     gphi_t = kernels.monomial_grad(PARTIALS, (2.0, -2.0))
-    u = kernels.saturated_control([[0.0], [0.1]], gphi_t, [1e9] * 6, 2.0)
+    u = kernels.saturated_control([[0.0], [0.1]], kernels.matvec(gphi_t, [1e9] * 6), 2.0)
     assert np.all(np.abs(u) <= 2.0 - 1e-12)
     assert np.all(np.abs(u) > 1.99)
 
 
 def test_penalty_finite_at_boundary():
     assert np.isfinite(kernels.penalty_sat([2.0], 2.0))
+
+
+# Loop forms of the generated kernels: the same products and sums, in the
+# same order, written as comprehensions.
+
+def seqsum(items):
+    """The built-in sum as of Python 3.11: left to right from the int 0."""
+    return functools.reduce(add, items, 0)
+
+
+def matvec_loop(rows, v):
+    return [seqsum(map(mul, row, v)) for row in rows]
+
+
+def vecmat_loop(v, rows):
+    pairs = zip(v, rows)
+    vj, row = next(pairs)
+    out = [vj * r for r in row]
+    for vj, row in pairs:
+        out = [o + vj * r for o, r in zip(out, row)]
+    return out
+
+
+def weight_derivative_loop(w, Y, resid, M, b, gamma, k_c, k_e):
+    kr = k_c * resid
+    acc = [-(kr * yj + k_e * (bj + mwj)) for yj, bj, mwj in zip(Y, b, matvec_loop(M, w))]
+    return matvec_loop(gamma, acc)
+
+
+def partials_loop(E):
+    """(steps, columns): table.append(table[s] * x[i]) for (s, i) in steps
+    from table = [1.0], and d phi_k/d x_j = c * table[t] for (c, t) =
+    columns[j][k]."""
+    n = len(E[0])
+    index = {(0,) * n: 0}
+    steps = []
+
+    def monomial(powers):
+        if powers not in index:
+            i = max(j for j, p in enumerate(powers) if p > 0)
+            steps.append((monomial(tuple(p - (j == i) for j, p in enumerate(powers))), i))
+            index[powers] = len(steps)
+        return index[powers]
+
+    columns = [[(0.0, 0) if row[j] == 0 else
+                (float(row[j]), monomial(tuple(e - (i == j) for i, e in enumerate(row))))
+                for row in E] for j in range(n)]
+    return steps, columns
+
+
+def grad_loop(partials, x):
+    steps, columns = partials
+    table = [1.0]
+    for s, i in steps:
+        table.append(table[s] * x[i])
+    return [[c * table[t] for c, t in column] for column in columns]
+
+
+def bits(values):
+    """Each float's IEEE bytes, which tell -0.0 from 0.0, with every nan as one
+    nan. A nan result's sign and payload are not fixed by the expression:
+    which operand's nan a float add returns differs between CPython's
+    generic and specialised add of the same code (f(x, nan) with x = inf -
+    inf gives +nan on the first calls and -nan once f is specialised)."""
+    return [struct.pack("<d", math.nan if v != v else v) for v in values]
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                     5e-324, -5e-324, 1e-310, 1e308]),
+    st.floats())
+SIZES = st.integers(1, 8)
+
+
+def vectors(k):
+    return st.lists(ENTRIES, min_size=k, max_size=k)
+
+
+def matrices(rows, cols):
+    return st.lists(vectors(cols), min_size=rows, max_size=rows)
+
+
+@given(st.data())
+def test_matvec_vecmat_bitwise(data):
+    R, C = data.draw(SIZES), data.draw(SIZES)
+    rows = data.draw(matrices(R, C))
+    v, u = data.draw(vectors(C)), data.draw(vectors(R))
+    assert bits(kernels.matvec(rows, v)) == bits(matvec_loop(rows, v))
+    assert bits(kernels.vecmat(u, rows)) == bits(vecmat_loop(u, rows))
+
+
+@given(st.data())
+def test_weight_derivative_bitwise(data):
+    N = data.draw(SIZES)
+    w, Y, b = (data.draw(vectors(N)) for _ in range(3))
+    M, gamma = data.draw(matrices(N, N)), data.draw(matrices(N, N))
+    resid, k_c, k_e = data.draw(vectors(3))
+    args = (w, Y, resid, M, b, gamma, k_c, k_e)
+    assert bits(kernels.weight_derivative_kernel(*args)) == bits(weight_derivative_loop(*args))
+
+
+@given(st.data())
+def test_monomial_grad_bitwise(data):
+    n, N = data.draw(SIZES), data.draw(SIZES)
+    E = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                           min_size=N, max_size=N))
+    x = data.draw(vectors(n))
+    got = kernels.monomial_grad(kernels.monomial_partials(np.array(E)), x)
+    ref = grad_loop(partials_loop(E), x)
+    assert len(got) == n and all(len(row) == N for row in got)
+    assert bits(sum(got, [])) == bits(sum(ref, []))

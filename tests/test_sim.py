@@ -249,6 +249,15 @@ class TestStopCause:
         assert log.stop_cause == "nonfinite_weights"
         assert np.max(np.linalg.norm(log.x_true[20000:], axis=1)) < 1.0
 
+    def test_truncated_log_owns_its_rows(self):
+        # a view of the kept rows would keep all 21,001 preallocated rows alive
+        log = cached_run(scenario="s3", controller="zsadp", t_end=21.0)
+        arrays = {k: v for k, v in vars(log).items() if isinstance(v, np.ndarray)}
+        assert len(arrays) == 12
+        for name, arr in arrays.items():
+            assert arr.flags.owndata and arr.flags.c_contiguous, name
+            assert arr.shape[0] == log.diverged_step + 1, name
+
 
 def assert_logs_identical(a, b):
     """Every field of two logs equal, arrays bit for bit; the wall clock aside."""
