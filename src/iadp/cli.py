@@ -47,15 +47,12 @@ CONFIG_KEYS = {
     "learner.k_c": ("k_c", "float"),
     "learner.k_e": ("k_e", "float"),
     "learner.P": ("buffer_size", "int"),
-    "learner.policy": ("buffer_policy", "str"),
     "learner.buffer_every": ("buffer_every", "int"),
     "learner.buffer_until": ("buffer_until", "float"),
     "learner.rank_deadline": ("rank_deadline", "float"),
     "basis.exponents": ("basis_exponents", "imatrix"),
     "zsadp.gamma": ("gamma", "float"),
     "tadp.rho": ("rho", "float"),
-    "baselines.track_swap": ("baselines_track_swap", "bool"),
-    "noise.absolute_power": ("noise_absolute_power", "bool"),
 }
 
 
@@ -116,31 +113,35 @@ def _format_value(v) -> str:
     return "[" + ", ".join(_format_value(row) for row in arr) + "]"
 
 
+def _as_int(value) -> int:
+    """An integral number as an int; a bool or a fraction is an error."""
+    if isinstance(value, (bool, np.bool_)) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _coerce(key: str, kind: str, value):
     try:
         if kind == "str":
             return str(value)
         if kind == "int":
-            return int(value)
+            return _as_int(value)
         if kind == "float":
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{value!r} is not a number")
             return float(value)
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            text = str(value).lower()
-            if text not in ("1", "true", "yes", "0", "false", "no"):
-                raise ValueError(f"{value!r} is not a boolean")
-            return text in ("1", "true", "yes")
         if kind == "vector":
             return np.asarray(value, dtype=float).ravel()
         if kind == "imatrix":
-            return np.atleast_2d(np.asarray(value, dtype=np.int64))
+            arr = np.asarray(value, dtype=object)
+            return np.atleast_2d(np.array(
+                [_as_int(v) for v in arr.ravel()], dtype=np.int64).reshape(arr.shape))
         # matrix; a scalar c stands for c * I, which SimConfig sizes
         if np.isscalar(value):
             return float(value)
         arr = np.asarray(value, dtype=float)
         return arr if arr.ndim == 2 else arr.reshape(-1, 1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad value for {key}: {exc}") from exc
 
 

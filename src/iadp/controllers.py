@@ -1,18 +1,18 @@
 """The control laws the closed loop runs, one object per controller.
 
 Each law has ``control(gphi_t, w) -> (u, aux)``, the tanh-saturated input
-and any auxiliary policy output, and ``pair(now, rec, gphi_t, aux) -> (Y,
-Theta)``, the regression pair of the critic update: the regressor and the
-running cost. ``gphi_t`` is the basis Jacobian transposed, grad_phi^T (n x
-N), as ``kernels.monomial_grad`` returns it; ``now`` is the newest
-delay-line sample and ``rec`` its increments against the sample one delay
-earlier. Vectors are sequences of floats and matrices sequences of rows, as
-in ``kernels``.
+and any auxiliary policy output, and ``pair(x, u, xdot, du, x0dot, gphi_t,
+aux) -> (Y, Theta)``, the regression pair of the critic update: the
+regressor and the running cost. ``gphi_t`` is the basis Jacobian transposed,
+grad_phi^T (n x N), as ``kernels.monomial_grad`` returns it; (x, u, xdot) is
+the newest measured sample, and du and x0dot are its input increment and the
+xdot estimate of the sample one delay earlier. Vectors are sequences of
+floats and matrices sequences of rows, as in ``kernels``.
 
 IADP is model-free: it reads only the constant surrogate g_bar. ZSADP and
 TADP are the model-based baselines; they capture the true plant's g and k at
-construction and keep using them even if the simulated plant is swapped
-mid-run (the robustness stress of the benchmark), unless explicitly re-bound.
+construction and keep using them when the simulated plant is swapped mid-run
+(the robustness stress of the benchmark).
 """
 
 import math
@@ -27,7 +27,7 @@ from .tde import IncrementalModelConfig
 
 class _Law:
     """Shared part of the laws: the state and saturation terms of the cost,
-    x^T Q x + W(u), and no reaction to a plant swap."""
+    x^T Q x + W(u)."""
 
     learns = True
 
@@ -35,14 +35,10 @@ class _Law:
         self.Q_cols = tuple(zip(*cost.Q.tolist()))
         self.beta = cost.beta
 
-    def _cost(self, now) -> float:
+    def _cost(self, x, u) -> float:
         # x^T Q x, formed as (x^T Q) x
-        x = now.x
         return kernels.dot(kernels.matvec(self.Q_cols, x), x) \
-            + kernels.penalty_sat(now.u, self.beta)
-
-    def rebind(self, g, k) -> None:
-        """Take the plant matrices after a swap; model-free laws ignore them."""
+            + kernels.penalty_sat(u, self.beta)
 
 
 class ZeroLaw(_Law):
@@ -73,11 +69,10 @@ class IadpLaw(_Law):
         return kernels.saturated_control(
             self.g_bar, kernels.matvec(gphi_t, w), self.beta), None
 
-    def pair(self, now, rec, gphi_t, aux):
-        du = rec.du
-        a = list(map(add, kernels.vecmat(du, self.g_bar_cols), rec.x0dot))
+    def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
+        a = list(map(add, kernels.vecmat(du, self.g_bar_cols), x0dot))
         return kernels.vecmat(a, gphi_t), \
-            self._cost(now) + self.c_bar2 * kernels.dot(du, du)
+            self._cost(x, u) + self.c_bar2 * kernels.dot(du, du)
 
 
 class _BaselineLaw(_Law):
@@ -87,9 +82,6 @@ class _BaselineLaw(_Law):
 
     def __init__(self, g, k, cost: CostConfig):
         super().__init__(cost)
-        self.rebind(g, k)
-
-    def rebind(self, g, k) -> None:
         self.g = _rows(g)
         self.k = _rows(k)
         self.k_cols = tuple(zip(*self.k))
@@ -114,9 +106,9 @@ class ZsadpLaw(_BaselineLaw):
     def aux(self, v):
         return [a / self.d_scale for a in kernels.matvec(self.k_cols, v)]
 
-    def pair(self, now, rec, gphi_t, d_hat):
-        Y = kernels.vecmat(now.xdot, gphi_t)
-        return Y, self._cost(now) - self.gamma * kernels.dot(d_hat, d_hat)
+    def pair(self, x, u, xdot, du, x0dot, gphi_t, d_hat):
+        Y = kernels.vecmat(xdot, gphi_t)
+        return Y, self._cost(x, u) - self.gamma * kernels.dot(d_hat, d_hat)
 
 
 class TadpLaw(_BaselineLaw):
@@ -137,10 +129,6 @@ class TadpLaw(_BaselineLaw):
         self.v_scale = 2.0 * rho
         self.bound2 = self.l_M_coeff ** 2 + self.d_M_coeff ** 2
         super().__init__(g, k, cost)
-
-    def rebind(self, g, k) -> None:
-        """Take new plant matrices and recompute h."""
-        super().rebind(g, k)
         g, k = np.array(self.g), np.array(self.k)
         self.h = _rows((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)
         self.h_cols = tuple(zip(*self.h))
@@ -148,10 +136,9 @@ class TadpLaw(_BaselineLaw):
     def aux(self, v):
         return [-a / self.v_scale for a in kernels.matvec(self.h_cols, v)]
 
-    def pair(self, now, rec, gphi_t, v_hat):
-        x = now.x
-        Y = kernels.vecmat(now.xdot, gphi_t)
-        return Y, self._cost(now) + self.rho * kernels.dot(v_hat, v_hat) \
+    def pair(self, x, u, xdot, du, x0dot, gphi_t, v_hat):
+        Y = kernels.vecmat(xdot, gphi_t)
+        return Y, self._cost(x, u) + self.rho * kernels.dot(v_hat, v_hat) \
             + self.bound2 * kernels.dot(x, x)
 
 

@@ -3,6 +3,8 @@ the weight ODE.
 
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
+``try_insert`` appends until the buffer is full, then replaces a point only
+where that raises sigma_min; the engine decides when to offer one.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
@@ -44,12 +46,9 @@ class ExperienceBuffer:
     N floats) and ``b`` (N floats) are their Gram summary sum_l Y_l Y_l^T and
     sum_l Theta_l Y_l, zeros while the buffer is empty."""
 
-    def __init__(self, capacity: int, N: int, policy: str = "sequential_fill"):
-        if policy not in ("sequential_fill", "sigma_min_enrich"):
-            raise ConfigurationError(f"unknown insertion policy {policy!r}")
+    def __init__(self, capacity: int, N: int):
         self.capacity = capacity
         self.N = N
-        self.policy = policy
         self.Y: list[list[float]] = []
         self.Theta: list[float] = []
         self._summarise()
@@ -73,12 +72,11 @@ class ExperienceBuffer:
 
 
 def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport]:
-    """Insert a candidate point per the buffer policy.
+    """Offer a candidate point to the buffer.
 
-    sequential_fill appends until capacity and then stops. sigma_min_enrich
-    additionally replaces, once full, the stored point whose substitution by
-    the candidate most increases sigma_min of the stacked Y matrix, and only
-    if that increase is strict.
+    Until the buffer is full the candidate is appended. Once it is full, the
+    candidate replaces the stored point whose substitution most increases
+    sigma_min of the stacked Y matrix, and only if that increase is strict.
     """
     Y = [float(v) for v in Y]
     Theta = float(Theta)
@@ -89,8 +87,6 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
         buf.Theta.append(Theta)
         buf._summarise()
         return True, buf.report()
-    if buf.policy == "sequential_fill":
-        return False, buf.report()
 
     stored = np.array(buf.Y)
     base = np.linalg.svd(stored.T, compute_uv=False)[-1]

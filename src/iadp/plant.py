@@ -147,16 +147,14 @@ class NoiseSpec:
     """Windowed white Gaussian measurement noise.
 
     ``snr_db`` sets the per-channel noise std to rms(channel) * 10^(-snr/20),
-    where the rms is a running estimate of the clean trajectory. The nominal
-    dBW figures are interpreted as signal-to-noise ratios; set
-    ``absolute_power=True`` to instead read ``snr_db`` as absolute dB-watts.
+    where the rms is a running estimate of the clean trajectory: the
+    nominal dBW figures are read as signal-to-noise ratios.
     """
 
     kind: str = "none"
     snr_db: float = 50.0
     t_on: float = 0.0
     t_off: float = 0.0
-    absolute_power: bool = False
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
@@ -186,13 +184,10 @@ def add_measurement_noise(x, spec: NoiseSpec, t: float, rng: np.random.Generator
     """
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
-    if spec.absolute_power:
-        sigma = [math.sqrt(10.0 ** (spec.snr_db / 10.0))] * len(x)
-    else:
-        msq = state.msq if state is not None and state.count > 0 \
-            else [max(xi * xi, 1e-12) for xi in x]
-        scale = 10.0 ** (-spec.snr_db / 20.0)
-        sigma = [math.sqrt(max(m, 1e-12)) * scale for m in msq]
+    msq = state.msq if state is not None and state.count > 0 \
+        else [max(xi * xi, 1e-12) for xi in x]
+    scale = 10.0 ** (-spec.snr_db / 20.0)
+    sigma = [math.sqrt(max(m, 1e-12)) * scale for m in msq]
     z = rng.standard_normal(len(x)).tolist()
     return tuple(xi + si * zi for xi, si, zi in zip(x, sigma, z))
 

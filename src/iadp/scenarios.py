@@ -32,14 +32,12 @@ def build_world(cfg: SimConfig) -> tuple[World, EventSchedule]:
     elif sid == "s2":
         dist = DisturbanceSignal(kind="combined", **d1, amplitude=0.2,
                                  period=5.0, t_on=20.0, t_off=60.0)
-        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=20.0, t_off=60.0,
-                          absolute_power=cfg.noise_absolute_power)
+        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=20.0, t_off=60.0)
         events = EventSchedule([Event(20.0, "swap_plant", pendulum_reset_mild())])
     else:
         dist = DisturbanceSignal(kind="combined", **d1, amplitude=0.5,
                                  period=1.0, t_on=20.0, t_off=60.0)
-        noise = NoiseSpec(kind="gaussian", snr_db=10.0, t_on=20.0, t_off=60.0,
-                          absolute_power=cfg.noise_absolute_power)
+        noise = NoiseSpec(kind="gaussian", snr_db=10.0, t_on=20.0, t_off=60.0)
         events = EventSchedule([Event(20.0, "swap_plant", pendulum_reset_inverted())])
 
     return World(pendulum_nominal(), dist, noise), events

@@ -1,19 +1,20 @@
 """Fixed-step closed-loop simulation engine.
 
-Per step: measure (noise) -> control law -> delay line (xdot estimate,
-increments) -> learner update -> buffer candidate -> integrate plant -> fire
-events -> accumulate metrics. One episode is strictly sequential; separate
-episodes share no mutable state.
+Per step: measure (noise) -> control law -> xdot estimate and increments
+against the sample one delay back -> learner update -> buffer candidate ->
+integrate plant -> fire events -> accumulate metrics. One episode is
+strictly sequential; separate episodes share no mutable state.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import sub
 
 import numpy as np
 
-from . import kernels
+from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
 from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
@@ -21,8 +22,7 @@ from .plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                     EventSchedule, NoiseSpec, NoiseState, NumericFault,
                     add_measurement_noise, apply_event_schedule, disturbance_value,
                     eval_dynamics)
-from .tde import (DelayLine, DelaySample, IncrementalModelConfig,
-                  compute_increments, estimate_xdot, true_tde_error)
+from .tde import IncrementalModelConfig
 
 DIVERGENCE_NORM = 1e6
 # log rows are staged as tuples and written into the log arrays this many at
@@ -53,7 +53,6 @@ class SimConfig:
     k_c: float = 5.0
     k_e: float = 3.0
     buffer_size: int = 8
-    buffer_policy: str = "sequential_fill"
     buffer_every: int = 10
     buffer_until: float = 2.0
     rank_deadline: float = 5.0
@@ -61,9 +60,6 @@ class SimConfig:
         default_factory=lambda: BasisSet.default().exponents.copy())
     gamma: float = 1.0
     rho: float = 0.1
-    baselines_track_swap: bool = False
-    noise_absolute_power: bool = False
-    learning_enabled: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -79,6 +75,9 @@ class SimConfig:
             raise ConfigurationError(f"unknown xdot source {self.xdot_source!r}")
         if self.buffer_size < 1 or self.buffer_every < 1:
             raise ConfigurationError("learner.P and learner.buffer_every must be >= 1")
+        # aux divides by 2 gamma^2 and 2 rho; a negative gamma flips the game
+        if not (self.gamma > 0 and self.rho > 0):
+            raise ConfigurationError("zsadp.gamma and tadp.rho must be > 0")
         basis = BasisSet(self.basis_exponents)
         n = basis.n
         if np.ndim(self.Q) == 0:
@@ -155,12 +154,6 @@ def rk4_step(plant: ControlAffinePlant, x, u, d_fn, t: float, dt: float) -> np.n
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _plant_matrices(plant: ControlAffinePlant, x):
-    g = plant.input_map(np.asarray(x, dtype=float)).reshape(plant.n, plant.m)
-    k = plant.disturbance_map(np.asarray(x, dtype=float)).reshape(plant.n, plant.q)
-    return g, k
-
-
 def run_episode(cfg: SimConfig, world: World,
                 schedule: EventSchedule | None = None) -> TrajectoryLog:
     """Run one closed-loop episode and return the complete per-step log.
@@ -181,21 +174,23 @@ def run_episode(cfg: SimConfig, world: World,
     imc = IncrementalModelConfig(cfg.g_bar)
     gains = LearnerGains(cfg.Gamma, cfg.k_c, cfg.k_e)
     gamma = gains.Gamma.tolist()
-    buf = ExperienceBuffer(cfg.buffer_size, N, cfg.buffer_policy)
+    buf = ExperienceBuffer(cfg.buffer_size, N)
 
-    g_ctrl, k_ctrl = _plant_matrices(world.plant, cfg.x0)
+    # the baselines' model: the true g and k at x0, kept through plant swaps
+    x0, p0 = np.asarray(cfg.x0, dtype=float), world.plant
+    g_ctrl = p0.input_map(x0).reshape(p0.n, p0.m)
+    k_ctrl = p0.disturbance_map(x0).reshape(p0.n, p0.q)
     law = {
         "iadp": lambda: IadpLaw(imc, cost),
         "zsadp": lambda: ZsadpLaw(g_ctrl, k_ctrl, cfg.gamma, cost),
         "tadp": lambda: TadpLaw(g_ctrl, k_ctrl, cfg.rho, cost),
         "zero": lambda: ZeroLaw(m),
     }[cfg.controller]()
-    learning = cfg.learning_enabled and law.learns
+    learning = law.learns
 
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     S = steps + 1
-    line = DelayLine(dt)
 
     log = TrajectoryLog(
         t=np.arange(S) * dt,
@@ -205,7 +200,7 @@ def run_episode(cfg: SimConfig, world: World,
         E_u=np.zeros(S), E_x=np.zeros(S), rank=np.zeros(S, dtype=np.int64),
     )
 
-    x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
+    x = tuple(x0.tolist())
     w = [0.0] * N
     zero_m, zero_n = (0.0,) * m, (0.0,) * n
     noise_state = NoiseState(n)
@@ -218,6 +213,7 @@ def run_episode(cfg: SimConfig, world: World,
     rank_val = 0
     sigma_min = 0.0
     rank_complete = False
+    enriching = False  # offered a candidate while full and rank-short
     E_u = E_x = 0.0
     u_sq = 0.0
     x_sq = kernels.dot(x, x)
@@ -277,23 +273,23 @@ def run_episode(cfg: SimConfig, world: World,
         # --- disturbance actually applied at the sample time (for log / gt xdot)
         d_val = disturbance_value(world.disturbance, x, t)
 
-        # --- delay line: the newest sample and its xdot estimate
-        now = DelaySample(t, xm, None, u)
+        # --- xdot estimate at the newest sample
         if ground_truth:
-            now.xdot = tuple(eval_dynamics(world.plant, x, u, d_val, t).tolist())
-        line.push(now)
-        if not ground_truth:
-            now.xdot = estimate_xdot(line) if i >= 1 else zero_n
+            xdot = tuple(eval_dynamics(world.plant, x, u, d_val, t).tolist())
+        elif i:
+            xdot = tde.backward_difference(xm_prev, xm, dt)
+        else:
+            xdot = zero_n
 
         theta_tilde = 0.0
         if warm:
             du = xi = zero_m
         else:
-            rec = compute_increments(line)
-            du = rec.du
-            xi = true_tde_error(rec, imc)
+            # increments against the sample one delay L = dt back
+            du = list(map(sub, u, u_prev))
+            xi = tde.tde_error(list(map(sub, xdot, xdot_prev)), du, imc)
             if learning:
-                Y, theta = law.pair(now, rec, gphi_t, aux)
+                Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
                 theta_tilde = theta + kernels.dot(w, Y)
                 wdot = kernels.weight_derivative_kernel(
                     w, Y, theta_tilde, buf.M, buf.b, gamma, gains.k_c, gains.k_e)
@@ -303,17 +299,14 @@ def run_episode(cfg: SimConfig, world: World,
                     log.diverged_step = i
                     log.stop_cause = "nonfinite_weights"
 
-                # buffer collection: cadence during the excitation phase, then
-                # keep collecting while the rank condition is unmet
+                # buffer collection: cadence while the rank condition is
+                # unmet, and during the excitation phase while the buffer
+                # fills or enriches
                 if i % buffer_every == 0 and all(map(math.isfinite, Y)) \
                         and math.isfinite(theta):
-                    want = t < cfg.buffer_until or not rank_complete
-                    if want and (len(buf) < buf.capacity
-                                 or buf.policy == "sigma_min_enrich"
-                                 or not rank_complete):
-                        if len(buf) >= buf.capacity and buf.policy == "sequential_fill":
-                            # rank still short past the fill phase: enrich instead
-                            buf.policy = "sigma_min_enrich"
+                    if not rank_complete or t < cfg.buffer_until and (
+                            len(buf) < buf.capacity or enriching):
+                        enriching = enriching or len(buf) >= buf.capacity
                         ins, rep = try_insert(buf, Y, theta)
                         if ins:
                             rank_val, sigma_min = rep.rank, rep.sigma_min
@@ -327,6 +320,8 @@ def run_episode(cfg: SimConfig, world: World,
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
         stage((x, xm, u, du, w, theta_tilde, xi, d_val[0], rank_val, E_u, E_x))
+        # the next step's sample one delay L = dt back
+        xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:
             flush()
 
@@ -364,8 +359,6 @@ def run_episode(cfg: SimConfig, world: World,
             if fired:
                 log.fired_events.extend((ev.time, ev.action) for ev in fired)
                 fused = plant_kernel()
-                if cfg.baselines_track_swap:
-                    law.rebind(*_plant_matrices(world.plant, x))
 
             if log.diverged:
                 # record the diverged state row, then stop

@@ -7,7 +7,6 @@ from iadp import kernels
 from iadp.critic import DEFAULT_EXPONENTS, BasisSet
 from iadp.scenarios import run_scenario
 from iadp.sim import SimConfig
-from iadp.tde import DelaySample, IncrementRecord
 
 
 def cached_run(scenario="s1", controller="iadp", dt=1e-3, t_end=80.0, seed=0,
@@ -45,11 +44,8 @@ def gphi_t(x, basis=BasisSet.default()):
 
 
 def law_pair(law, x, u, du=(0.0,), x0dot=(0.0, 0.0), xdot=(0.0, 0.0), aux=None):
-    """law.pair at state x and input u, with increments du and x0dot against
-    the delayed sample; returns (Y as an array, Theta)."""
-    x = np.asarray(x, dtype=float)
-    du = np.asarray(du, dtype=float)
-    now = DelaySample(0.0, x, np.asarray(xdot, dtype=float), np.asarray(u, dtype=float))
-    rec = IncrementRecord(dx_dot=np.zeros(2), du=du, x0dot=np.asarray(x0dot, dtype=float))
-    Y, theta = law.pair(now, rec, gphi_t(x), aux)
+    """law.pair at state x, input u and xdot, with input increment du and the
+    delayed sample's xdot x0dot; returns (Y as an array, Theta)."""
+    x, u, du, x0dot, xdot = (np.asarray(v, dtype=float) for v in (x, u, du, x0dot, xdot))
+    Y, theta = law.pair(x, u, xdot, du, x0dot, gphi_t(x), aux)
     return np.asarray(Y), theta

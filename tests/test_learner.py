@@ -31,12 +31,14 @@ class TestGains:
 
 class TestBuffer:
     def test_sequential_fill_stops_at_capacity(self, rng):
+        # appended in order until full; later candidates can only replace
         buf = ExperienceBuffer(3, 6)
         for i in range(5):
             ok, _ = try_insert(buf, rng.uniform(-1, 1, 6), float(i))
-            assert ok == (i < 3)
-        assert len(buf) == 3
-        assert np.array_equal(buf.Theta, [0.0, 1.0, 2.0])
+            assert ok or i >= 3
+            assert len(buf) == min(i + 1, 3)
+            if i == 2:
+                assert np.array_equal(buf.Theta, [0.0, 1.0, 2.0])
 
     def test_rejects_nonfinite(self):
         buf = ExperienceBuffer(3, 2)
@@ -64,7 +66,7 @@ class TestBuffer:
         assert buf.report().sigma_min == 0.0
 
     def test_enrich_replaces_redundant_point(self):
-        buf = ExperienceBuffer(3, 3, policy="sigma_min_enrich")
+        buf = ExperienceBuffer(3, 3)
         try_insert(buf, [1.0, 0.0, 0.0], 1.0)
         try_insert(buf, [0.0, 1.0, 0.0], 2.0)
         try_insert(buf, [1.0, 1.0, 0.0], 3.0)  # dependent on the first two
@@ -76,7 +78,7 @@ class TestBuffer:
         assert 4.0 in buf.Theta
 
     def test_enrich_rejects_non_improving(self):
-        buf = ExperienceBuffer(3, 3, policy="sigma_min_enrich")
+        buf = ExperienceBuffer(3, 3)
         for row, th in zip(np.eye(3), (1.0, 2.0, 3.0)):
             try_insert(buf, row, th)
         base = buf.report().sigma_min
@@ -92,9 +94,8 @@ class TestBuffer:
         try_insert(buf, [math.nan, 0.0, 0.0, 0.0], 1.0)
         assert buf.M == [[0.0] * 4] * 4 and buf.b == [0.0] * 4
 
-    @given(policy=st.sampled_from(["sequential_fill", "sigma_min_enrich"]),
-           capacity=st.integers(1, 5), data=st.data())
-    def test_gram_summary_matches_stored_rows(self, policy, capacity, data):
+    @given(capacity=st.integers(1, 5), data=st.data())
+    def test_gram_summary_matches_stored_rows(self, capacity, data):
         # any sequence of inserts, replacements and rejected non-finite
         # candidates leaves M = Yb^T Yb and b = Yb^T Theta_b of the stored rows
         N = data.draw(st.integers(1, 4))
@@ -102,7 +103,7 @@ class TestBuffer:
         candidate = st.tuples(st.lists(value, min_size=N, max_size=N), value,
                               st.sampled_from([None] * 4 + [math.nan, math.inf, -math.inf]),
                               st.integers(0, N))
-        buf = ExperienceBuffer(capacity, N, policy)
+        buf = ExperienceBuffer(capacity, N)
         for Y, theta, bad, at in data.draw(st.lists(candidate, max_size=16)):
             if bad is not None:
                 # the bad value lands in Y, or in Theta when at == N
@@ -120,10 +121,6 @@ class TestBuffer:
         scale_M, scale_b = np.abs(Yb).T @ np.abs(Yb), np.abs(Yb).T @ np.abs(Tb)
         assert np.all(np.abs(np.array(buf.M) - Yb.T @ Yb) <= 1e-13 * scale_M + 1e-300)
         assert np.all(np.abs(np.array(buf.b) - Yb.T @ Tb) <= 1e-13 * scale_b + 1e-300)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ConfigurationError):
-            ExperienceBuffer(3, 3, policy="fifo")
 
 
 class TestUpdateLaw:

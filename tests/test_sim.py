@@ -6,6 +6,7 @@ import pytest
 
 from conftest import cached_run
 from iadp import kernels, sim
+from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                         Event, EventSchedule, NoiseSpec, NoiseState,
                         disturbance_value, make_pendulum, pendulum_nominal)
@@ -150,10 +151,61 @@ class TestEpisode:
         assert not log.insufficient_excitation
         assert log.buffer_sigma_min > 0.0
 
-    def test_learning_disabled_freezes_weights(self):
-        log = run_scenario(SimConfig(t_end=1.0, learning_enabled=False))
+    def test_learning_disabled_freezes_weights(self, monkeypatch):
+        # the law alone says whether the critic learns
+        monkeypatch.setattr(IadpLaw, "learns", False)
+        log = run_scenario(SimConfig(t_end=1.0))
         assert np.all(log.w == 0.0)
         assert np.all(log.u == 0.0)  # zero weights, zero control
+
+    def test_increments_against_previous_sample(self):
+        # xi is zero on the two warm-up rows, then formed against the sample
+        # one step back
+        log = cached_run(t_end=2.0)
+        assert np.all(log.xi[:2] == 0.0)
+        # xi = g_bar^+ dx_dot - du on the backward-difference xdot of rows 1..
+        xdot = (log.x_meas[1:] - log.x_meas[:-1]) / SimConfig().dt
+        g_bar_pinv = np.linalg.pinv(SimConfig().g_bar)
+        xi = (xdot[1:] - xdot[:-1]) @ g_bar_pinv.T - log.du[2:]
+        assert np.allclose(log.xi[2:], xi, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def offers(monkeypatch):
+        """Record every try_insert result the engine gets."""
+        results = []
+        original = sim.try_insert
+
+        def counted(buf, Y, theta):
+            ins, rep = original(buf, Y, theta)
+            results.append(ins)
+            return ins, rep
+
+        monkeypatch.setattr(sim, "try_insert", counted)
+        return results
+
+    def test_full_buffer_stops_offers_once_rank_met(self, monkeypatch):
+        results = self.offers(monkeypatch)
+        log = run_scenario(SimConfig(t_end=8.0))
+        assert log.rank[-1] == 6
+        assert len(results) == 8 and all(results)
+
+    def test_rank_short_buffer_enriches(self, monkeypatch):
+        # 4 points cannot span the 6 basis directions: after the fill, every
+        # cadence step still offers its candidate, as a replacement
+        results = self.offers(monkeypatch)
+        log = run_scenario(SimConfig(t_end=6.0, buffer_size=4))
+        assert log.insufficient_excitation
+        assert log.rank.max() == log.rank[-1] == 4
+        assert len(results) == 600
+        assert all(results[:4]) and sum(results[4:]) > 0
+
+    def test_enrichment_continues_through_excitation_phase(self, monkeypatch):
+        # 6 points fill short of rank 6 and replacements complete it; offers
+        # then go on at every cadence step while t < buffer_until = 2 s
+        results = self.offers(monkeypatch)
+        log = run_scenario(SimConfig(t_end=3.0, buffer_size=6))
+        assert log.rank[-1] == 6
+        assert len(results) == 199
 
     def test_ground_truth_xdot_close_to_backward_difference(self):
         a = cached_run(t_end=2.0)
