@@ -13,22 +13,22 @@ from . import kernels
 from .critic import BasisSet
 from .learner import ExperienceBuffer, LearnerGains, try_insert
 from .plant import DisturbanceSignal, NoiseSpec, add_measurement_noise, \
-    disturbance_value, eval_dynamics, pendulum_nominal
+    disturbance_value, pendulum_nominal
 from .scenarios import run_scenario
 from .sim import SimConfig
 from .tde import IncrementalModelConfig
 
 
 def check_plant_affine(rng):
-    plant = pendulum_nominal()
+    p, dist = pendulum_nominal().params, DisturbanceSignal().packed()
     worst = 0.0
     for _ in range(50):
-        x = rng.uniform(-3, 3, 2)
-        u1, u2 = rng.uniform(-2, 2, (2, 1))
+        x = rng.uniform(-3, 3, 2).tolist()
+        u1, u2 = rng.uniform(-2, 2, 2).tolist()
         a = rng.uniform(0, 1)
-        lhs = eval_dynamics(plant, x, a * u1 + (1 - a) * u2, [0.0])
-        rhs = a * eval_dynamics(plant, x, u1, [0.0]) + (1 - a) * eval_dynamics(plant, x, u2, [0.0])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs, r1, r2 = (np.array(kernels.pendulum_rhs(*x, u, p, dist, 0.0))
+                       for u in (a * u1 + (1 - a) * u2, u1, u2))
+        worst = max(worst, float(np.max(np.abs(lhs - (a * r1 + (1 - a) * r2)))))
     return worst < 1e-12, f"max affine defect {worst:.2e}"
 
 

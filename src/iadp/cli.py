@@ -120,6 +120,19 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_float(value) -> float:
+    """A number as a float; a bool is an error."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _array(value, convert, dtype) -> np.ndarray:
+    """Nested lists of numbers as an array, each entry through ``convert``."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([convert(v) for v in arr.ravel()], dtype=dtype).reshape(arr.shape)
+
+
 def _coerce(key: str, kind: str, value):
     try:
         if kind == "str":
@@ -127,19 +140,15 @@ def _coerce(key: str, kind: str, value):
         if kind == "int":
             return _as_int(value)
         if kind == "float":
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{value!r} is not a number")
-            return float(value)
+            return _as_float(value)
         if kind == "vector":
-            return np.asarray(value, dtype=float).ravel()
+            return _array(value, _as_float, float).ravel()
         if kind == "imatrix":
-            arr = np.asarray(value, dtype=object)
-            return np.atleast_2d(np.array(
-                [_as_int(v) for v in arr.ravel()], dtype=np.int64).reshape(arr.shape))
+            return np.atleast_2d(_array(value, _as_int, np.int64))
         # matrix; a scalar c stands for c * I, which SimConfig sizes
         if np.isscalar(value):
-            return float(value)
-        arr = np.asarray(value, dtype=float)
+            return _as_float(value)
+        arr = _array(value, _as_float, float)
         return arr if arr.ndim == 2 else arr.reshape(-1, 1)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad value for {key}: {exc}") from exc

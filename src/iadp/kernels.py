@@ -5,6 +5,9 @@ set-up), so numpy's per-call dispatch would cost more than the arithmetic.
 The kernels take and return floats, and vectors as short sequences of
 floats; a matrix is a sequence of rows.
 
+``pendulum_rhs`` and ``pendulum_rk4`` are the plant: the pendulum family's
+right-hand side and its RK4 step, the one plant model the engine runs.
+
 ``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis gradient
 run straight-line code generated once per shape; its source holds only
 names and integer indices, and matrices and gains are arguments. Their sums
@@ -206,8 +209,8 @@ def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
     return _weight_derivative(len(w))(w, Y, resid, M, b, gamma, k_c, k_e)
 
 
-def _pendulum_rhs(x0, x1, u0, p, dist, t):
-    """RHS of the parametric pendulum family.
+def pendulum_rhs(x0, x1, u0, p, dist, t):
+    """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u0 and t.
 
     p = (a, b, c, g2, k1, k2) encodes f = [a*x2, b*sin(x1) + c*x2],
     g = [0, g2], k = [k1, k2]. dist = (w1, w2, sq_on, A, period, t_on, t_off)
@@ -223,14 +226,14 @@ def _pendulum_rhs(x0, x1, u0, p, dist, t):
 
 
 def pendulum_rk4(x, u0, p, dist, t, dt):
-    """Classical RK4 step of the parametric pendulum under zero-order hold;
+    """Classical RK4 step of ``pendulum_rhs`` with u0 held (zero-order hold);
     returns the new state as a tuple."""
     x0, x1 = x
     h = 0.5 * dt
-    a0, a1 = _pendulum_rhs(x0, x1, u0, p, dist, t)
-    b0, b1 = _pendulum_rhs(x0 + h * a0, x1 + h * a1, u0, p, dist, t + h)
-    c0, c1 = _pendulum_rhs(x0 + h * b0, x1 + h * b1, u0, p, dist, t + h)
-    d0, d1 = _pendulum_rhs(x0 + dt * c0, x1 + dt * c1, u0, p, dist, t + dt)
+    a0, a1 = pendulum_rhs(x0, x1, u0, p, dist, t)
+    b0, b1 = pendulum_rhs(x0 + h * a0, x1 + h * a1, u0, p, dist, t + h)
+    c0, c1 = pendulum_rhs(x0 + h * b0, x1 + h * b1, u0, p, dist, t + h)
+    d0, d1 = pendulum_rhs(x0 + dt * c0, x1 + dt * c1, u0, p, dist, t + dt)
     s = dt / 6.0
     return (x0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
             x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1))

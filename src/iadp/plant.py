@@ -1,12 +1,14 @@
-"""Ground-truth plants, disturbance signals, measurement noise, and timed events.
+"""The ground-truth plant, disturbance signals, measurement noise, and timed events.
 
-Everything here lives on the simulator side of the loop: the data-driven
-controller never reads these objects, it only sees measured samples.
+The plant is the pendulum family, given by its six coefficients; the
+float kernels in ``kernels`` evaluate and integrate it. Everything here
+lives on the simulator side of the loop: the data-driven controller never
+reads these objects, it only sees measured samples.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,82 +19,43 @@ class ConfigurationError(ValueError):
     """Raised for dimension mismatches and invalid configuration values."""
 
 
-class NumericFault(FloatingPointError):
-    """Raised when a plant evaluation produces non-finite entries."""
-
-
 @dataclass
 class ControlAffinePlant:
-    """Continuous-time plant xdot = f(x) + g(x) u + k(x) d.
-
-    ``drift`` maps (n,) -> (n,), ``input_map`` maps (n,) -> (n, m),
-    ``disturbance_map`` maps (n,) -> (n, q). g(x) is assumed full column
-    rank.
+    """The pendulum-family plant xdot = f(x) + g u + k d with n = 2, m = q = 1:
+    f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2]. The six
+    coefficients are all the simulator knows of it; ``kernels.pendulum_rhs``
+    evaluates the dynamics and ``kernels.pendulum_rk4`` integrates them.
     """
 
-    n: int
-    m: int
-    q: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    input_map: Callable[[np.ndarray], np.ndarray]
-    disturbance_map: Callable[[np.ndarray], np.ndarray]
-    name: str = "plant"
-    # coefficient vector for the fused RK4 kernel, pendulum family only
-    pendulum_params: Optional[np.ndarray] = None
+    n, m, q = 2, 1, 1
 
+    a: float
+    b: float
+    c: float
+    g2: float
+    k1: float
+    k2: float
+    name: str = "pendulum"
 
-def eval_dynamics(plant: ControlAffinePlant, x, u, d, t: float = 0.0) -> np.ndarray:
-    """Evaluate f(x) + g(x) u + k(x) d, validating dimensions and finiteness."""
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if x.shape != (plant.n,):
-        raise ConfigurationError(f"state has shape {x.shape}, expected ({plant.n},)")
-    if u.shape != (plant.m,):
-        raise ConfigurationError(f"input has shape {u.shape}, expected ({plant.m},)")
-    if d.shape != (plant.q,):
-        raise ConfigurationError(f"disturbance has shape {d.shape}, expected ({plant.q},)")
-    out = (
-        plant.drift(x)
-        + plant.input_map(x).reshape(plant.n, plant.m) @ u
-        + plant.disturbance_map(x).reshape(plant.n, plant.q) @ d
-    )
-    if not np.all(np.isfinite(out)):
-        raise NumericFault(f"non-finite dynamics at t={t}")
-    return out
-
-
-def make_pendulum(a: float, b: float, c: float, g2: float, k1: float, k2: float,
-                  name: str = "pendulum") -> ControlAffinePlant:
-    """Pendulum-family plant: f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2]."""
-    params = np.array([a, b, c, g2, k1, k2])
-
-    def drift(x):
-        return np.array([a * x[1], b * np.sin(x[0]) + c * x[1]])
-
-    def input_map(x):
-        return np.array([[0.0], [g2]])
-
-    def disturbance_map(x):
-        return np.array([[k1], [k2]])
-
-    return ControlAffinePlant(2, 1, 1, drift, input_map, disturbance_map,
-                              name=name, pendulum_params=params)
+    @property
+    def params(self) -> tuple:
+        """(a, b, c, g2, k1, k2) as floats, as the pendulum kernels take them."""
+        return tuple(map(float, (self.a, self.b, self.c, self.g2, self.k1, self.k2)))
 
 
 def pendulum_nominal() -> ControlAffinePlant:
     """The benchmark pendulum: f = [x2, -4.9 sin x1 - 0.2 x2], g = [0, 0.25]."""
-    return make_pendulum(1.0, -4.9, -0.2, 0.25, 1.0, -0.2, name="pendulum_nominal")
+    return ControlAffinePlant(1.0, -4.9, -0.2, 0.25, 1.0, -0.2, name="pendulum_nominal")
 
 
 def pendulum_reset_mild() -> ControlAffinePlant:
     """Post-reset pendulum with softened parameters (t = 20 s event, scenario s2)."""
-    return make_pendulum(1.0, -2.0, -0.1, 0.1, 1.0, -0.1, name="pendulum_reset_mild")
+    return ControlAffinePlant(1.0, -2.0, -0.1, 0.1, 1.0, -0.1, name="pendulum_reset_mild")
 
 
 def pendulum_reset_inverted() -> ControlAffinePlant:
     """Post-reset pendulum with sign-inverted parameters (scenario s3)."""
-    return make_pendulum(-1.0, 4.9, -0.2, -0.25, 1.0, -0.2, name="pendulum_reset_inverted")
+    return ControlAffinePlant(-1.0, 4.9, -0.2, -0.25, 1.0, -0.2, name="pendulum_reset_inverted")
 
 
 @dataclass
@@ -122,12 +85,13 @@ class DisturbanceSignal:
             if self.t_on >= self.t_off:
                 raise ConfigurationError("square wave window requires t_on < t_off")
 
-    def packed(self) -> np.ndarray:
-        """Parameter vector consumed by the fused pendulum kernel."""
+    def packed(self) -> tuple:
+        """(w1, w2, sq_on, A, period, t_on, t_off) as floats, as the pendulum
+        kernels take them."""
         sq = 1.0 if self.kind in ("square_wave", "combined") else 0.0
         w1 = self.w1 if self.kind in ("vanishing", "combined") else 0.0
-        return np.array([w1, self.w2, sq, self.amplitude, self.period,
-                         self.t_on, self.t_off])
+        return tuple(map(float, (w1, self.w2, sq, self.amplitude, self.period,
+                                 self.t_on, self.t_off)))
 
 
 def disturbance_value(signal: DisturbanceSignal, x, t: float) -> tuple:

@@ -192,8 +192,8 @@ def test_c10_tde_first_order_scaling():
 
 
 def test_c11_integrator_order():
-    p = tuple(pendulum_nominal().pendulum_params.tolist())
-    dist = tuple(DisturbanceSignal().packed().tolist())
+    p = pendulum_nominal().params
+    dist = DisturbanceSignal().packed()
     x0 = (2.0, -2.0)
 
     def integrate(dt, t_end=0.5):

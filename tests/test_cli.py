@@ -255,12 +255,27 @@ class TestMain:
         ("sim.seed=1.5", []),
         ("cost.beta=true", []),
         ("basis.exponents=[[2.5,0],[1,1],[0,2],[0,3],[1,2],[2,1]]", []),
+        ("cost.Q=true", []),
+        ("init.x0=[true,-2]", []),
+        ("tde.g_bar=[[false],[true]]", []),
+        ("learner.Gamma=true", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
                    "--override", override, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_basis_state_size_must_match_plant(self, tmp_path, capsys):
+        # a consistent 3-state set-up passes config validation; the episode
+        # refuses it before its first step, as the plant has 2 states
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
+                   "--override", "basis.exponents=[[2,0,0],[1,1,0],[0,2,0],[0,0,2],[1,0,1],[0,1,1]]",
+                   "--override", "init.x0=[2,-2,0]", "--override", "tde.g_bar=[[0],[0.1],[0]]",
+                   "--override", "cost.Q=1", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "config error: (n, m) = (3, 1) from the basis and g_bar, but the plant " \
+            "has (2, 1)" in capsys.readouterr().err
 
     def test_saturation_fault_exit_four(self, tmp_path, capsys, monkeypatch):
         from iadp.controllers import IadpLaw

@@ -1,5 +1,6 @@
 """Each plain-float kernel against an independent reference: a closed-form
-numpy expression, or the generic RK4 integrator for the fused pendulum step.
+numpy expression, and for the plant's right-hand side and RK4 step, the
+plant's f(x) + g u + k d in numpy and a numpy RK4 of it.
 
 The kernels sum in index order and numpy in its own, so where a result is
 a sum, the tolerance is rtol 1e-13 of the summed magnitudes: the same
@@ -23,7 +24,6 @@ from iadp import kernels
 from iadp.critic import DEFAULT_EXPONENTS
 from iadp.plant import (DisturbanceSignal, disturbance_value, pendulum_nominal,
                         pendulum_reset_inverted, pendulum_reset_mild)
-from iadp.sim import rk4_step
 
 RTOL = 1e-13
 PARTIALS = kernels.monomial_partials(DEFAULT_EXPONENTS)
@@ -130,18 +130,36 @@ SIG = DisturbanceSignal(kind="combined", w1=-0.3906, w2=1.0051,
 PLANTS = (pendulum_nominal(), pendulum_reset_mild(), pendulum_reset_inverted())
 
 
+def rhs_reference(plant, x, u0, t):
+    # f(x) + g u + k d, with d sampled at (x, t) by disturbance_value
+    a, b, c, g2, k1, k2 = plant.params
+    f = np.array([a * x[1], b * np.sin(x[0]) + c * x[1]])
+    return f + np.array([0.0, g2]) * u0 + np.array([k1, k2]) * disturbance_value(SIG, x, t)[0]
+
+
 def rk4_reference(plant, x, u0, t, dt):
-    return rk4_step(plant, x, np.array([u0]),
-                    lambda xs, ts: disturbance_value(SIG, xs, ts), t, dt)
+    # classical RK4 with u held and d sampled at the stage states and times
+    k1 = rhs_reference(plant, x, u0, t)
+    k2 = rhs_reference(plant, x + 0.5 * dt * k1, u0, t + 0.5 * dt)
+    k3 = rhs_reference(plant, x + 0.5 * dt * k2, u0, t + 0.5 * dt)
+    k4 = rhs_reference(plant, x + dt * k3, u0, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@given(x=states, u0=controls, t=st.floats(0.0, 80.0), k=st.sampled_from(range(3)))
+def test_pendulum_rhs_parity(x, u0, t, k):
+    # on all three pendulum variants under the combined disturbance
+    plant = PLANTS[k]
+    got = kernels.pendulum_rhs(*x, u0, plant.params, SIG.packed(), t)
+    assert np.allclose(got, rhs_reference(plant, x, u0, t), rtol=RTOL, atol=1e-15)
 
 
 @given(x=states, u0=controls, t=st.floats(0.0, 80.0), k=st.sampled_from(range(3)))
 def test_pendulum_rk4_parity(x, u0, t, k):
-    # the fused step the engine runs against the generic integrator, on all
-    # three pendulum variants under the combined disturbance
+    # the step the engine runs, on all three pendulum variants under the
+    # combined disturbance
     plant, dt = PLANTS[k], 1e-3
-    got = kernels.pendulum_rk4(tuple(x), u0, tuple(plant.pendulum_params.tolist()),
-                               tuple(SIG.packed().tolist()), t, dt)
+    got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
     assert np.allclose(got, rk4_reference(plant, x, u0, t, dt), rtol=RTOL, atol=1e-15)
 
 
@@ -151,8 +169,7 @@ def test_pendulum_rk4_edges(rng):
     for plant in PLANTS:
         for edge in (20.0, 20.5, 21.0, 40.5, 59.5, 60.0):
             x, u0, t = rng.uniform(-3, 3, 2), rng.uniform(-2, 2), edge - 0.5 * dt
-            got = kernels.pendulum_rk4(tuple(x), u0, tuple(plant.pendulum_params.tolist()),
-                                       tuple(SIG.packed().tolist()), t, dt)
+            got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
             assert np.allclose(got, rk4_reference(plant, x, u0, t, dt),
                                rtol=RTOL, atol=1e-15), (plant.name, t)
 
@@ -175,8 +192,7 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
         ref = derivative_reference(np.array(w), np.array(Y), 1.0, np.array([Y] * 8),
                                    np.ones(8), np.eye(6), 5.0, 3.0)
     assert not np.any(np.isfinite(got)) and not np.any(np.isfinite(ref))
-    p = tuple(PLANTS[0].pendulum_params.tolist())
-    x_next = kernels.pendulum_rk4((math.inf, big), 0.0, p, tuple(SIG.packed().tolist()),
+    x_next = kernels.pendulum_rk4((math.inf, big), 0.0, PLANTS[0].params, SIG.packed(),
                                   0.0, 1e-3)
     assert not np.all(np.isfinite(x_next))
 

@@ -1,45 +1,63 @@
 import numpy as np
 import pytest
 
+from iadp import kernels
 from iadp.plant import (ConfigurationError, DisturbanceSignal, Event,
                         EventSchedule, NoiseSpec, NoiseState,
                         add_measurement_noise, apply_event_schedule,
-                        disturbance_value, eval_dynamics, pendulum_nominal,
+                        disturbance_value, pendulum_nominal,
                         pendulum_reset_mild)
-from iadp.sim import World
+from iadp.sim import SimConfig, World, run_episode
+
+NOMINAL = pendulum_nominal().params
+NO_D = DisturbanceSignal().packed()
 
 
 class TestEvalDynamics:
+    """The plant's dynamics as ``kernels.pendulum_rhs`` evaluates them."""
+
     def test_pendulum_drift(self):
         # f entries at x=[2,-2]: [-2, -4.9*sin(2) + 0.4]
-        out = eval_dynamics(pendulum_nominal(), [2.0, -2.0], [0.0], [0.0])
+        out = kernels.pendulum_rhs(2.0, -2.0, 0.0, NOMINAL, NO_D, 0.0)
         assert np.allclose(out, [-2.0, -4.9 * np.sin(2.0) + 0.4], atol=1e-12)
         assert np.allclose(out, [-2.0, -4.055564], atol=1e-6)
 
     def test_equilibrium(self):
-        out = eval_dynamics(pendulum_nominal(), [0.0, 0.0], [0.0], [0.0])
+        out = kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, NO_D, 0.0)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_input_column(self):
-        out = eval_dynamics(pendulum_nominal(), [0.0, 0.0], [1.0], [0.0])
+        out = kernels.pendulum_rhs(0.0, 0.0, 1.0, NOMINAL, NO_D, 0.0)
         assert np.allclose(out, [0.0, 0.25], atol=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            eval_dynamics(pendulum_nominal(), [0.0, 0.0], [1.0, 1.0], [0.0])
-        with pytest.raises(ConfigurationError):
-            eval_dynamics(pendulum_nominal(), [0.0, 0.0, 0.0], [1.0], [0.0])
+        # consistent set-ups with 3 states, or with 2 inputs, against the
+        # plant's (n, m) = (2, 1) are refused before the first step
+        three_states = SimConfig(
+            basis_exponents=np.array([[2, 0, 0], [1, 1, 0], [0, 2, 0],
+                                      [0, 0, 2], [1, 0, 1], [0, 1, 1]]),
+            x0=np.array([2.0, -2.0, 0.0]), g_bar=[[0.0], [0.1], [0.0]], Q=1.0, t_end=1.0)
+        two_inputs = SimConfig(g_bar=[[1.0, 0.0], [0.0, 0.1]], t_end=1.0)
+        for cfg, sizes in ((three_states, r"\(3, 1\)"), (two_inputs, r"\(2, 2\)")):
+            world = World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec())
+            with pytest.raises(ConfigurationError, match=sizes):
+                run_episode(cfg, world, EventSchedule([]))
 
     def test_affine_in_u(self, rng):
-        plant = pendulum_nominal()
+        # d = 0.3 on [0, 1)
+        dist = DisturbanceSignal(kind="square_wave", amplitude=0.3, period=2.0,
+                                 t_on=0.0, t_off=10.0).packed()
+
+        def rhs(x, u):
+            return np.array(kernels.pendulum_rhs(*x, u, NOMINAL, dist, 0.5))
+
+        assert np.allclose(rhs((0.0, 0.0), 0.0), [0.3, -0.06], atol=1e-15)  # k d
         for _ in range(100):
             x = rng.uniform(-3, 3, 2)
-            u1, u2 = rng.uniform(-2, 2, (2, 1))
+            u1, u2 = rng.uniform(-2, 2, 2)
             a = rng.uniform()
-            lhs = eval_dynamics(plant, x, a * u1 + (1 - a) * u2, [0.3])
-            rhs = (a * eval_dynamics(plant, x, u1, [0.3])
-                   + (1 - a) * eval_dynamics(plant, x, u2, [0.3]))
-            assert np.allclose(lhs, rhs, atol=1e-12)
+            lhs = rhs(x, a * u1 + (1 - a) * u2)
+            assert np.allclose(lhs, a * rhs(x, u1) + (1 - a) * rhs(x, u2), atol=1e-12)
 
 
 class TestDisturbance:

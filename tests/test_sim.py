@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from conftest import cached_run
 from iadp import kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
-                        Event, EventSchedule, NoiseSpec, NoiseState,
-                        disturbance_value, make_pendulum, pendulum_nominal)
-from iadp.scenarios import VANISH_W1, VANISH_W2, build_world, run_scenario
-from iadp.sim import (DIVERGENCE_NORM, SimConfig, TrajectoryLog, World, rk4_step,
-                      run_episode)
+                        Event, EventSchedule, NoiseSpec, NoiseState, pendulum_nominal)
+from iadp.scenarios import build_world, run_scenario
+from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, World, run_episode
 
 
 @dataclass
@@ -62,42 +60,32 @@ class TestRk4:
     def test_linear_system_exact_to_order(self):
         # undisturbed pendulum linearized about origin behaves like the
         # matrix exponential for small steps
-        plant = pendulum_nominal()
         x = np.array([1e-4, 0.0])
-        got = rk4_step(plant, x, np.zeros(1), lambda xs, ts: np.zeros(1), 0.0, 1e-3)
+        got = kernels.pendulum_rk4(tuple(x), 0.0, pendulum_nominal().params,
+                                   DisturbanceSignal().packed(), 0.0, 1e-3)
         A = np.array([[0.0, 1.0], [-4.9 * np.cos(0.0), -0.2]])
         import scipy.linalg
         ref = scipy.linalg.expm(A * 1e-3) @ x
         assert np.allclose(got, ref, atol=1e-10)
 
-    def test_fourth_order_convergence(self):
-        plant = pendulum_nominal()
-        x0 = np.array([2.0, -2.0])
-        d_fn = lambda xs, ts: np.zeros(1)
-
-        def integrate(dt, t_end=0.5):
-            x = x0.copy()
-            for k in range(int(round(t_end / dt))):
-                x = rk4_step(plant, x, np.zeros(1), d_fn, k * dt, dt)
-            return x
-
-        ref = integrate(1e-5)
-        e1 = np.linalg.norm(integrate(2e-2) - ref)
-        e2 = np.linalg.norm(integrate(1e-2) - ref)
-        assert 10.0 < e1 / e2 < 24.0  # ~2^4
-
     def test_stage_times_see_disturbance(self):
         # time-varying d must be sampled inside the step, not held at t
-        plant = pendulum_nominal()
+        p = pendulum_nominal().params
         sig = DisturbanceSignal(kind="square_wave", amplitude=0.5, period=1.0,
                                 t_on=0.0, t_off=10.0)
-        d_fn = lambda xs, ts: disturbance_value(sig, xs, ts)
-        x = np.array([0.0, 0.0])
+        # the same wave held at its value at t = 0.499: its sign flips at 1.0
+        held = DisturbanceSignal(kind="square_wave", amplitude=0.5, period=2.0,
+                                 t_on=0.0, t_off=10.0)
+        x = (0.0, 0.0)
         # step straddling the sign flip at t = 0.5
-        a = rk4_step(plant, x, np.zeros(1), d_fn, 0.499, 2e-3)
-        b = rk4_step(plant, x, np.zeros(1),
-                     lambda xs, ts: disturbance_value(sig, xs, 0.499), 0.499, 2e-3)
+        a = kernels.pendulum_rk4(x, 0.0, p, sig.packed(), 0.499, 2e-3)
+        b = kernels.pendulum_rk4(x, 0.0, p, held.packed(), 0.499, 2e-3)
         assert not np.allclose(a, b, atol=1e-9)
+
+    def test_sim_rk4_step_is_the_kernel(self):
+        # the name perfbench's hook table times is the one integrator, not a
+        # second one beside it
+        assert sim.rk4_step is kernels.pendulum_rk4
 
 
 class TestEpisode:
@@ -235,14 +223,11 @@ class TestEpisode:
         assert log.rows() == log.diverged_step + 1
         assert np.all(np.isfinite(log.x_true))
 
-    def test_generic_plant_nonfinite_dynamics_truncates_log(self):
-        # x1**9 from x1 = 100 overflows inside the first RK4 step: the
-        # generic path ends the episode as diverged, like the fused path
-        plant = ControlAffinePlant(
-            2, 1, 1, drift=lambda x: np.array([x[0] ** 9, 0.0]),
-            input_map=lambda x: np.array([[0.0], [1.0]]),
-            disturbance_map=lambda x: np.zeros((2, 1)))
-        cfg = SimConfig(t_end=1.0, x0=np.array([100.0, 0.0]))
+    def test_plant_overflow_nonfinite_dynamics_truncates_log(self):
+        # a = 1e308 overflows x1dot = a*x2 inside the first RK4 step: the
+        # integrated state comes back non-finite and the episode ends there
+        plant = ControlAffinePlant(1e308, -4.9, -0.2, 0.25, 1.0, -0.2)
+        cfg = SimConfig(controller="zero", t_end=1.0)
         log = run_episode(cfg, World(plant, DisturbanceSignal(), NoiseSpec()),
                           EventSchedule([]))
         assert log.diverged and log.diverged_step == 1
@@ -250,26 +235,11 @@ class TestEpisode:
         assert log.rows() == 2
         assert np.all(np.isfinite(log.x_true))
 
-    def test_generic_path_matches_fused_pendulum(self):
-        # the nominal pendulum without its fused-kernel parameters runs
-        # through sim.rk4_step; the closed loop must be the same
-        dist = DisturbanceSignal(kind="vanishing", w1=VANISH_W1, w2=VANISH_W2)
-        cfg = SimConfig(t_end=2.0)
-        logs = [run_episode(cfg, World(plant, dist, NoiseSpec()), EventSchedule([]))
-                for plant in (pendulum_nominal(),
-                              replace(pendulum_nominal(), pendulum_params=None))]
-        fused, generic = logs
-        assert generic.rows() == fused.rows() == 2001
-        for name in ("x_true", "u", "w"):
-            assert np.allclose(getattr(generic, name), getattr(fused, name),
-                               rtol=0, atol=1e-12), name
-        assert np.max(np.abs(fused.w[-1])) > 1e-3
-
 
 def unstable_uncontrolled_run():
     """An unstable pendulum under the zero controller: the state leaves the
     DIVERGENCE_NORM ball, finite, after 2.3 s."""
-    world = World(make_pendulum(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
+    world = World(ControlAffinePlant(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
                   DisturbanceSignal(), NoiseSpec())
     return run_episode(SimConfig(controller="zero", t_end=80.0), world,
                        EventSchedule([]))
