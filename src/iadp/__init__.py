@@ -6,12 +6,12 @@ benchmark harness."""
 __version__ = "0.1.0"
 
 from .critic import BasisSet, CostConfig
-from .plant import ControlAffinePlant, DisturbanceSignal, EventSchedule, NoiseSpec
+from .plant import ControlAffinePlant, DisturbanceSignal, Event, NoiseSpec
 from .scenarios import run_scenario
 from .sim import SimConfig, TrajectoryLog, run_episode
 
 __all__ = [
     "BasisSet", "ControlAffinePlant", "CostConfig", "DisturbanceSignal",
-    "EventSchedule", "NoiseSpec", "SimConfig", "TrajectoryLog",
+    "Event", "NoiseSpec", "SimConfig", "TrajectoryLog",
     "run_episode", "run_scenario", "__version__",
 ]

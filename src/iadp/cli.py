@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import copy
 import itertools
+import math
 import operator
 import os
 import sys
@@ -121,10 +122,12 @@ def _as_int(value) -> int:
 
 
 def _as_float(value) -> float:
-    """A number as a float; a bool is an error."""
+    """A finite number as a float; a bool, nan or +-inf is an error."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
 def _array(value, convert, dtype) -> np.ndarray:

@@ -40,6 +40,8 @@ class BasisSet:
         self.exponents = np.asarray(self.exponents, dtype=np.int64)
         if self.exponents.ndim != 2:
             raise ConfigurationError("basis exponents must be an (N, n) matrix")
+        if np.any(self.exponents < 0):
+            raise ConfigurationError("basis exponents must be >= 0")
         self.partials = kernels.monomial_partials(self.exponents)
 
     @property
@@ -71,7 +73,7 @@ class CostConfig:
             raise ConfigurationError("Q must be symmetric")
         if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
             raise ConfigurationError("Q must be positive definite")
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise ConfigurationError("beta must be > 0")
-        if self.c_bar <= 0.0:
+        if not self.c_bar > 0.0:
             raise ConfigurationError("c_bar must be > 0")

@@ -36,7 +36,7 @@ class LearnerGains:
         self.Gamma = np.asarray(self.Gamma, dtype=float)
         if not np.allclose(self.Gamma, self.Gamma.T) or np.linalg.eigvalsh(self.Gamma)[0] <= 0:
             raise ConfigurationError("Gamma must be symmetric positive definite")
-        if self.k_c <= 0 or self.k_e <= 0:
+        if not (self.k_c > 0 and self.k_e > 0):
             raise ConfigurationError("k_c and k_e must be > 0")
 
 

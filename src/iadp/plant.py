@@ -1,13 +1,16 @@
-"""The ground-truth plant, disturbance signals, measurement noise, and timed events.
+"""The ground-truth plant, disturbance signals, measurement noise, plant swaps,
+and the World that holds one scenario's set of them.
 
 The plant is the pendulum family, given by its six coefficients; the
 float kernels in ``kernels`` evaluate and integrate it. Everything here
 lives on the simulator side of the loop: the data-driven controller never
-reads these objects, it only sees measured samples.
+reads these objects, it only sees measured samples. All but the per-episode
+NoiseState are frozen values: an episode reads its World and changes
+nothing in it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +22,7 @@ class ConfigurationError(ValueError):
     """Raised for dimension mismatches and invalid configuration values."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlAffinePlant:
     """The pendulum-family plant xdot = f(x) + g u + k d with n = 2, m = q = 1:
     f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2]. The six
@@ -58,7 +61,7 @@ def pendulum_reset_inverted() -> ControlAffinePlant:
     return ControlAffinePlant(-1.0, 4.9, -0.2, -0.25, 1.0, -0.2, name="pendulum_reset_inverted")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisturbanceSignal:
     """Scalar disturbance: vanishing state-dependent term plus a windowed square wave.
 
@@ -106,7 +109,7 @@ def disturbance_value(signal: DisturbanceSignal, x, t: float) -> tuple:
     return (d,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Windowed white Gaussian measurement noise.
 
@@ -156,42 +159,42 @@ def add_measurement_noise(x, spec: NoiseSpec, t: float, rng: np.random.Generator
     return tuple(xi + si * zi for xi, si, zi in zip(x, sigma, z))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Event:
+    """A plant swap: the episode integrates ``plant`` from the first step
+    boundary at or after ``time``."""
+
     time: float
-    action: str  # swap_plant | set_disturbance | set_noise
-    payload: object = None
-    fired: bool = False
+    plant: ControlAffinePlant
 
 
-@dataclass
-class EventSchedule:
-    events: list = field(default_factory=list)
+def apply_event_schedule(events, t_from: float, t_to: float) -> list:
+    """The events due in one step, t_from < time <= t_to, in schedule order.
+
+    The engine passes a step's start and landing times, with no lower bound
+    on the first step, so each event fires on the first step whose landing
+    time reaches it.
+    """
+    # a loop: on Python 3.11 a comprehension builds a function per call
+    fired = []
+    for ev in events:
+        if t_from < ev.time <= t_to:
+            fired.append(ev)
+    return fired
+
+
+@dataclass(frozen=True)
+class World:
+    """One scenario, read-only: the initial plant, the disturbance, the
+    measurement noise, and the plant swaps (``Event``) by strictly
+    increasing time."""
+
+    plant: ControlAffinePlant
+    disturbance: DisturbanceSignal
+    noise: NoiseSpec
+    events: tuple = ()
 
     def __post_init__(self):
-        times = [e.time for e in self.events]
+        times = [ev.time for ev in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigurationError("event times must be strictly increasing")
-
-
-def apply_event_schedule(schedule: EventSchedule, t: float, world) -> list:
-    """Fire all not-yet-fired events with time <= t against the mutable world.
-
-    ``world`` is any object exposing ``plant``, ``disturbance``, and ``noise``
-    attributes (the simulation environment).
-    """
-    fired = []
-    for ev in schedule.events:
-        if ev.fired or ev.time > t:
-            continue
-        if ev.action == "swap_plant":
-            world.plant = ev.payload
-        elif ev.action == "set_disturbance":
-            world.disturbance = ev.payload
-        elif ev.action == "set_noise":
-            world.noise = ev.payload
-        else:
-            raise ConfigurationError(f"unknown event action {ev.action!r}")
-        ev.fired = True
-        fired.append(ev)
-    return fired

@@ -2,8 +2,9 @@
 
 Per step: measure (noise) -> control law -> xdot estimate and increments
 against the sample one delay back -> learner update -> buffer candidate ->
-integrate plant -> fire events -> accumulate metrics. One episode is
-strictly sequential; separate episodes share no mutable state.
+integrate plant -> fire plant swaps -> accumulate metrics. One episode is
+strictly sequential. It reads its config and its World and changes neither,
+so episodes on one World are independent: a rerun gives the same log.
 """
 
 import math
@@ -18,8 +19,8 @@ from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
 from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
-from .plant import (ConfigurationError, EventSchedule, NoiseState,
-                    add_measurement_noise, apply_event_schedule, disturbance_value)
+from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
+                    apply_event_schedule, disturbance_value)
 from .tde import IncrementalModelConfig
 
 DIVERGENCE_NORM = 1e6
@@ -60,10 +61,10 @@ class SimConfig:
     rho: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be > 0")
-        if self.t_end <= 0:
-            raise ConfigurationError("t_end must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError("dt must be finite and > 0")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigurationError("t_end must be finite and > 0")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigurationError("t_end must be a multiple of dt")
@@ -86,6 +87,7 @@ class SimConfig:
             raise ConfigurationError(f"Q must be {n}x{n}")
         if np.shape(self.Gamma) != (basis.N, basis.N):
             raise ConfigurationError("learner.Gamma shape does not match basis size")
+        LearnerGains(self.Gamma, self.k_c, self.k_e)
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
@@ -128,22 +130,12 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
-class World:
-    """Mutable simulation environment the event schedule acts on."""
-
-    def __init__(self, plant, disturbance, noise):
-        self.plant = plant
-        self.disturbance = disturbance
-        self.noise = noise
-
-
 # the engine steps kernels.pendulum_rk4 itself; this alias stays only because
 # perfbench's hook table names iadp.sim:rk4_step (its call count reads 0)
 rk4_step = kernels.pendulum_rk4
 
 
-def run_episode(cfg: SimConfig, world: World,
-                schedule: EventSchedule | None = None) -> TrajectoryLog:
+def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
     """Run one closed-loop episode and return the complete per-step log.
 
     The per-step state (x, xm, u, w, ...) is held in Python floats and
@@ -152,7 +144,6 @@ def run_episode(cfg: SimConfig, world: World,
     into the preallocated log arrays, one slice assignment per array.
     """
     t_start = time.perf_counter()
-    schedule = schedule or EventSchedule([])
     rng = np.random.default_rng(cfg.seed)
 
     basis = BasisSet(cfg.basis_exponents)
@@ -194,9 +185,8 @@ def run_episode(cfg: SimConfig, world: World,
     zero_m, zero_n = (0.0,) * m, (0.0,) * n
     noise_state = NoiseState(n)
     # the SNR reference is a running mean from t = 0, so it is tracked on
-    # every step whenever noise is on or an event can switch it on
-    track_noise = world.noise.kind != "none" or any(
-        ev.action == "set_noise" for ev in schedule.events)
+    # every step whenever noise can be on
+    track_noise = world.noise.kind != "none"
     clamp = cfg.beta - 1e-12
 
     rank_val = 0
@@ -209,8 +199,8 @@ def run_episode(cfg: SimConfig, world: World,
     ground_truth = cfg.xdot_source == "ground_truth"
     buffer_every = cfg.buffer_every
 
-    # the current plant's and disturbance's kernel arguments
-    coeffs = world.plant.params, world.disturbance.packed()
+    # the kernel arguments of the current plant and of the disturbance
+    coeffs, dist = world.plant.params, world.disturbance.packed()
     # the arrays in the order of a staged row's fields
     columns = (log.x_true, log.x_meas, log.u, log.du, log.w, log.theta_tilde,
                log.xi, log.d, log.rank, log.E_u, log.E_x)
@@ -257,7 +247,7 @@ def run_episode(cfg: SimConfig, world: World,
 
         # --- xdot estimate at the newest sample
         if ground_truth:
-            xdot = kernels.pendulum_rhs(*x, u[0], *coeffs, t)
+            xdot = kernels.pendulum_rhs(*x, u[0], coeffs, dist, t)
         elif i:
             xdot = tde.backward_difference(xm_prev, xm, dt)
         else:
@@ -312,7 +302,7 @@ def run_episode(cfg: SimConfig, world: World,
 
         # --- integrate
         if i < steps:
-            x = kernels.pendulum_rk4(x, u[0], *coeffs, t, dt)
+            x = kernels.pendulum_rk4(x, u[0], coeffs, dist, t, dt)
             prev_x_sq, x_sq = x_sq, kernels.dot(x, x)
             # the norm is nan or inf when x is not finite
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
@@ -324,11 +314,12 @@ def run_episode(cfg: SimConfig, world: World,
                           else (-DIVERGENCE_NORM if v == -math.inf else DIVERGENCE_NORM)
                           for v in x)
 
-            # --- events fire at the time the step lands on
-            fired = apply_event_schedule(schedule, (i + 1) * dt, world)
+            # --- plant swaps fire on the step that lands on or past them
+            fired = apply_event_schedule(world.events, t if i else -math.inf,
+                                         (i + 1) * dt)
             if fired:
-                log.fired_events.extend((ev.time, ev.action) for ev in fired)
-                coeffs = world.plant.params, world.disturbance.packed()
+                log.fired_events.extend((ev.time, "swap_plant") for ev in fired)
+                coeffs = fired[-1].plant.params
 
             if log.diverged:
                 # record the diverged state row, then stop

@@ -122,6 +122,14 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             parse_config(None, {"controller": "pid"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("learner.k_c", "-1"), ("learner.k_e", "0"), ("learner.Gamma", "-1"),
+        ("learner.Gamma", "[[1,0.2,0,0,0,0],[0,1,0,0,0,0],[0,0,1,0,0,0],"
+                          "[0,0,0,1,0,0],[0,0,0,0,1,0],[0,0,0,0,0,1]]")])
+    def test_learner_gains_checked_at_parse(self, key, value):
+        with pytest.raises(ConfigurationError):
+            parse_config(None, {key: value})
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -259,6 +267,15 @@ class TestMain:
         ("init.x0=[true,-2]", []),
         ("tde.g_bar=[[false],[true]]", []),
         ("learner.Gamma=true", []),
+        ("sim.dt=nan", []),
+        ("sim.t_end=inf", []),
+        ("cost.beta=nan", []),
+        ("cost.beta=inf", []),
+        ("cost.c_bar=inf", []),
+        ("learner.k_e=nan", []),
+        ("learner.buffer_until=nan", []),
+        ("learner.rank_deadline=nan", []),
+        ("basis.exponents=[[2,0],[1,1],[0,2],[0,3],[1,2],[-1,1]]", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,

@@ -1,13 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from iadp import kernels
-from iadp.plant import (ConfigurationError, DisturbanceSignal, Event,
-                        EventSchedule, NoiseSpec, NoiseState,
-                        add_measurement_noise, apply_event_schedule,
-                        disturbance_value, pendulum_nominal,
-                        pendulum_reset_mild)
-from iadp.sim import SimConfig, World, run_episode
+from iadp.plant import (ConfigurationError, DisturbanceSignal, Event, NoiseSpec,
+                        NoiseState, World, add_measurement_noise, apply_event_schedule,
+                        disturbance_value, pendulum_nominal, pendulum_reset_mild)
+from iadp.sim import SimConfig, run_episode
 
 NOMINAL = pendulum_nominal().params
 NO_D = DisturbanceSignal().packed()
@@ -41,7 +41,7 @@ class TestEvalDynamics:
         for cfg, sizes in ((three_states, r"\(3, 1\)"), (two_inputs, r"\(2, 2\)")):
             world = World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec())
             with pytest.raises(ConfigurationError, match=sizes):
-                run_episode(cfg, world, EventSchedule([]))
+                run_episode(cfg, world)
 
     def test_affine_in_u(self, rng):
         # d = 0.3 on [0, 1)
@@ -140,37 +140,24 @@ class TestNoise:
 
 
 class TestEvents:
-    def make_world(self):
-        return World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec())
+    SWAP = Event(20.0, pendulum_reset_mild())
 
     def test_not_yet_due(self):
-        world = self.make_world()
-        sched = EventSchedule([Event(20.0, "swap_plant", pendulum_reset_mild())])
-        assert apply_event_schedule(sched, 19.999, world) == []
-        assert world.plant.name == "pendulum_nominal"
+        assert apply_event_schedule((self.SWAP,), 19.998, 19.999) == []
 
     def test_fires_exactly_once(self):
-        world = self.make_world()
-        sched = EventSchedule([Event(20.0, "swap_plant", pendulum_reset_mild())])
-        fired = apply_event_schedule(sched, 20.0, world)
-        assert len(fired) == 1
-        assert world.plant.name == "pendulum_reset_mild"
-        assert apply_event_schedule(sched, 25.0, world) == []
+        # the engine's step windows: (i dt, (i + 1) dt], unbounded below on
+        # step 0; each event fires on the first step landing on or past it
+        early = Event(0.0005, pendulum_nominal())
+        events, dt = (early, self.SWAP), 1e-3
+        fired = {i: apply_event_schedule(events, i * dt if i else -math.inf, (i + 1) * dt)
+                 for i in range(20010)}
+        assert {i: f for i, f in fired.items() if f} == {0: [early], 19999: [self.SWAP]}
 
     def test_empty_schedule(self):
-        assert apply_event_schedule(EventSchedule([]), 100.0, self.make_world()) == []
+        assert apply_event_schedule((), -math.inf, 100.0) == []
 
     def test_monotone_times_required(self):
-        with pytest.raises(ConfigurationError):
-            EventSchedule([Event(5.0, "swap_plant", None),
-                           Event(5.0, "swap_plant", None)])
-
-    def test_set_disturbance_and_noise(self):
-        world = self.make_world()
-        new_d = DisturbanceSignal(kind="vanishing", w1=1.0, w2=1.0)
-        new_n = NoiseSpec(kind="gaussian", snr_db=10, t_on=0, t_off=1)
-        sched = EventSchedule([Event(1.0, "set_disturbance", new_d),
-                               Event(2.0, "set_noise", new_n)])
-        apply_event_schedule(sched, 3.0, world)
-        assert world.disturbance is new_d
-        assert world.noise is new_n
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec(),
+                  (Event(5.0, pendulum_nominal()), Event(5.0, pendulum_reset_mild())))

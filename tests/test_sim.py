@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from conftest import cached_run
 from iadp import kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
-                        Event, EventSchedule, NoiseSpec, NoiseState, pendulum_nominal)
+                        NoiseSpec, NoiseState, World, pendulum_nominal)
 from iadp.scenarios import build_world, run_scenario
-from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, World, run_episode
+from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, run_episode
 
 
 @dataclass
@@ -48,6 +48,11 @@ class TestConfig:
             SimConfig(xdot_source="spline")
         with pytest.raises(ConfigurationError):
             SimConfig(scenario="s9") and run_scenario(SimConfig(scenario="s9"))
+
+    def test_nonfinite_step_rejected(self):
+        for bad in (dict(dt=math.nan), dict(t_end=math.nan), dict(t_end=math.inf)):
+            with pytest.raises(ConfigurationError):
+                SimConfig(**bad)
 
     def test_unknown_scenario_at_build(self):
         cfg = SimConfig()
@@ -228,8 +233,7 @@ class TestEpisode:
         # integrated state comes back non-finite and the episode ends there
         plant = ControlAffinePlant(1e308, -4.9, -0.2, 0.25, 1.0, -0.2)
         cfg = SimConfig(controller="zero", t_end=1.0)
-        log = run_episode(cfg, World(plant, DisturbanceSignal(), NoiseSpec()),
-                          EventSchedule([]))
+        log = run_episode(cfg, World(plant, DisturbanceSignal(), NoiseSpec()))
         assert log.diverged and log.diverged_step == 1
         assert log.stop_cause == "nonfinite_dynamics"
         assert log.rows() == 2
@@ -241,8 +245,7 @@ def unstable_uncontrolled_run():
     DIVERGENCE_NORM ball, finite, after 2.3 s."""
     world = World(ControlAffinePlant(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
                   DisturbanceSignal(), NoiseSpec())
-    return run_episode(SimConfig(controller="zero", t_end=80.0), world,
-                       EventSchedule([]))
+    return run_episode(SimConfig(controller="zero", t_end=80.0), world)
 
 
 class TestStopCause:
@@ -293,6 +296,29 @@ def assert_logs_identical(a, b):
             assert va.tobytes() == vb.tobytes(), name
         else:
             assert va == vb, name
+
+
+class TestWorld:
+    """An episode reads its World and changes nothing in it."""
+
+    def test_rerun_on_one_world(self):
+        cfg = SimConfig(scenario="s2", t_end=21.0)
+        world = build_world(cfg)
+        first, second = run_episode(cfg, world), run_episode(cfg, world)
+        fresh = cached_run(scenario="s2", t_end=21.0)
+        for log in (first, second, fresh):
+            assert log.fired_events == [(20.0, "swap_plant")]
+        assert_logs_identical(first, second)
+        assert_logs_identical(first, fresh)
+
+    def test_frozen(self):
+        world = build_world(SimConfig(scenario="s2"))
+        event = world.events[0]
+        for obj, name, value in ((world, "plant", event.plant), (world.plant, "a", 2.0),
+                                 (world.disturbance, "amplitude", 0.0),
+                                 (world.noise, "snr_db", 0.0), (event, "time", 1.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, value)
 
 
 class TestStagedLog:
@@ -355,12 +381,3 @@ class TestNoiseTracker:
     def test_every_step_with_noise_spec(self, updates):
         log = run_scenario(SimConfig(scenario="s2", t_end=0.5))
         assert len(updates) == log.rows() == 501
-
-    def test_every_step_when_an_event_sets_noise(self, updates):
-        cfg = SimConfig(scenario="s1", t_end=0.5)
-        world, _ = build_world(cfg)
-        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=0.2, t_off=0.5)
-        log = run_episode(cfg, world, EventSchedule([Event(0.2, "set_noise", noise)]))
-        assert (0.2, "set_noise") in log.fired_events and not log.diverged
-        assert len(updates) == log.rows() == 501
-        assert not np.array_equal(log.x_meas, log.x_true)
