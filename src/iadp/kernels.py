@@ -7,6 +7,9 @@ floats; a matrix is a sequence of rows.
 
 ``pendulum_rhs`` and ``pendulum_rk4`` are the plant: the pendulum family's
 right-hand side and its RK4 step, the one plant model the engine runs.
+``disturbance_value`` is the one disturbance: the right-hand side calls it
+at every RK4 stage, and the engine calls it, as a ``sim`` module global,
+for the log's ``d`` column.
 
 ``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis gradient
 run straight-line code generated once per shape; its source holds only
@@ -33,6 +36,9 @@ import numpy as np
 
 # argument clamp for atanh: |v/beta| is kept off the boundary
 ATANH_MARGIN = 1e-9
+# the control is clamped to |u| <= beta - SATURATION_MARGIN, and the engine
+# faults on any |u| beyond it
+SATURATION_MARGIN = 1e-12
 
 
 def _compile(name, params, lines):
@@ -161,13 +167,13 @@ def vecmat(v, rows):
 
 
 def saturated_control(gmat, v, beta):
-    """u = -beta * tanh(g^T v / (2 beta)), clamped off +-beta.
+    """u = -beta * tanh(g^T v / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
 
     ``v`` is grad_phi^T w, the critic's state gradient: ``matvec`` of
     ``monomial_grad``'s grad_phi^T (n x N) and the weights.
     """
     scale = 2.0 * beta
-    lim = beta - 1e-12
+    lim = beta - SATURATION_MARGIN
     u = []
     for col in zip(*gmat):
         z = sum(map(mul, col, v))
@@ -209,19 +215,30 @@ def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
     return _weight_derivative(len(w))(w, Y, resid, M, b, gamma, k_c, k_e)
 
 
+def disturbance_value(x0, x1, dist, t):
+    """The scalar disturbance d = w1*x1*sin(w2*x2) + square(t) at (x0, x1) and t.
+
+    dist = (w1, w2, A, period, t_on, t_off). The square wave is +A on the
+    first half of each period from t_on and -A on the second, while
+    t_on <= t < t_off; an empty window (t_on = t_off) has none.
+    """
+    w1, w2, amp, period, t_on, t_off = dist
+    d = w1 * x0 * sin(w2 * x1)
+    if t_on <= t < t_off:
+        phase = (t - t_on) % period
+        d += amp if phase < 0.5 * period else -amp
+    return d
+
+
 def pendulum_rhs(x0, x1, u0, p, dist, t):
     """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u0 and t.
 
     p = (a, b, c, g2, k1, k2) encodes f = [a*x2, b*sin(x1) + c*x2],
-    g = [0, g2], k = [k1, k2]. dist = (w1, w2, sq_on, A, period, t_on, t_off)
-    encodes the scalar disturbance d = w1*x1*sin(w2*x2) + square(t).
+    g = [0, g2], k = [k1, k2]; d is ``disturbance_value`` of
+    dist = (w1, w2, A, period, t_on, t_off).
     """
     a, b, c, g2, k1, k2 = p
-    w1, w2, sq_on, amp, period, t_on, t_off = dist
-    d = w1 * x0 * sin(w2 * x1)
-    if sq_on != 0.0 and t_on <= t < t_off:
-        phase = (t - t_on) % period
-        d += amp if phase < 0.5 * period else -amp
+    d = disturbance_value(x0, x1, dist, t)
     return a * x1 + k1 * d, b * sin(x0) + c * x1 + g2 * u0 + k2 * d
 
 

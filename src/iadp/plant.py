@@ -1,8 +1,9 @@
 """The ground-truth plant, disturbance signals, measurement noise, plant swaps,
 and the World that holds one scenario's set of them.
 
-The plant is the pendulum family, given by its six coefficients; the
-float kernels in ``kernels`` evaluate and integrate it. Everything here
+The plant is the pendulum family, given by its six coefficients, and the
+disturbance is given by its six numbers; the float kernels in ``kernels``
+evaluate both and integrate the plant. Everything here
 lives on the simulator side of the loop: the data-driven controller never
 reads these objects, it only sees measured samples. All but the per-episode
 NoiseState are frozen values: an episode reads its World and changes
@@ -11,11 +12,8 @@ nothing in it.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from . import kernels
 
 
 class ConfigurationError(ValueError):
@@ -63,15 +61,15 @@ def pendulum_reset_inverted() -> ControlAffinePlant:
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
-    """Scalar disturbance: vanishing state-dependent term plus a windowed square wave.
+    """Scalar disturbance d(x, t): a vanishing term w1*x1*sin(w2*x2) plus a
+    square wave, +A on the first half of each period from t_on and -A on the
+    second, while t_on <= t < t_off.
 
-    kind "none", "vanishing" (w1*x1*sin(w2*x2)), or "square_wave" (+A on the
-    first half-period after t_on, -A on the second, zero outside the window).
-    "combined" sums a vanishing part and a square-wave part; scenario presets
-    use it to layer the non-vanishing wave on top of the baseline disturbance.
+    The numbers alone say which terms act: w1 = 0 has no vanishing term, and
+    an empty window (t_on = t_off, the default) has no square wave.
+    ``kernels.disturbance_value`` evaluates it from ``packed()``.
     """
 
-    kind: str = "none"
     w1: float = 0.0
     w2: float = 0.0
     amplitude: float = 0.0
@@ -80,33 +78,15 @@ class DisturbanceSignal:
     t_off: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "vanishing", "square_wave", "combined"):
-            raise ConfigurationError(f"unknown disturbance kind {self.kind!r}")
-        if self.kind in ("square_wave", "combined"):
-            if self.period <= 0:
-                raise ConfigurationError("square wave period must be > 0")
-            if self.t_on >= self.t_off:
-                raise ConfigurationError("square wave window requires t_on < t_off")
+        if not self.period > 0:
+            raise ConfigurationError("square wave period must be > 0")
+        if not self.t_on <= self.t_off:
+            raise ConfigurationError("square wave window requires t_on <= t_off")
 
     def packed(self) -> tuple:
-        """(w1, w2, sq_on, A, period, t_on, t_off) as floats, as the pendulum
-        kernels take them."""
-        sq = 1.0 if self.kind in ("square_wave", "combined") else 0.0
-        w1 = self.w1 if self.kind in ("vanishing", "combined") else 0.0
-        return tuple(map(float, (w1, self.w2, sq, self.amplitude, self.period,
+        """(w1, w2, A, period, t_on, t_off) as floats, as the kernels take them."""
+        return tuple(map(float, (self.w1, self.w2, self.amplitude, self.period,
                                  self.t_on, self.t_off)))
-
-
-def disturbance_value(signal: DisturbanceSignal, x, t: float) -> tuple:
-    """Evaluate the scalar disturbance at state x and time t, as a 1-tuple."""
-    d = 0.0
-    if signal.kind in ("vanishing", "combined"):
-        d += signal.w1 * x[0] * kernels.sin(signal.w2 * x[1])
-    if signal.kind in ("square_wave", "combined"):
-        if signal.t_on <= t < signal.t_off:
-            phase = (t - signal.t_on) % signal.period
-            d += signal.amplitude if phase < 0.5 * signal.period else -signal.amplitude
-    return (d,)
 
 
 @dataclass(frozen=True)
@@ -143,18 +123,17 @@ class NoiseState:
 
 
 def add_measurement_noise(x, spec: NoiseSpec, t: float, rng: np.random.Generator,
-                          state: Optional[NoiseState] = None):
-    """Return x plus windowed Gaussian noise scaled per the spec.
+                          state: NoiseState):
+    """Return x plus windowed Gaussian noise scaled per the spec, with each
+    channel's rms read from ``state``.
 
     Outside the noise window x itself comes back; inside it, a tuple of
     floats. Each noisy call draws ``rng.standard_normal(len(x))``.
     """
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
-    msq = state.msq if state is not None and state.count > 0 \
-        else [max(xi * xi, 1e-12) for xi in x]
     scale = 10.0 ** (-spec.snr_db / 20.0)
-    sigma = [math.sqrt(max(m, 1e-12)) * scale for m in msq]
+    sigma = [math.sqrt(max(m, 1e-12)) * scale for m in state.msq]
     z = rng.standard_normal(len(x)).tolist()
     return tuple(xi + si * zi for xi, si, zi in zip(x, sigma, z))
 

@@ -26,17 +26,15 @@ def build_world(cfg: SimConfig) -> World:
 
     d1 = dict(w1=VANISH_W1, w2=VANISH_W2)
     if sid == "s1":
-        dist = DisturbanceSignal(kind="vanishing", **d1)
+        dist = DisturbanceSignal(**d1)
         noise = NoiseSpec(kind="none")
         events = ()
     elif sid == "s2":
-        dist = DisturbanceSignal(kind="combined", **d1, amplitude=0.2,
-                                 period=5.0, t_on=20.0, t_off=60.0)
+        dist = DisturbanceSignal(**d1, amplitude=0.2, period=5.0, t_on=20.0, t_off=60.0)
         noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=20.0, t_off=60.0)
         events = (Event(20.0, pendulum_reset_mild()),)
     else:
-        dist = DisturbanceSignal(kind="combined", **d1, amplitude=0.5,
-                                 period=1.0, t_on=20.0, t_off=60.0)
+        dist = DisturbanceSignal(**d1, amplitude=0.5, period=1.0, t_on=20.0, t_off=60.0)
         noise = NoiseSpec(kind="gaussian", snr_db=10.0, t_on=20.0, t_off=60.0)
         events = (Event(20.0, pendulum_reset_inverted()),)
 

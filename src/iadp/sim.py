@@ -18,9 +18,10 @@ import numpy as np
 from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
+from .kernels import disturbance_value
 from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
 from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
-                    apply_event_schedule, disturbance_value)
+                    apply_event_schedule)
 from .tde import IncrementalModelConfig
 
 DIVERGENCE_NORM = 1e6
@@ -68,6 +69,8 @@ class SimConfig:
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigurationError("t_end must be a multiple of dt")
+        if self.seed < 0:
+            raise ConfigurationError("sim.seed must be >= 0")
         if self.controller not in ("iadp", "zsadp", "tadp", "zero"):
             raise ConfigurationError(f"unknown controller {self.controller!r}")
         if self.xdot_source not in ("backward_difference", "ground_truth"):
@@ -187,7 +190,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
     # the SNR reference is a running mean from t = 0, so it is tracked on
     # every step whenever noise can be on
     track_noise = world.noise.kind != "none"
-    clamp = cfg.beta - 1e-12
+    clamp = cfg.beta - kernels.SATURATION_MARGIN
 
     rank_val = 0
     sigma_min = 0.0
@@ -242,8 +245,8 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
                 f"saturation invariant violated at t={t!r}: u={list(u)!r}, "
                 f"beta={cfg.beta!r}")
 
-        # --- disturbance actually applied at the sample time, for the log
-        d_val = disturbance_value(world.disturbance, x, t)
+        # --- the disturbance RK4 applies at the sample time, for the log
+        d_val = disturbance_value(*x, dist, t)
 
         # --- xdot estimate at the newest sample
         if ground_truth:
@@ -291,7 +294,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        stage((x, xm, u, du, w, theta_tilde, xi, d_val[0], rank_val, E_u, E_x))
+        stage((x, xm, u, du, w, theta_tilde, xi, d_val, rank_val, E_u, E_x))
         # the next step's sample one delay L = dt back
         xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:

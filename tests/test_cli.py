@@ -276,6 +276,7 @@ class TestMain:
         ("learner.buffer_until=nan", []),
         ("learner.rank_deadline=nan", []),
         ("basis.exponents=[[2,0],[1,1],[0,2],[0,3],[1,2],[-1,1]]", []),
+        ("sim.seed=-1", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
@@ -328,6 +329,7 @@ class TestMain:
         ("monomial_grad", "grad_phi_finite_difference"),
         ("penalty_sat", "penalty_vs_quadrature"),
         ("weight_derivative_kernel", "update_law_gradient_identity"),
+        ("disturbance_value", "vanishing_disturbance_bound"),
     ])
     def test_check_fails_on_a_broken_kernel(self, capsys, monkeypatch, kernel, check):
         # the checks reach the kernels the engine runs

@@ -1,6 +1,6 @@
 """Each plain-float kernel against an independent reference: a closed-form
-numpy expression, and for the plant's right-hand side and RK4 step, the
-plant's f(x) + g u + k d in numpy and a numpy RK4 of it.
+numpy expression, and for the disturbance, the plant's right-hand side and
+its RK4 step, d and f(x) + g u + k d in numpy and a numpy RK4 of them.
 
 The kernels sum in index order and numpy in its own, so where a result is
 a sum, the tolerance is rtol 1e-13 of the summed magnitudes: the same
@@ -22,8 +22,8 @@ from hypothesis import given, strategies as st
 
 from iadp import kernels
 from iadp.critic import DEFAULT_EXPONENTS
-from iadp.plant import (DisturbanceSignal, disturbance_value, pendulum_nominal,
-                        pendulum_reset_inverted, pendulum_reset_mild)
+from iadp.plant import (DisturbanceSignal, pendulum_nominal, pendulum_reset_inverted,
+                        pendulum_reset_mild)
 
 RTOL = 1e-13
 PARTIALS = kernels.monomial_partials(DEFAULT_EXPONENTS)
@@ -125,16 +125,24 @@ def test_weight_derivative_parity(w, Y, theta, Yb, thetab):
     assert close(got, ref, scale)
 
 
-SIG = DisturbanceSignal(kind="combined", w1=-0.3906, w2=1.0051,
-                        amplitude=0.5, period=1.0, t_on=20.0, t_off=60.0)
+SIG = DisturbanceSignal(w1=-0.3906, w2=1.0051, amplitude=0.5, period=1.0,
+                        t_on=20.0, t_off=60.0)
 PLANTS = (pendulum_nominal(), pendulum_reset_mild(), pendulum_reset_inverted())
 
 
+def d_reference(x, t):
+    # SIG's w1 x1 sin(w2 x2), plus A (-1)^k on the k-th half-period of its window
+    d = SIG.w1 * x[0] * np.sin(SIG.w2 * x[1])
+    if SIG.t_on <= t < SIG.t_off:
+        d += SIG.amplitude * (-1.0) ** np.floor(2.0 * (t - SIG.t_on) / SIG.period)
+    return d
+
+
 def rhs_reference(plant, x, u0, t):
-    # f(x) + g u + k d, with d sampled at (x, t) by disturbance_value
+    # f(x) + g u + k d, with d sampled at (x, t)
     a, b, c, g2, k1, k2 = plant.params
     f = np.array([a * x[1], b * np.sin(x[0]) + c * x[1]])
-    return f + np.array([0.0, g2]) * u0 + np.array([k1, k2]) * disturbance_value(SIG, x, t)[0]
+    return f + np.array([0.0, g2]) * u0 + np.array([k1, k2]) * d_reference(x, t)
 
 
 def rk4_reference(plant, x, u0, t, dt):
@@ -146,9 +154,16 @@ def rk4_reference(plant, x, u0, t, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@given(x=states, t=st.floats(0.0, 80.0))
+def test_disturbance_value_parity(x, t):
+    # both terms, inside and outside the square wave's window
+    got = kernels.disturbance_value(*x, SIG.packed(), t)
+    assert np.isclose(got, d_reference(x, t), rtol=RTOL, atol=1e-15)
+
+
 @given(x=states, u0=controls, t=st.floats(0.0, 80.0), k=st.sampled_from(range(3)))
 def test_pendulum_rhs_parity(x, u0, t, k):
-    # on all three pendulum variants under the combined disturbance
+    # on all three pendulum variants under both disturbance terms
     plant = PLANTS[k]
     got = kernels.pendulum_rhs(*x, u0, plant.params, SIG.packed(), t)
     assert np.allclose(got, rhs_reference(plant, x, u0, t), rtol=RTOL, atol=1e-15)
@@ -156,8 +171,8 @@ def test_pendulum_rhs_parity(x, u0, t, k):
 
 @given(x=states, u0=controls, t=st.floats(0.0, 80.0), k=st.sampled_from(range(3)))
 def test_pendulum_rk4_parity(x, u0, t, k):
-    # the step the engine runs, on all three pendulum variants under the
-    # combined disturbance
+    # the step the engine runs, on all three pendulum variants under both
+    # disturbance terms
     plant, dt = PLANTS[k], 1e-3
     got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
     assert np.allclose(got, rk4_reference(plant, x, u0, t, dt), rtol=RTOL, atol=1e-15)

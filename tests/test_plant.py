@@ -6,7 +6,7 @@ import pytest
 from iadp import kernels
 from iadp.plant import (ConfigurationError, DisturbanceSignal, Event, NoiseSpec,
                         NoiseState, World, add_measurement_noise, apply_event_schedule,
-                        disturbance_value, pendulum_nominal, pendulum_reset_mild)
+                        pendulum_nominal, pendulum_reset_mild)
 from iadp.sim import SimConfig, run_episode
 
 NOMINAL = pendulum_nominal().params
@@ -45,8 +45,7 @@ class TestEvalDynamics:
 
     def test_affine_in_u(self, rng):
         # d = 0.3 on [0, 1)
-        dist = DisturbanceSignal(kind="square_wave", amplitude=0.3, period=2.0,
-                                 t_on=0.0, t_off=10.0).packed()
+        dist = DisturbanceSignal(amplitude=0.3, period=2.0, t_on=0.0, t_off=10.0).packed()
 
         def rhs(x, u):
             return np.array(kernels.pendulum_rhs(*x, u, NOMINAL, dist, 0.5))
@@ -60,65 +59,74 @@ class TestEvalDynamics:
             assert np.allclose(lhs, a * rhs(x, u1) + (1 - a) * rhs(x, u2), atol=1e-12)
 
 
+def d_at(sig, x, t):
+    """``kernels.disturbance_value`` of sig at state x and time t."""
+    return kernels.disturbance_value(*x, sig.packed(), t)
+
+
+def tracked(x):
+    """A NoiseState that has seen x once, so its mean square is x**2."""
+    state = NoiseState(len(x))
+    state.update(x)
+    return state
+
+
 class TestDisturbance:
+    """The one disturbance, as ``kernels.disturbance_value`` evaluates it."""
+
     def test_vanishing_value(self):
-        sig = DisturbanceSignal(kind="vanishing", w1=-0.3906, w2=1.0051)
-        d = disturbance_value(sig, [2.0, -2.0], 0.0)
-        assert d[0] == pytest.approx(-0.3906 * 2.0 * np.sin(-2.0102), abs=1e-12)
-        assert d[0] == pytest.approx(0.70699, abs=1e-5)
+        sig = DisturbanceSignal(w1=-0.3906, w2=1.0051)
+        d = d_at(sig, [2.0, -2.0], 0.0)
+        assert d == pytest.approx(-0.3906 * 2.0 * np.sin(-2.0102), abs=1e-12)
+        assert d == pytest.approx(0.70699, abs=1e-5)
 
     def test_vanishing_zero_angle(self):
-        sig = DisturbanceSignal(kind="vanishing", w1=0.5, w2=1.7)
-        assert disturbance_value(sig, [0.0, 3.0], 1.0)[0] == 0.0
+        sig = DisturbanceSignal(w1=0.5, w2=1.7)
+        assert d_at(sig, [0.0, 3.0], 1.0) == 0.0
 
     def test_vanishing_bound(self, rng):
-        sig = DisturbanceSignal(kind="vanishing", w1=-0.3906, w2=1.0051)
+        sig = DisturbanceSignal(w1=-0.3906, w2=1.0051)
         for _ in range(300):
             x = rng.uniform(-6, 6, 2)
-            assert abs(disturbance_value(sig, x, 0.0)[0]) <= 0.3906 * abs(x[0]) + 1e-14
+            assert abs(d_at(sig, x, 0.0)) <= 0.3906 * abs(x[0]) + 1e-14
 
     def test_square_wave(self):
-        sig = DisturbanceSignal(kind="square_wave", amplitude=0.2, period=5.0,
-                                t_on=20.0, t_off=60.0)
-        assert disturbance_value(sig, [0, 0], 21.0)[0] == 0.2
-        assert disturbance_value(sig, [0, 0], 23.5)[0] == -0.2
-        assert disturbance_value(sig, [0, 0], 10.0)[0] == 0.0
-        assert disturbance_value(sig, [0, 0], 60.0)[0] == 0.0
+        sig = DisturbanceSignal(amplitude=0.2, period=5.0, t_on=20.0, t_off=60.0)
+        assert d_at(sig, [0, 0], 21.0) == 0.2
+        assert d_at(sig, [0, 0], 23.5) == -0.2
+        assert d_at(sig, [0, 0], 10.0) == 0.0
+        assert d_at(sig, [0, 0], 60.0) == 0.0
 
     def test_square_wave_zero_mean(self):
-        sig = DisturbanceSignal(kind="square_wave", amplitude=0.5, period=5.0,
-                                t_on=20.0, t_off=60.0)
+        sig = DisturbanceSignal(amplitude=0.5, period=5.0, t_on=20.0, t_off=60.0)
         ts = 20.0 + np.arange(0, 5.0, 1e-3)
-        vals = [disturbance_value(sig, np.zeros(2), t)[0] for t in ts]
+        vals = [d_at(sig, np.zeros(2), t) for t in ts]
         assert abs(np.mean(vals)) < 1e-12
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
-            DisturbanceSignal(kind="square_wave", amplitude=1, period=0.0,
-                              t_on=0, t_off=1)
+            DisturbanceSignal(amplitude=1, period=0.0, t_on=0, t_off=1)
         with pytest.raises(ConfigurationError):
-            DisturbanceSignal(kind="square_wave", amplitude=1, period=1.0,
-                              t_on=2, t_off=1)
+            DisturbanceSignal(amplitude=1, period=1.0, t_on=2, t_off=1)
 
 
 class TestNoise:
     def test_none_is_identity(self, rng):
         x = np.array([1.0, 2.0])
-        out = add_measurement_noise(x, NoiseSpec(kind="none"), 0.0, rng)
+        out = add_measurement_noise(x, NoiseSpec(kind="none"), 0.0, rng, tracked(x))
         assert np.array_equal(out, x)
 
     def test_window_gate(self, rng):
         spec = NoiseSpec(kind="gaussian", snr_db=10, t_on=20, t_off=60)
         x = np.array([1.0, 2.0])
-        assert np.array_equal(add_measurement_noise(x, spec, 5.0, rng), x)
-        assert not np.array_equal(add_measurement_noise(x, spec, 30.0, rng), x)
+        assert np.array_equal(add_measurement_noise(x, spec, 5.0, rng, tracked(x)), x)
+        assert not np.array_equal(add_measurement_noise(x, spec, 30.0, rng, tracked(x)), x)
 
     def test_snr_power_ratio(self):
         # 50 dB vs 10 dB on the same clean stream: noise power ratio ~40 dB
         n_samples = 200_000
-        state = NoiseState(1)
         x = np.array([1.0])
-        state.update(x)
+        state = tracked(x)
         powers = {}
         for snr in (50.0, 10.0):
             spec = NoiseSpec(kind="gaussian", snr_db=snr, t_on=0.0, t_off=1e9)
@@ -134,8 +142,8 @@ class TestNoise:
     def test_seed_reproducibility(self):
         spec = NoiseSpec(kind="gaussian", snr_db=20, t_on=0, t_off=10)
         x = np.array([0.5, -0.5])
-        a = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3))
-        b = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3))
+        a = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3), tracked(x))
+        b = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3), tracked(x))
         assert np.array_equal(a, b)
 
 

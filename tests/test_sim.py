@@ -47,6 +47,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(xdot_source="spline")
         with pytest.raises(ConfigurationError):
+            SimConfig(seed=-1)
+        with pytest.raises(ConfigurationError):
             SimConfig(scenario="s9") and run_scenario(SimConfig(scenario="s9"))
 
     def test_nonfinite_step_rejected(self):
@@ -76,11 +78,9 @@ class TestRk4:
     def test_stage_times_see_disturbance(self):
         # time-varying d must be sampled inside the step, not held at t
         p = pendulum_nominal().params
-        sig = DisturbanceSignal(kind="square_wave", amplitude=0.5, period=1.0,
-                                t_on=0.0, t_off=10.0)
+        sig = DisturbanceSignal(amplitude=0.5, period=1.0, t_on=0.0, t_off=10.0)
         # the same wave held at its value at t = 0.499: its sign flips at 1.0
-        held = DisturbanceSignal(kind="square_wave", amplitude=0.5, period=2.0,
-                                 t_on=0.0, t_off=10.0)
+        held = DisturbanceSignal(amplitude=0.5, period=2.0, t_on=0.0, t_off=10.0)
         x = (0.0, 0.0)
         # step straddling the sign flip at t = 0.5
         a = kernels.pendulum_rk4(x, 0.0, p, sig.packed(), 0.499, 2e-3)
@@ -209,6 +209,20 @@ class TestEpisode:
     def test_event_swap_logged(self):
         log = cached_run(scenario="s2", t_end=21.0)
         assert (20.0, "swap_plant") in log.fired_events
+
+    def test_logged_d_is_the_integrated_d(self):
+        # over the window edge and the plant swap at t = 20 s: each row's d is
+        # the kernel's value at (x, t), and the k d term the RHS integrates
+        cfg = SimConfig(scenario="s3", t_end=21.0)
+        world = build_world(cfg)
+        log = run_episode(cfg, world)
+        dist = world.disturbance.packed()
+        k_only = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+        assert log.rows() == 21001 and log.fired_events == [(20.0, "swap_plant")]
+        for i in range(log.rows()):
+            d = kernels.disturbance_value(*log.x_true[i], dist, log.t[i])
+            assert log.d[i].tobytes() == np.float64(d).tobytes(), i
+            assert kernels.pendulum_rhs(*log.x_true[i], 0.0, k_only, dist, log.t[i]) == (d, d)
 
     def test_s1_no_events(self):
         log = cached_run(t_end=2.0)

@@ -38,6 +38,8 @@ def test_every_per_step_hook_counts_calls():
     assert not log.diverged and log.fired_events == [(20.0, "swap_plant")]
     assert [name for name in PER_STEP if tracer.get(name).calls == 0] == []
     assert tracer.get("sim.run_episode").calls == 1
+    # one logged d per row; the RK4 stages call the kernel under its own name
+    assert tracer.get("plant.disturbance_value").calls == log.rows()
     # the hooks are gone again
     assert {name: getattr(kernels, name) for name in workload.KERNELS} == originals
     assert not hasattr(sim.try_insert, "__wrapped__")
