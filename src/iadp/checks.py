@@ -61,7 +61,7 @@ def check_noise_determinism():
 
 def check_gbar_pinv():
     imc = IncrementalModelConfig([[0.0], [0.1]])
-    err = np.max(np.abs(np.array(imc.g_bar_pinv) @ np.array(imc.g_bar) - np.eye(1)))
+    err = abs(kernels.dot(imc.g_bar_pinv, imc.g_bar) - 1.0)
     return err < 1e-12, f"|g_bar^+ g_bar - I| = {err:.2e}"
 
 
@@ -89,19 +89,19 @@ def check_penalty_quadrature(rng):
         v = rng.uniform(-0.99 * beta, 0.99 * beta)
         ref, _ = quad(lambda s: 2 * beta * np.arctanh(s / beta), 0.0, v,
                       epsabs=1e-12, epsrel=1e-12)
-        got = kernels.penalty_sat([v], beta)
+        got = kernels.penalty_sat(v, beta)
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
     return worst < 1e-8, f"max penalty rel err {worst:.2e}"
 
 
 def check_penalty_shape(rng):
     beta = 2.0
-    if kernels.penalty_sat([0.0], beta) != 0.0:
+    if kernels.penalty_sat(0.0, beta) != 0.0:
         return False, "penalty nonzero at 0"
     prev = 0.0
     for v in np.linspace(0.05, 1.9, 40):
-        p = kernels.penalty_sat([v], beta)
-        if p <= prev or abs(p - kernels.penalty_sat([-v], beta)) > 1e-12:
+        p = kernels.penalty_sat(v, beta)
+        if p <= prev or abs(p - kernels.penalty_sat(-v, beta)) > 1e-12:
             return False, f"monotonicity/evenness broken at v={v}"
         prev = p
     return True, "nonnegative, even, increasing in |v|"

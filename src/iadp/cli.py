@@ -6,9 +6,10 @@ are bracketed comma lists (``[[1,0],[0,1]]`` for matrices). Flags override
 file values. Every run writes the trajectory CSV plus a manifest that parses
 back to the identical resolved config.
 
-Exit codes: 0 ok, 1 config error, 2 episode divergence (``run`` names the
-log's stop cause), 3 property-check failure, 4 engine fault (a broken
-invariant such as |u| > beta, reported with its time and values).
+Exit codes: 0 ok, 1 input error (a bad flag, config value or file path,
+reported on one stderr line), 2 episode divergence (``run`` names the log's
+stop cause), 3 property-check failure, 4 engine fault (a broken invariant
+such as |u| > beta, reported with its time and values).
 """
 
 import argparse
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .plant import ConfigurationError
-from .scenarios import run_scenario
-from .sim import SimConfig, TrajectoryLog
+from .scenarios import SCENARIO_IDS, run_scenario
+from .sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 CSV_SCHEMA_VERSION = 1
 
@@ -195,17 +196,11 @@ def config_dict(cfg: SimConfig) -> dict:
     return out
 
 
-def csv_header(n: int, m: int, N: int) -> str:
-    cols = ["t"]
-    cols += [f"x_true_{i+1}" for i in range(n)]
-    cols += [f"x_meas_{i+1}" for i in range(n)]
-    cols += [f"u_{j+1}" for j in range(m)]
-    cols += [f"du_{j+1}" for j in range(m)]
-    cols += [f"w_{k+1}" for k in range(N)]
-    cols += ["theta_tilde"]
-    cols += [f"xi_{j+1}" for j in range(m)]
-    cols += ["d", "E_u", "E_x", "rank"]
-    return ",".join(cols)
+def csv_header(n: int, N: int) -> str:
+    """The column names; the one input's columns keep schema v1's _1 suffix."""
+    states = [f"x_{kind}_{i+1}" for kind in ("true", "meas") for i in range(n)]
+    return ",".join(["t", *states, "u_1", "du_1", *(f"w_{k+1}" for k in range(N)),
+                     "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
 # rows formatted per write; each chunk's rows live as Python floats and
@@ -221,13 +216,12 @@ def write_csv(log: TrajectoryLog, path) -> None:
     shortest round-trip decimal.
     """
     n = log.x_true.shape[1]
-    m = log.u.shape[1]
     N = log.w.shape[1]
     cols = (log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
             log.theta_tilde, log.xi, log.d, log.E_u, log.E_x)
     ranks = log.rank
     with open(path, "w") as f:
-        f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{csv_header(n, m, N)}\n")
+        f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{csv_header(n, N)}\n")
         for s in range(0, log.rows(), CSV_CHUNK_ROWS):
             e = s + CSV_CHUNK_ROWS
             block = np.column_stack([c[s:e] for c in cols])
@@ -333,7 +327,9 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     from .checks import run_all
-    results = run_all(seed=args.seed if args.seed is not None else 0)
+    if args.seed < 0:
+        raise ConfigurationError("--seed must be >= 0")
+    results = run_all(seed=args.seed)
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -437,19 +433,25 @@ def cmd_plots(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which is the divergence code; main
+    # reports it on one line and exits 1 instead
+    def error(self, message):
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="iadp", description=__doc__.splitlines()[0])
+    p = _Parser(prog="iadp", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--scenario", choices=("s1", "s2", "s3"))
-        sp.add_argument("--controller", choices=("iadp", "zsadp", "tadp"))
+        sp.add_argument("--scenario", choices=SCENARIO_IDS)
+        sp.add_argument("--controller", choices=CONTROLLERS)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--dt", type=float)
         sp.add_argument("--t-end", type=float)
-        sp.add_argument("--xdot-source",
-                        choices=("backward_difference", "ground_truth"))
+        sp.add_argument("--xdot-source", choices=XDOT_SOURCES)
         sp.add_argument("--config")
         sp.add_argument("--out-dir")
         sp.add_argument("--override", action="append", metavar="key=value")
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("check", help="run the fast property suites")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("plots", help="emit plot scripts and data files from logs")
@@ -474,11 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (argparse.ArgumentError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Hot numeric kernels of the closed loop, on plain Python floats.
 
-The loop's dimensions are tiny (n=2, m=1, N=6 for the default pendulum
-set-up), so numpy's per-call dispatch would cost more than the arithmetic.
-The kernels take and return floats, and vectors as short sequences of
-floats; a matrix is a sequence of rows.
+The loop's dimensions are tiny (n=2 states, one input, N=6 features for
+the default pendulum set-up), so numpy's per-call dispatch would cost more
+than the arithmetic. The kernels take and return floats, and vectors as
+short sequences of floats; a matrix is a sequence of rows. The input u is
+one float.
 
 ``pendulum_rhs`` and ``pendulum_rk4`` are the plant: the pendulum family's
 right-hand side and its RK4 step, the one plant model the engine runs.
@@ -11,12 +12,12 @@ right-hand side and its RK4 step, the one plant model the engine runs.
 at every RK4 stage, and the engine calls it, as a ``sim`` module global,
 for the log's ``d`` column.
 
-``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis gradient
-run straight-line code generated once per shape; its source holds only
-names and integer indices, and matrices and gains are arguments. Their sums
-run in index order from 0.0, ((0.0 + p0) + p1) + ..., which equals the
-built-in ``sum`` on Python 3.11 and does not depend on 3.12's compensated
-``sum`` (which ``dot`` and ``saturated_control`` still call).
+``dot``, ``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis
+gradient run straight-line code generated once per shape; its source holds
+only names and integer indices, and matrices and gains are arguments. Their
+sums run in index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python:
+this equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which
+is compensated from 3.12.
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
 raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
@@ -30,7 +31,6 @@ so per-call tracing can wrap them.
 import functools
 import itertools
 import math
-from operator import mul
 
 import numpy as np
 
@@ -63,6 +63,12 @@ def _pack(items):
 def _sum(row, v):
     """Sum of row_i * v_i from 0.0 in index order, as ``sum`` adds (so -0.0 sums to 0.0)."""
     return " + ".join(["0.0", *map("{} * {}".format, row, v)])
+
+
+@functools.lru_cache(maxsize=None)
+def _dot(n):
+    a, b = _names("a", n), _names("b", n)
+    return _compile("dot", "a, b", [f"{_pack([a, b])} = a, b", f"return {_sum(a, b)}"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,8 +157,8 @@ def sin(a):
 
 
 def dot(a, b) -> float:
-    """The inner product sum_i a_i * b_i."""
-    return sum(map(mul, a, b))
+    """The inner product sum_i a_i * b_i of two equal-length vectors."""
+    return _dot(len(a))(a, b)
 
 
 def matvec(rows, v):
@@ -166,38 +172,31 @@ def vecmat(v, rows):
     return _vecmat(len(v), len(rows[0]))(v, rows)
 
 
-def saturated_control(gmat, v, beta):
-    """u = -beta * tanh(g^T v / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
+def saturated_control(g, v, beta):
+    """u = -beta * tanh(g . v / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
 
-    ``v`` is grad_phi^T w, the critic's state gradient: ``matvec`` of
-    ``monomial_grad``'s grad_phi^T (n x N) and the weights.
+    ``g`` is the input column (n floats), and ``v`` is grad_phi^T w, the
+    critic's state gradient: ``matvec`` of ``monomial_grad``'s grad_phi^T
+    (n x N) and the weights.
     """
-    scale = 2.0 * beta
+    u = -beta * math.tanh(dot(g, v) / (2.0 * beta))
     lim = beta - SATURATION_MARGIN
-    u = []
-    for col in zip(*gmat):
-        z = sum(map(mul, col, v))
-        uj = -beta * math.tanh(z / scale)
-        # nan fails both tests and passes through, as in np.clip
-        if uj > lim:
-            uj = lim
-        elif uj < -lim:
-            uj = -lim
-        u.append(uj)
+    # nan fails both tests and passes through, as in np.clip
+    if u > lim:
+        return lim
+    if u < -lim:
+        return -lim
     return u
 
 
-def penalty_sat(v, beta):
-    """Saturation penalty 2*b*v*atanh(v/b) + b^2*log(1 - v^2/b^2), summed."""
-    total = 0.0
-    for vj in v:
-        s = vj / beta
-        if s > 1.0 - ATANH_MARGIN:
-            s = 1.0 - ATANH_MARGIN
-        elif s < -1.0 + ATANH_MARGIN:
-            s = -1.0 + ATANH_MARGIN
-        total += beta * beta * (2.0 * s * math.atanh(s) + math.log1p(-s * s))
-    return total
+def penalty_sat(u, beta):
+    """Saturation penalty 2*b*u*atanh(u/b) + b^2*log(1 - u^2/b^2) of the input u."""
+    s = u / beta
+    if s > 1.0 - ATANH_MARGIN:
+        s = 1.0 - ATANH_MARGIN
+    elif s < -1.0 + ATANH_MARGIN:
+        s = -1.0 + ATANH_MARGIN
+    return beta * beta * (2.0 * s * math.atanh(s) + math.log1p(-s * s))
 
 
 def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):
@@ -230,8 +229,8 @@ def disturbance_value(x0, x1, dist, t):
     return d
 
 
-def pendulum_rhs(x0, x1, u0, p, dist, t):
-    """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u0 and t.
+def pendulum_rhs(x0, x1, u, p, dist, t):
+    """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u and t.
 
     p = (a, b, c, g2, k1, k2) encodes f = [a*x2, b*sin(x1) + c*x2],
     g = [0, g2], k = [k1, k2]; d is ``disturbance_value`` of
@@ -239,18 +238,18 @@ def pendulum_rhs(x0, x1, u0, p, dist, t):
     """
     a, b, c, g2, k1, k2 = p
     d = disturbance_value(x0, x1, dist, t)
-    return a * x1 + k1 * d, b * sin(x0) + c * x1 + g2 * u0 + k2 * d
+    return a * x1 + k1 * d, b * sin(x0) + c * x1 + g2 * u + k2 * d
 
 
-def pendulum_rk4(x, u0, p, dist, t, dt):
-    """Classical RK4 step of ``pendulum_rhs`` with u0 held (zero-order hold);
+def pendulum_rk4(x, u, p, dist, t, dt):
+    """Classical RK4 step of ``pendulum_rhs`` with u held (zero-order hold);
     returns the new state as a tuple."""
     x0, x1 = x
     h = 0.5 * dt
-    a0, a1 = pendulum_rhs(x0, x1, u0, p, dist, t)
-    b0, b1 = pendulum_rhs(x0 + h * a0, x1 + h * a1, u0, p, dist, t + h)
-    c0, c1 = pendulum_rhs(x0 + h * b0, x1 + h * b1, u0, p, dist, t + h)
-    d0, d1 = pendulum_rhs(x0 + dt * c0, x1 + dt * c1, u0, p, dist, t + dt)
+    a0, a1 = pendulum_rhs(x0, x1, u, p, dist, t)
+    b0, b1 = pendulum_rhs(x0 + h * a0, x1 + h * a1, u, p, dist, t + h)
+    c0, c1 = pendulum_rhs(x0 + h * b0, x1 + h * b1, u, p, dist, t + h)
+    d0, d1 = pendulum_rhs(x0 + dt * c0, x1 + dt * c1, u, p, dist, t + dt)
     s = dt / 6.0
     return (x0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
             x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1))

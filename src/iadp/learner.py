@@ -13,10 +13,10 @@ every call. ``step_weights`` integrates that law one step.
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
+from . import kernels
 from .plant import ConfigurationError
 
 
@@ -57,10 +57,10 @@ class ExperienceBuffer:
         return len(self.Y)
 
     def _summarise(self) -> None:
-        """Rebuild M and b from the stored rows, summing in row order."""
+        """Rebuild M and b from the stored rows, summing in row order from 0.0."""
         cols = list(zip(*self.Y)) or [()] * self.N
-        self.M = [[sum(map(mul, cj, ck), 0.0) for ck in cols] for cj in cols]
-        self.b = [sum(map(mul, cj, self.Theta), 0.0) for cj in cols]
+        self.M = [[kernels.dot(cj, ck) for ck in cols] for cj in cols]
+        self.b = [kernels.dot(cj, self.Theta) for cj in cols]
 
     def report(self) -> RankReport:
         """Numerical rank and smallest singular value of the stacked regressors."""

@@ -22,13 +22,14 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ControlAffinePlant:
-    """The pendulum-family plant xdot = f(x) + g u + k d with n = 2, m = q = 1:
-    f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2]. The six
-    coefficients are all the simulator knows of it; ``kernels.pendulum_rhs``
-    evaluates the dynamics and ``kernels.pendulum_rk4`` integrates them.
+    """The pendulum-family plant xdot = f(x) + g u + k d, with n = 2 states
+    and m = 1 input: f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2].
+    The six coefficients are all the simulator knows of it;
+    ``kernels.pendulum_rhs`` evaluates the dynamics and
+    ``kernels.pendulum_rk4`` integrates them.
     """
 
-    n, m, q = 2, 1, 1
+    n, m = 2, 1
 
     a: float
     b: float

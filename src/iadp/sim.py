@@ -20,14 +20,16 @@ from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
 from .kernels import disturbance_value
 from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
-from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
-                    apply_event_schedule)
+from .plant import (ConfigurationError, ControlAffinePlant, NoiseState, World,
+                    add_measurement_noise, apply_event_schedule)
 from .tde import IncrementalModelConfig
 
 DIVERGENCE_NORM = 1e6
 # log rows are staged as tuples and written into the log arrays this many at
 # a time; a larger chunk holds more Python objects alive (~660 B per row)
 LOG_CHUNK_ROWS = 256
+CONTROLLERS = ("iadp", "zsadp", "tadp", "zero")
+XDOT_SOURCES = ("backward_difference", "ground_truth")
 
 
 @dataclass
@@ -71,9 +73,9 @@ class SimConfig:
             raise ConfigurationError("t_end must be a multiple of dt")
         if self.seed < 0:
             raise ConfigurationError("sim.seed must be >= 0")
-        if self.controller not in ("iadp", "zsadp", "tadp", "zero"):
+        if self.controller not in CONTROLLERS:
             raise ConfigurationError(f"unknown controller {self.controller!r}")
-        if self.xdot_source not in ("backward_difference", "ground_truth"):
+        if self.xdot_source not in XDOT_SOURCES:
             raise ConfigurationError(f"unknown xdot source {self.xdot_source!r}")
         if self.buffer_size < 1 or self.buffer_every < 1:
             raise ConfigurationError("learner.P and learner.buffer_every must be >= 1")
@@ -94,13 +96,20 @@ class SimConfig:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
-        if len(IncrementalModelConfig(self.g_bar).g_bar) != n:
+        # g_bar is n x m; a single row is read as a column
+        rows, m = sorted(np.shape(np.atleast_2d(self.g_bar)), reverse=True)
+        if rows != n:
             raise ConfigurationError(f"g_bar must have {n} rows")
+        if (n, m) != (ControlAffinePlant.n, ControlAffinePlant.m):
+            raise ConfigurationError(f"(n, m) = ({n}, {m}) from the basis and g_bar, but the "
+                                     f"plant has ({ControlAffinePlant.n}, {ControlAffinePlant.m})")
+        IncrementalModelConfig(self.g_bar)
 
 
 @dataclass
 class TrajectoryLog:
-    """The per-step record of one episode, one C-contiguous array per signal.
+    """The per-step record of one episode, one C-contiguous array per signal:
+    (S, n) for the states, (S, N) for the weights, and (S,) for the rest.
 
     ``stop_cause`` says why a diverged episode stopped: "state_norm" (the
     state left the DIVERGENCE_NORM ball while finite), "nonfinite_dynamics"
@@ -151,12 +160,8 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
 
     basis = BasisSet(cfg.basis_exponents)
     N, n = basis.N, basis.n
-    m = world.plant.m
     cost = CostConfig(cfg.Q, cfg.beta, cfg.c_bar)
     imc = IncrementalModelConfig(cfg.g_bar)
-    if (n, len(imc.g_bar[0])) != (world.plant.n, m):
-        raise ConfigurationError(f"(n, m) = ({n}, {len(imc.g_bar[0])}) from the basis and "
-                                 f"g_bar, but the plant has ({world.plant.n}, {m})")
     gains = LearnerGains(cfg.Gamma, cfg.k_c, cfg.k_e)
     gamma = gains.Gamma.tolist()
     buf = ExperienceBuffer(cfg.buffer_size, N)
@@ -167,7 +172,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
         "iadp": lambda: IadpLaw(imc, cost),
         "zsadp": lambda: ZsadpLaw(g_ctrl, k_ctrl, cfg.gamma, cost),
         "tadp": lambda: TadpLaw(g_ctrl, k_ctrl, cfg.rho, cost),
-        "zero": lambda: ZeroLaw(m),
+        "zero": ZeroLaw,
     }[cfg.controller]()
     learning = law.learns
 
@@ -178,14 +183,14 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
     log = TrajectoryLog(
         t=np.arange(S) * dt,
         x_true=np.zeros((S, n)), x_meas=np.zeros((S, n)),
-        u=np.zeros((S, m)), du=np.zeros((S, m)), w=np.zeros((S, N)),
-        theta_tilde=np.zeros(S), xi=np.zeros((S, m)), d=np.zeros(S),
+        u=np.zeros(S), du=np.zeros(S), w=np.zeros((S, N)),
+        theta_tilde=np.zeros(S), xi=np.zeros(S), d=np.zeros(S),
         E_u=np.zeros(S), E_x=np.zeros(S), rank=np.zeros(S, dtype=np.int64),
     )
 
     x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
     w = [0.0] * N
-    zero_m, zero_n = (0.0,) * m, (0.0,) * n
+    zero_n = (0.0,) * n
     noise_state = NoiseState(n)
     # the SNR reference is a running mean from t = 0, so it is tracked on
     # every step whenever noise can be on
@@ -235,22 +240,21 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
         # carries a real xdot estimate
         warm = i < 2
         if warm:
-            u = zero_m
+            u = 0.0
             aux = None
         else:
             gphi_t = kernels.monomial_grad(basis.partials, xm)
             u, aux = law.control(gphi_t, w)
-        if max(map(abs, u)) > clamp:
+        if abs(u) > clamp:
             raise FloatingPointError(
-                f"saturation invariant violated at t={t!r}: u={list(u)!r}, "
-                f"beta={cfg.beta!r}")
+                f"saturation invariant violated at t={t!r}: u={u!r}, beta={cfg.beta!r}")
 
         # --- the disturbance RK4 applies at the sample time, for the log
         d_val = disturbance_value(*x, dist, t)
 
         # --- xdot estimate at the newest sample
         if ground_truth:
-            xdot = kernels.pendulum_rhs(*x, u[0], coeffs, dist, t)
+            xdot = kernels.pendulum_rhs(*x, u, coeffs, dist, t)
         elif i:
             xdot = tde.backward_difference(xm_prev, xm, dt)
         else:
@@ -258,10 +262,10 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
 
         theta_tilde = 0.0
         if warm:
-            du = xi = zero_m
+            du = xi = 0.0
         else:
             # increments against the sample one delay L = dt back
-            du = list(map(sub, u, u_prev))
+            du = u - u_prev
             xi = tde.tde_error(list(map(sub, xdot, xdot_prev)), du, imc)
             if learning:
                 Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
@@ -290,7 +294,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
                     log.insufficient_excitation = True
 
         # --- log row; x_sq is x's, from the integrate step before
-        prev_u_sq, u_sq = u_sq, kernels.dot(u, u)
+        prev_u_sq, u_sq = u_sq, u * u
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
@@ -305,7 +309,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
 
         # --- integrate
         if i < steps:
-            x = kernels.pendulum_rk4(x, u[0], coeffs, dist, t, dt)
+            x = kernels.pendulum_rk4(x, u, coeffs, dist, t, dt)
             prev_x_sq, x_sq = x_sq, kernels.dot(x, x)
             # the norm is nan or inf when x is not finite
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
@@ -326,7 +330,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
 
             if log.diverged:
                 # record the diverged state row, then stop
-                stage((x, x, zero_m, zero_m, w, 0.0, zero_m, 0.0, rank_val, E_u, E_x))
+                stage((x, x, 0.0, 0.0, w, 0.0, 0.0, 0.0, rank_val, E_u, E_x))
                 break
 
     flush()

@@ -8,8 +8,6 @@ the unknown dynamics. The TDE error xi is reconstructed here for diagnostics
 only.
 """
 
-from operator import sub
-
 import numpy as np
 
 from . import kernels
@@ -17,17 +15,19 @@ from .plant import ConfigurationError
 
 
 class IncrementalModelConfig:
-    """Constant input-map surrogate g_bar (n x m) and its left pseudo-inverse
-    (m x n), both held as tuples of row tuples."""
+    """Constant input-map surrogate g_bar, the one input's column, and its
+    left pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1), n floats each.
+
+    ``g_bar`` may come as a column, a row or a flat vector.
+    """
 
     def __init__(self, g_bar):
-        g = np.atleast_2d(np.asarray(g_bar, dtype=float))
-        if g.shape[0] < g.shape[1]:
-            g = g.T
-        if np.linalg.matrix_rank(g) < g.shape[1]:
+        g = np.asarray(g_bar, dtype=float).reshape(-1, 1)
+        if np.linalg.matrix_rank(g) < 1:
             raise ConfigurationError("g_bar must have full column rank")
-        self.g_bar = tuple(map(tuple, g.tolist()))
-        self.g_bar_pinv = tuple(map(tuple, np.linalg.pinv(g).tolist()))
+        self.g_bar = tuple(g[:, 0].tolist())
+        # pinv, not g / (g . g): the closed form rounds 1/0.1 to 9.999999999999998
+        self.g_bar_pinv = tuple(np.linalg.pinv(g)[0].tolist())
 
 
 def backward_difference(x_prev, x, dt: float) -> list:
@@ -35,7 +35,7 @@ def backward_difference(x_prev, x, dt: float) -> list:
     return [(xb - xa) / dt for xa, xb in zip(x_prev, x)]
 
 
-def tde_error(dx_dot, du, imc: IncrementalModelConfig) -> list:
-    """Diagnostic TDE error xi = g_bar^+ dx_dot - du (zero iff the incremental
+def tde_error(dx_dot, du: float, imc: IncrementalModelConfig) -> float:
+    """Diagnostic TDE error xi = g_bar^+ . dx_dot - du (zero iff the incremental
     model reproduces the measured increment exactly)."""
-    return list(map(sub, kernels.matvec(imc.g_bar_pinv, dx_dot), du))
+    return kernels.dot(imc.g_bar_pinv, dx_dot) - du

@@ -43,9 +43,9 @@ def gphi_t(x, basis=BasisSet.default()):
     return np.array(kernels.monomial_grad(basis.partials, x))
 
 
-def law_pair(law, x, u, du=(0.0,), x0dot=(0.0, 0.0), xdot=(0.0, 0.0), aux=None):
+def law_pair(law, x, u, du=0.0, x0dot=(0.0, 0.0), xdot=(0.0, 0.0), aux=None):
     """law.pair at state x, input u and xdot, with input increment du and the
     delayed sample's xdot x0dot; returns (Y as an array, Theta)."""
-    x, u, du, x0dot, xdot = (np.asarray(v, dtype=float) for v in (x, u, du, x0dot, xdot))
-    Y, theta = law.pair(x, u, xdot, du, x0dot, gphi_t(x), aux)
+    x, x0dot, xdot = (np.asarray(v, dtype=float) for v in (x, x0dot, xdot))
+    Y, theta = law.pair(x, float(u), xdot, float(du), x0dot, gphi_t(x), aux)
     return np.asarray(Y), theta

@@ -10,12 +10,12 @@ from hypothesis import given, strategies as st
 from conftest import cached_run
 from iadp import kernels
 from iadp.cli import (CONFIG_KEYS, CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES,
-                      _format_value, _parse_value, config_dict, csv_header, emit_plots, main,
-                      parse_config, read_config_file, read_csv, write_csv,
-                      write_manifest)
+                      _format_value, _parse_value, _resolved_cfg, build_parser, config_dict,
+                      csv_header, emit_plots, main, parse_config, read_config_file, read_csv,
+                      write_csv, write_manifest)
 from iadp.plant import ConfigurationError
-from iadp.scenarios import run_scenario
-from iadp.sim import SimConfig
+from iadp.scenarios import SCENARIO_IDS, run_scenario
+from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
 # what a manifest holds: ints, bools, config strings, and floats, vectors and
@@ -145,7 +145,7 @@ class TestCsv:
         assert np.array_equal(cols["rank"], log.rank.astype(float))
 
     def test_header_order(self):
-        hdr = csv_header(2, 1, 6).split(",")
+        hdr = csv_header(2, 6).split(",")
         assert hdr[0] == "t"
         assert hdr[1:3] == ["x_true_1", "x_true_2"]
         assert hdr[3:5] == ["x_meas_1", "x_meas_2"]
@@ -168,7 +168,7 @@ def write_csv_row_loop(log, path):
         log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
     ])
     lines = [f"# iadp csv schema v{CSV_SCHEMA_VERSION}",
-             csv_header(log.x_true.shape[1], log.u.shape[1], log.w.shape[1])]
+             csv_header(log.x_true.shape[1], log.w.shape[1])]
     for i in range(block.shape[0]):
         row = ",".join(repr(float(v)) for v in block[i])
         lines.append(f"{row},{int(log.rank[i])}")
@@ -285,8 +285,8 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_basis_state_size_must_match_plant(self, tmp_path, capsys):
-        # a consistent 3-state set-up passes config validation; the episode
-        # refuses it before its first step, as the plant has 2 states
+        # a consistent 3-state set-up is refused by the config, as the plant
+        # has 2 states
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
                    "--override", "basis.exponents=[[2,0,0],[1,1,0],[0,2,0],[0,0,2],[1,0,1],[0,1,1]]",
                    "--override", "init.x0=[2,-2,0]", "--override", "tde.g_bar=[[0],[0.1],[0]]",
@@ -297,13 +297,13 @@ class TestMain:
 
     def test_saturation_fault_exit_four(self, tmp_path, capsys, monkeypatch):
         from iadp.controllers import IadpLaw
-        monkeypatch.setattr(IadpLaw, "control", lambda self, gphi_t, w: ([3.0], None))
+        monkeypatch.setattr(IadpLaw, "control", lambda self, gphi_t, w: (3.0, None))
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5",
                    "--out-dir", str(tmp_path)])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: saturation invariant violated at t=0.002")
-        assert "u=[3.0]" in err
+        assert "u=3.0" in err
 
     def test_run_names_stop_cause(self, tmp_path, capsys, monkeypatch):
         from iadp import kernels
@@ -318,6 +318,45 @@ class TestMain:
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "s9"],
+        ["run", "--seed", "one"],
+        ["run", "--bogus"],
+        [],
+        ["run", "--config", "missing.cfg"],
+        ["plots", "missing.csv"],
+        ["check", "--seed", "-1"],
+    ], ids=["bad_choice", "bad_type", "unknown_flag", "no_command", "missing_config",
+            "missing_csv", "negative_check_seed"])
+    def test_input_error_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        # argparse's own usage exit, 2, is the divergence code; these and
+        # missing files end on one stderr line instead of a traceback
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("flag, key, name", [
+        *(("--scenario", "scenario", s) for s in SCENARIO_IDS),
+        *(("--controller", "controller", c) for c in CONTROLLERS),
+        *(("--xdot-source", "sim.xdot_source", x) for x in XDOT_SOURCES),
+    ])
+    def test_flag_matches_override(self, flag, key, name):
+        # each flag offers every name the config validates
+        def resolved(*argv):
+            cfg = _resolved_cfg(build_parser().parse_args(["run", *argv]))
+            return {k: _format_value(v) for k, v in config_dict(cfg).items()}
+
+        by_flag = resolved(flag, name)
+        assert by_flag[key] == name
+        assert by_flag == resolved("--override", f"{key}={name}")
 
     def test_check_passes(self, capsys):
         rc = main(["check"])

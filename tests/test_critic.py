@@ -62,17 +62,17 @@ class TestPenalty:
     def test_frozen_value(self):
         # 2*2*1*atanh(0.5) + 4*log(0.75)
         expect = 4 * math.atanh(0.5) + 4 * math.log(0.75)
-        assert kernels.penalty_sat([1.0], 2.0) == pytest.approx(expect, abs=1e-12)
-        assert kernels.penalty_sat([1.0], 2.0) == pytest.approx(1.0464963, abs=1e-6)
+        assert kernels.penalty_sat(1.0, 2.0) == pytest.approx(expect, abs=1e-12)
+        assert kernels.penalty_sat(1.0, 2.0) == pytest.approx(1.0464963, abs=1e-6)
 
     def test_zero(self):
-        assert kernels.penalty_sat([0.0], 2.0) == 0.0
+        assert kernels.penalty_sat(0.0, 2.0) == 0.0
 
     def test_even_and_monotone(self):
         prev = 0.0
         for v in np.linspace(0.1, 1.95, 30):
-            p = kernels.penalty_sat([v], 2.0)
-            assert p == pytest.approx(kernels.penalty_sat([-v], 2.0), abs=1e-12)
+            p = kernels.penalty_sat(v, 2.0)
+            assert p == pytest.approx(kernels.penalty_sat(-v, 2.0), abs=1e-12)
             assert p > prev
             prev = p
 
@@ -82,16 +82,12 @@ class TestPenalty:
             v = rng.uniform(-1.9, 1.9)
             ref, _ = quad(lambda s: 2 * beta * math.atanh(s / beta), 0.0, v,
                           epsabs=1e-12, epsrel=1e-12)
-            assert kernels.penalty_sat([v], beta) == pytest.approx(ref, abs=1e-9)
-
-    def test_sum_over_channels(self):
-        assert kernels.penalty_sat([1.0, -1.0], 2.0) == pytest.approx(
-            2 * kernels.penalty_sat([1.0], 2.0), abs=1e-12)
+            assert kernels.penalty_sat(v, beta) == pytest.approx(ref, abs=1e-9)
 
     def test_domain_clamp_and_error(self):
         # arguments at the bound are clamped off it; the engine raises on
         # |u| > beta itself (tests/test_cli.py, exit code 4)
-        assert math.isfinite(kernels.penalty_sat([2.0], 2.0))
+        assert math.isfinite(kernels.penalty_sat(2.0, 2.0))
 
 
 class TestCost:
@@ -99,19 +95,19 @@ class TestCost:
 
     def test_frozen_value(self):
         # x^T x = 2, W(1) ~ 1.046496, c_bar^2 |du|^2 = 1
-        _, got = law_pair(iadp_law(), [1.0, 1.0], [1.0], du=[0.5])
+        _, got = law_pair(iadp_law(), [1.0, 1.0], 1.0, du=0.5)
         assert got == pytest.approx(2.0 + 1.0464963 + 1.0, abs=1e-6)
 
     def test_zero_at_rest(self):
         law = iadp_law(CostConfig(Q=np.eye(2)))
-        assert law_pair(law, [0.0, 0.0], [0.0], du=[0.0])[1] == 0.0
+        assert law_pair(law, [0.0, 0.0], 0.0, du=0.0)[1] == 0.0
 
     def test_nonnegative(self, rng):
         law = iadp_law()
         for _ in range(100):
             x = rng.uniform(-3, 3, 2)
-            u0 = rng.uniform(-1.0, 1.0, 1)
-            du = rng.uniform(-0.9, 0.9, 1)
+            u0 = rng.uniform(-1.0, 1.0)
+            du = rng.uniform(-0.9, 0.9)
             assert law_pair(law, x, u0 + du, du=du)[1] >= 0.0
 
     def test_config_validation(self):
@@ -127,26 +123,26 @@ class TestCost:
 
 class TestRegressor:
     def test_incremental_form(self):
-        g_bar = np.array([[0.0], [0.1]])
-        du = [0.5]
+        g_bar = np.array([0.0, 0.1])
+        du = 0.5
         x0dot = np.array([-2.0, -4.0])
-        got, _ = law_pair(iadp_law(), [2.0, -2.0], [0.5], du=du, x0dot=x0dot)
+        got, _ = law_pair(iadp_law(), [2.0, -2.0], 0.5, du=du, x0dot=x0dot)
         gphi = gphi_t([2.0, -2.0]).T
-        assert np.allclose(got, gphi @ (g_bar @ np.array(du) + x0dot), atol=0)
+        assert np.allclose(got, gphi @ (g_bar * du + x0dot), atol=0)
 
     def test_baseline_form(self, rng):
         cost = CostConfig(Q=np.eye(2))
-        g, k = np.array([[0.0], [0.25]]), np.array([[1.0], [-0.2]])
+        g, k = (0.0, 0.25), (1.0, -0.2)
         x = rng.uniform(-2, 2, 2)
         xdot = rng.uniform(-5, 5, 2)
         gphi = gphi_t(x).T
         for law in (ZsadpLaw(g, k, 1.0, cost), TadpLaw(g, k, 0.1, cost)):
-            got, _ = law_pair(law, x, [0.0], xdot=xdot, aux=np.zeros(1))
+            got, _ = law_pair(law, x, 0.0, xdot=xdot, aux=0.0)
             assert np.allclose(got, gphi @ xdot, atol=0)
 
     def test_linear_in_du(self, rng):
         law = iadp_law()
         x0dot = rng.uniform(-1, 1, 2)
-        y0, y1, y2 = (law_pair(law, [1.0, 0.5], [0.0], du=[du], x0dot=x0dot)[0]
+        y0, y1, y2 = (law_pair(law, [1.0, 0.5], 0.0, du=du, x0dot=x0dot)[0]
                       for du in (0.0, 1.0, 2.0))
         assert np.allclose(y2 - y1, y1 - y0, atol=1e-12)

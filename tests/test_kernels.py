@@ -8,7 +8,9 @@ expression over absolute values.
 
 The generated linear-algebra kernels and basis gradient are also checked
 bit for bit against loop forms of the same arithmetic, on every shape up to
-8 and on entries that include +-0, +-inf, nan and subnormals.
+8 and on entries that include +-0, +-inf, nan and subnormals; so are the
+one-input saturated_control and penalty_sat, against the per-input loops
+they replaced.
 """
 
 import functools
@@ -32,7 +34,7 @@ GAMMA = 1e-4 * np.eye(6)
 states = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).map(np.array)
 weights = st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6).map(np.array)
 controls = st.floats(-2.0, 2.0)
-gains = st.floats(0.05, 0.5).map(lambda g: np.array([[0.0], [g]]))
+gains = st.floats(0.05, 0.5).map(lambda g: np.array([0.0, g]))
 regressors = st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6)
 
 
@@ -52,8 +54,8 @@ def grad_reference(x):
         for j in range(2)])
 
 
-def control_reference(gmat, gphi_t, w, beta):
-    u = -beta * np.tanh(gmat.T @ (gphi_t @ w) / (2.0 * beta))
+def control_reference(g, gphi_t, w, beta):
+    u = -beta * np.tanh(g @ (gphi_t @ w) / (2.0 * beta))
     return np.clip(u, -(beta - 1e-12), beta - 1e-12)
 
 
@@ -90,21 +92,21 @@ def test_monomial_grad_generic_exponents():
     assert np.allclose(got, expect, rtol=1e-15, atol=0)
 
 
-@given(x=states, w=weights, gmat=gains)
-def test_saturated_control_parity(x, w, gmat):
+@given(x=states, w=weights, g=gains)
+def test_saturated_control_parity(x, w, g):
     beta = 2.0
     gphi_t = grad_reference(x)
-    ref = control_reference(gmat, gphi_t, w, beta)
-    scale = 0.5 * np.abs(gmat).T @ (np.abs(gphi_t) @ np.abs(w))
+    ref = control_reference(g, gphi_t, w, beta)
+    scale = 0.5 * np.abs(g) @ (np.abs(gphi_t) @ np.abs(w))
     got = kernels.saturated_control(
-        gmat, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w), beta)
+        g, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w), beta)
     assert close(got, ref, scale)
 
 
 @given(v=controls)
 def test_penalty_parity(v):
     beta = 2.0
-    assert close(kernels.penalty_sat([v], beta), penalty_reference([v], beta))
+    assert close(kernels.penalty_sat(v, beta), penalty_reference(v, beta))
 
 
 @given(w=weights, Y=regressors, theta=st.floats(-5.0, 5.0),
@@ -197,8 +199,8 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
     x = (1e200, -1e200)
     gphi_t = kernels.monomial_grad(PARTIALS, x)
     assert not np.all(np.isfinite(gphi_t))
-    u = kernels.saturated_control([[0.0], [0.1]], kernels.matvec(gphi_t, w), 2.0)
-    assert np.isnan(u[0])  # inf - inf inside grad_phi^T w
+    u = kernels.saturated_control((0.0, 0.1), kernels.matvec(gphi_t, w), 2.0)
+    assert np.isnan(u)  # inf - inf inside grad_phi^T w
     Y = [1e4] * 6
     M, b = gram([Y] * 8, [1.0] * 8)
     got = kernels.weight_derivative_kernel(w, Y, 1.0 + kernels.dot(w, Y), M, b,
@@ -215,13 +217,13 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
 def test_saturation_clamped_off_boundary():
     # huge weights drive tanh to 1 in float64; the clamp keeps |u| < beta
     gphi_t = kernels.monomial_grad(PARTIALS, (2.0, -2.0))
-    u = kernels.saturated_control([[0.0], [0.1]], kernels.matvec(gphi_t, [1e9] * 6), 2.0)
+    u = kernels.saturated_control((0.0, 0.1), kernels.matvec(gphi_t, [1e9] * 6), 2.0)
     assert np.all(np.abs(u) <= 2.0 - 1e-12)
     assert np.all(np.abs(u) > 1.99)
 
 
 def test_penalty_finite_at_boundary():
-    assert np.isfinite(kernels.penalty_sat([2.0], 2.0))
+    assert np.isfinite(kernels.penalty_sat(2.0, 2.0))
 
 
 # Loop forms of the generated kernels: the same products and sums, in the
@@ -311,6 +313,56 @@ def test_matvec_vecmat_bitwise(data):
     v, u = data.draw(vectors(C)), data.draw(vectors(R))
     assert bits(kernels.matvec(rows, v)) == bits(matvec_loop(rows, v))
     assert bits(kernels.vecmat(u, rows)) == bits(vecmat_loop(u, rows))
+    assert bits([kernels.dot(rows[0], v)]) == bits([seqsum(map(mul, rows[0], v))])
+
+
+def test_dot_sums_in_index_order():
+    # a compensated sum, as the built-in is from Python 3.12, gives 1.0
+    assert kernels.dot([1e16, 1.0, -1e16], [1.0] * 3) == 0.0
+
+
+# The per-input loops the scalar saturated_control and penalty_sat replaced,
+# kept as their references; the input column's dot product is seqsum, the
+# built-in sum they called, as it adds on Python 3.11.
+
+def saturated_control_loop(gmat, v, beta):
+    scale = 2.0 * beta
+    lim = beta - kernels.SATURATION_MARGIN
+    u = []
+    for col in zip(*gmat):
+        z = seqsum(map(mul, col, v))
+        uj = -beta * math.tanh(z / scale)
+        if uj > lim:
+            uj = lim
+        elif uj < -lim:
+            uj = -lim
+        u.append(uj)
+    return u
+
+
+def penalty_sat_loop(v, beta):
+    total = 0.0
+    for vj in v:
+        s = vj / beta
+        if s > 1.0 - kernels.ATANH_MARGIN:
+            s = 1.0 - kernels.ATANH_MARGIN
+        elif s < -1.0 + kernels.ATANH_MARGIN:
+            s = -1.0 + kernels.ATANH_MARGIN
+        total += beta * beta * (2.0 * s * math.atanh(s) + math.log1p(-s * s))
+    return total
+
+
+@given(st.data())
+def test_scalar_input_kernels_bitwise(data):
+    # bits tells -0.0 from 0.0, so zero signs must match too
+    n = data.draw(SIZES)
+    g, v = data.draw(vectors(n)), data.draw(vectors(n))
+    u = data.draw(ENTRIES)
+    beta = data.draw(st.one_of(st.just(2.0), st.floats(1e-3, 1e3)))
+    column = [[gi] for gi in g]
+    assert bits([kernels.saturated_control(g, v, beta)]) == \
+        bits(saturated_control_loop(column, v, beta))
+    assert bits([kernels.penalty_sat(u, beta)]) == bits([penalty_sat_loop([u], beta)])
 
 
 @given(st.data())

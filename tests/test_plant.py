@@ -7,7 +7,7 @@ from iadp import kernels
 from iadp.plant import (ConfigurationError, DisturbanceSignal, Event, NoiseSpec,
                         NoiseState, World, add_measurement_noise, apply_event_schedule,
                         pendulum_nominal, pendulum_reset_mild)
-from iadp.sim import SimConfig, run_episode
+from iadp.sim import SimConfig
 
 NOMINAL = pendulum_nominal().params
 NO_D = DisturbanceSignal().packed()
@@ -32,16 +32,15 @@ class TestEvalDynamics:
 
     def test_dimension_mismatch(self):
         # consistent set-ups with 3 states, or with 2 inputs, against the
-        # plant's (n, m) = (2, 1) are refused before the first step
-        three_states = SimConfig(
+        # plant's (n, m) = (2, 1) are refused by the config
+        three_states = dict(
             basis_exponents=np.array([[2, 0, 0], [1, 1, 0], [0, 2, 0],
                                       [0, 0, 2], [1, 0, 1], [0, 1, 1]]),
             x0=np.array([2.0, -2.0, 0.0]), g_bar=[[0.0], [0.1], [0.0]], Q=1.0, t_end=1.0)
-        two_inputs = SimConfig(g_bar=[[1.0, 0.0], [0.0, 0.1]], t_end=1.0)
-        for cfg, sizes in ((three_states, r"\(3, 1\)"), (two_inputs, r"\(2, 2\)")):
-            world = World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec())
+        two_inputs = dict(g_bar=[[1.0, 0.0], [0.0, 0.1]], t_end=1.0)
+        for kwargs, sizes in ((three_states, r"\(3, 1\)"), (two_inputs, r"\(2, 2\)")):
             with pytest.raises(ConfigurationError, match=sizes):
-                run_episode(cfg, world)
+                SimConfig(**kwargs)
 
     def test_affine_in_u(self, rng):
         # d = 0.3 on [0, 1)

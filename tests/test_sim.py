@@ -23,7 +23,7 @@ def accumulate_metrics(log: TrajectoryLog) -> Metrics:
     """Trapezoidal running integrals of ||u||^2 and ||x||^2 over the log: the
     oracle for the engine's in-loop E_u and E_x."""
     dt = np.diff(log.t)
-    u_sq = np.sum(log.u * log.u, axis=1)
+    u_sq = log.u * log.u
     x_sq = np.sum(log.x_true * log.x_true, axis=1)
     E_u = np.concatenate([[0.0], np.cumsum(0.5 * dt * (u_sq[:-1] + u_sq[1:]))])
     E_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (x_sq[:-1] + x_sq[1:]))])
@@ -106,7 +106,7 @@ class TestEpisode:
         S = 2001
         assert log.rows() == S
         assert log.x_true.shape == (S, 2)
-        assert log.u.shape == (S, 1)
+        assert log.u.shape == (S,)
         assert log.w.shape == (S, 6)
         assert log.t[0] == 0.0 and log.t[-1] == pytest.approx(2.0)
 
@@ -159,7 +159,7 @@ class TestEpisode:
         # xi = g_bar^+ dx_dot - du on the backward-difference xdot of rows 1..
         xdot = (log.x_meas[1:] - log.x_meas[:-1]) / SimConfig().dt
         g_bar_pinv = np.linalg.pinv(SimConfig().g_bar)
-        xi = (xdot[1:] - xdot[:-1]) @ g_bar_pinv.T - log.du[2:]
+        xi = (xdot[1:] - xdot[:-1]) @ g_bar_pinv[0] - log.du[2:]
         assert np.allclose(log.xi[2:], xi, rtol=1e-12, atol=1e-12)
 
     @staticmethod

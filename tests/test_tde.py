@@ -43,7 +43,7 @@ class TestIncrements:
         original = IadpLaw.pair
 
         def record(law, x, u, xdot, du, x0dot, gphi_t, aux):
-            seen.append((list(x), list(xdot), list(du), list(x0dot)))
+            seen.append((list(x), list(xdot), du, list(x0dot)))
             return original(law, x, u, xdot, du, x0dot, gphi_t, aux)
 
         monkeypatch.setattr(IadpLaw, "pair", record)
@@ -55,16 +55,16 @@ class TestIncrements:
             assert x == list(xm[i])
             assert xdot == backward_difference(xm[i - 1], xm[i], cfg.dt)
             assert x0dot == backward_difference(xm[i - 2], xm[i - 1], cfg.dt)
-            assert du == list(log.u[i] - log.u[i - 1])
+            assert du == log.u[i] - log.u[i - 1]
 
     def test_xi_zero_when_model_exact(self):
         # dx_dot = g_bar du  =>  xi = 0
-        assert np.allclose(tde_error([0.0, 0.05], [0.5], self.make_cfg()), [0.0],
+        assert np.allclose(tde_error([0.0, 0.05], 0.5, self.make_cfg()), 0.0,
                            atol=1e-14)
 
     def test_xi_frozen_value(self):
-        # dx_dot = [0, 0.2], du = [1]: xi = 0.2/0.1 - 1 = 1
-        assert np.allclose(tde_error([0.0, 0.2], [1.0], self.make_cfg()), [1.0],
+        # dx_dot = [0, 0.2], du = 1: xi = 0.2/0.1 - 1 = 1
+        assert np.allclose(tde_error([0.0, 0.2], 1.0, self.make_cfg()), 1.0,
                            atol=1e-12)
 
     def test_rank_deficient_gbar_rejected(self):
@@ -73,6 +73,6 @@ class TestIncrements:
 
     def test_pinv_left_inverse(self):
         cfg = self.make_cfg()
-        assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar), np.eye(1),
+        assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar), 1.0,
                            atol=1e-14)
 
