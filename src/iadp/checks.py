@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from . import kernels
 from .critic import BasisSet
-from .learner import ExperienceBuffer, LearnerGains, try_insert
+from .learner import ExperienceBuffer, try_insert
 from .plant import DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise, \
     pendulum_nominal
 from .scenarios import run_scenario
@@ -117,7 +117,7 @@ def check_lip_identity(rng):
 
 
 def check_update_gradient(rng):
-    gains = LearnerGains(1e-4 * np.eye(6))
+    cfg = SimConfig()  # the benchmark gains
     worst = 0.0
     for _ in range(20):
         buf = ExperienceBuffer(8, 6)
@@ -126,12 +126,12 @@ def check_update_gradient(rng):
         w = rng.uniform(-3, 3, 6)
         Y, theta = rng.uniform(-5, 5, 6), rng.uniform(-1, 5)
         wdot = np.array(kernels.weight_derivative_kernel(
-            w, Y, theta + w @ Y, buf.M, buf.b, gains.Gamma, gains.k_c, gains.k_e))
+            w, Y, theta + w @ Y, buf.M, buf.b, cfg.Gamma, cfg.k_c, cfg.k_e))
 
         def energy(wv):
-            e = 0.5 * gains.k_c * (theta + wv @ Y) ** 2
+            e = 0.5 * cfg.k_c * (theta + wv @ Y) ** 2
             for l in range(len(buf)):
-                e += 0.5 * gains.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
+                e += 0.5 * cfg.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
             return e
 
         h = 1e-6
@@ -140,7 +140,7 @@ def check_update_gradient(rng):
             e = np.zeros(6)
             e[j] = h
             grad[j] = (energy(w + e) - energy(w - e)) / (2 * h)
-        expect = -gains.Gamma @ grad
+        expect = -cfg.Gamma @ grad
         worst = max(worst, float(np.max(np.abs(wdot - expect))
                                  / max(np.max(np.abs(expect)), 1e-9)))
     return worst < 1e-6, f"max gradient-identity rel err {worst:.2e}"

@@ -14,7 +14,7 @@ such as |u| > beta, reported with its time and values).
 
 import argparse
 import contextlib
-import copy
+import dataclasses
 import itertools
 import math
 import operator
@@ -173,19 +173,20 @@ def read_config_file(path) -> dict:
 
 
 def parse_config(path=None, overrides: dict | None = None) -> SimConfig:
-    """Resolve a SimConfig from an optional file plus override pairs."""
+    """Resolve a SimConfig from an optional file plus override pairs: each
+    key is coerced to its field's type, and the fields go to one SimConfig
+    construction, which checks them; a key left out keeps its default."""
     raw = read_config_file(path) if path else {}
     for k, v in (overrides or {}).items():
         raw[k] = _parse_value(v) if isinstance(v, str) else v
 
-    cfg = SimConfig()
+    values = {}
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         field_name, kind = CONFIG_KEYS[key]
-        setattr(cfg, field_name, _coerce(key, kind, value))
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
+        values[field_name] = _coerce(key, kind, value)
+    return SimConfig(**values)
 
 
 def config_dict(cfg: SimConfig) -> dict:
@@ -298,9 +299,7 @@ def cmd_compare(args) -> int:
     results = {}
     csvs = []
     for ctrl in ("iadp", "zsadp", "tadp"):
-        c = copy.deepcopy(cfg)
-        c.controller = ctrl
-        log = run_scenario(c)
+        log = run_scenario(dataclasses.replace(cfg, controller=ctrl))
         results[ctrl] = log
         csv_path = out / f"{cfg.scenario}_{ctrl}_seed{cfg.seed}.csv"
         write_csv(log, csv_path)
@@ -314,8 +313,10 @@ def cmd_compare(args) -> int:
                        f"{int(log.diverged)},{dt_at}")
     iadp_eu = results["iadp"].E_u[-1]
     for base in ("zsadp", "tadp"):
-        summary.append(f"# E_u ratio {base}/iadp: "
-                       f"{results[base].E_u[-1] / iadp_eu:.4g}")
+        # iadp's E_u is 0 when its u stays 0 (inside warm-up, say): inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = results[base].E_u[-1] / iadp_eu
+        summary.append(f"# E_u ratio {base}/iadp: {ratio:.4g}")
     spath = out / f"{cfg.scenario}_compare_seed{cfg.seed}.csv"
     spath.write_text("\n".join(summary) + "\n")
     write_manifest(cfg, out / f"{cfg.scenario}_compare_seed{cfg.seed}.manifest",

@@ -59,7 +59,7 @@ class IadpLaw(_Law):
     def __init__(self, imc: IncrementalModelConfig, cost: CostConfig):
         super().__init__(cost)
         self.g_bar = imc.g_bar
-        self.c_bar2 = cost.c_bar ** 2
+        self.c_bar2 = cost.c_bar * cost.c_bar
 
     def control(self, gphi_t, w):
         return kernels.saturated_control(
@@ -94,7 +94,7 @@ class ZsadpLaw(_BaselineLaw):
 
     def __init__(self, g, k, gamma: float, cost: CostConfig):
         self.gamma = gamma
-        self.d_scale = 2.0 * gamma ** 2
+        self.d_scale = 2.0 * (gamma * gamma)
         super().__init__(g, k, cost)
 
     def aux(self, v):

@@ -73,7 +73,8 @@ class CostConfig:
             raise ConfigurationError("Q must be symmetric")
         if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
             raise ConfigurationError("Q must be positive definite")
-        if not self.beta > 0.0:
-            raise ConfigurationError("beta must be > 0")
+        # the control is clamped to |u| <= beta - SATURATION_MARGIN
+        if not self.beta > kernels.SATURATION_MARGIN:
+            raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r}")
         if not self.c_bar > 0.0:
             raise ConfigurationError("c_bar must be > 0")

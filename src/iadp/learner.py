@@ -8,7 +8,8 @@ where that raises sigma_min; the engine decides when to offer one.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
-every call. ``step_weights`` integrates that law one step.
+every call. ``step_weights`` integrates that law one step. The law's gains
+Gamma, k_c and k_e, like dt, are ``SimConfig`` fields and checked there.
 """
 
 import math
@@ -17,27 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .plant import ConfigurationError
 
 
 @dataclass
 class RankReport:
     rank: int
     sigma_min: float
-
-
-@dataclass
-class LearnerGains:
-    Gamma: np.ndarray
-    k_c: float = 5.0
-    k_e: float = 3.0
-
-    def __post_init__(self):
-        self.Gamma = np.asarray(self.Gamma, dtype=float)
-        if not np.allclose(self.Gamma, self.Gamma.T) or np.linalg.eigvalsh(self.Gamma)[0] <= 0:
-            raise ConfigurationError("Gamma must be symmetric positive definite")
-        if not (self.k_c > 0 and self.k_e > 0):
-            raise ConfigurationError("k_c and k_e must be > 0")
 
 
 class ExperienceBuffer:
@@ -111,8 +97,6 @@ def step_weights(w, wdot, dt: float) -> tuple[list, bool]:
     A non-finite entry means the critic has diverged: it comes back zeroed,
     so the logged weights stay finite, and ``finite`` is False.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be > 0")
     out = [wi + dt * di for wi, di in zip(w, wdot)]
     if all(map(math.isfinite, out)):
         return out, True

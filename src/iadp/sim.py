@@ -19,7 +19,7 @@ from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet, CostConfig
 from .kernels import disturbance_value
-from .learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
+from .learner import ExperienceBuffer, step_weights, try_insert
 from .plant import (ConfigurationError, ControlAffinePlant, NoiseState, World,
                     add_measurement_noise, apply_event_schedule)
 from .tde import IncrementalModelConfig
@@ -34,7 +34,10 @@ XDOT_SOURCES = ("backward_difference", "ground_truth")
 
 @dataclass
 class SimConfig:
-    """Fully resolved episode configuration (benchmark defaults).
+    """Fully resolved episode configuration (benchmark defaults), checked
+    once, here: a config the loop cannot run raises ConfigurationError, and
+    no field is assigned after construction (a variant is a
+    ``dataclasses.replace`` copy).
 
     ``Q`` and ``Gamma`` may be given as a scalar c, which stands for c times
     the identity of the basis's state size n and basis size N.
@@ -82,6 +85,8 @@ class SimConfig:
         # aux divides by 2 gamma^2 and 2 rho; a negative gamma flips the game
         if not (self.gamma > 0 and self.rho > 0):
             raise ConfigurationError("zsadp.gamma and tadp.rho must be > 0")
+        if not 2.0 * (self.gamma * self.gamma) > 0:
+            raise ConfigurationError(f"zsadp.gamma = {self.gamma!r}: 2 gamma^2 underflows to 0")
         basis = BasisSet(self.basis_exponents)
         n = basis.n
         if np.ndim(self.Q) == 0:
@@ -90,9 +95,13 @@ class SimConfig:
             self.Gamma = float(self.Gamma) * np.eye(basis.N)
         if CostConfig(self.Q, self.beta, self.c_bar).Q.shape != (n, n):
             raise ConfigurationError(f"Q must be {n}x{n}")
-        if np.shape(self.Gamma) != (basis.N, basis.N):
+        self.Gamma = np.asarray(self.Gamma, dtype=float)
+        if self.Gamma.shape != (basis.N, basis.N):
             raise ConfigurationError("learner.Gamma shape does not match basis size")
-        LearnerGains(self.Gamma, self.k_c, self.k_e)
+        if not np.allclose(self.Gamma, self.Gamma.T) or np.linalg.eigvalsh(self.Gamma)[0] <= 0:
+            raise ConfigurationError("Gamma must be symmetric positive definite")
+        if not (self.k_c > 0 and self.k_e > 0):
+            raise ConfigurationError("k_c and k_e must be > 0")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
@@ -162,8 +171,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
     N, n = basis.N, basis.n
     cost = CostConfig(cfg.Q, cfg.beta, cfg.c_bar)
     imc = IncrementalModelConfig(cfg.g_bar)
-    gains = LearnerGains(cfg.Gamma, cfg.k_c, cfg.k_e)
-    gamma = gains.Gamma.tolist()
+    gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
     buf = ExperienceBuffer(cfg.buffer_size, N)
 
     # the baselines' model: the true g and k as columns, kept through plant swaps
@@ -271,7 +279,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
                 Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
                 theta_tilde = theta + kernels.dot(w, Y)
                 wdot = kernels.weight_derivative_kernel(
-                    w, Y, theta_tilde, buf.M, buf.b, gamma, gains.k_c, gains.k_e)
+                    w, Y, theta_tilde, buf.M, buf.b, gamma, k_c, k_e)
                 w, finite = step_weights(w, wdot, dt)
                 if not finite:
                     log.diverged = True

@@ -27,7 +27,11 @@ class IncrementalModelConfig:
             raise ConfigurationError("g_bar must have full column rank")
         self.g_bar = tuple(g[:, 0].tolist())
         # pinv, not g / (g . g): the closed form rounds 1/0.1 to 9.999999999999998
-        self.g_bar_pinv = tuple(np.linalg.pinv(g)[0].tolist())
+        with np.errstate(all="ignore"):  # 1/sigma overflows for a subnormal g_bar
+            pinv = np.linalg.pinv(g)[0]
+        if not np.all(np.isfinite(pinv)):
+            raise ConfigurationError(f"g_bar^+ of g_bar = {self.g_bar} is not finite")
+        self.g_bar_pinv = tuple(pinv.tolist())
 
 
 def backward_difference(x_prev, x, dt: float) -> list:

@@ -14,7 +14,7 @@ from conftest import cached_run, monomials
 from iadp import kernels
 from iadp.cli import main
 from iadp.critic import BasisSet
-from iadp.learner import ExperienceBuffer, LearnerGains, try_insert
+from iadp.learner import ExperienceBuffer, try_insert
 from iadp.plant import DisturbanceSignal, pendulum_nominal
 
 CONTROLLERS = ("iadp", "zsadp", "tadp")
@@ -101,7 +101,7 @@ def test_c03_weight_convergence_oracle():
 
 def test_c04_update_law_gradient_identity():
     rng = np.random.default_rng(4)
-    gains = LearnerGains(1e-4 * np.eye(6))
+    Gamma, k_c, k_e = 1e-4 * np.eye(6), 5.0, 3.0
     worst = 0.0
     for _ in range(50):
         buf = ExperienceBuffer(8, 6)
@@ -110,18 +110,18 @@ def test_c04_update_law_gradient_identity():
         w = rng.uniform(-3, 3, 6)
         Y, theta = rng.uniform(-5, 5, 6), rng.uniform(-1, 5)
         wdot = np.array(kernels.weight_derivative_kernel(
-            w, Y, theta + w @ Y, buf.M, buf.b, gains.Gamma, gains.k_c, gains.k_e))
+            w, Y, theta + w @ Y, buf.M, buf.b, Gamma, k_c, k_e))
 
         def energy(wv):
-            e = 0.5 * gains.k_c * (theta + wv @ Y) ** 2
+            e = 0.5 * k_c * (theta + wv @ Y) ** 2
             for l in range(len(buf)):
-                e += 0.5 * gains.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
+                e += 0.5 * k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
             return e
 
         h = 1e-6
         grad = np.array([(energy(w + h * e) - energy(w - h * e)) / (2 * h)
                          for e in np.eye(6)])
-        expect = -gains.Gamma @ grad
+        expect = -Gamma @ grad
         worst = max(worst, float(np.max(np.abs(wdot - expect))
                                  / max(np.max(np.abs(expect)), 1e-9)))
     report(4, "update-law-gradient-identity", worst < 1e-6,

@@ -319,6 +319,38 @@ class TestMain:
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("override, refused", [
+        # the clamp beta - 1e-12 is <= 0, so u is 0 or breaks the invariant
+        ("cost.beta=1e-13", True), ("cost.beta=1e-12", True),
+        # 2 gamma^2 underflows to 0, and ZSADP's aux divides by it
+        ("zsadp.gamma=1e-163", True), ("zsadp.gamma=-1", True),
+        # g_bar^+ overflows to (nan, inf)
+        ("tde.g_bar=[[0],[1e-320]]", True),
+        ("cost.beta=2e-12", False), ("cost.beta=1e300", False),
+        ("zsadp.gamma=1e-160", False), ("zsadp.gamma=1e300", False),
+        ("tadp.rho=5e-324", False), ("tadp.rho=1e300", False),
+        ("cost.c_bar=5e-324", False), ("cost.c_bar=1e300", False),
+        ("learner.k_c=5e-324", False), ("learner.k_c=1e300", False),
+        ("learner.k_e=1e300", False),
+        ("learner.Gamma=1e300", False), ("learner.Gamma=5e-324", False),
+        ("cost.Q=1e300", False), ("cost.Q=5e-324", False),
+        ("init.x0=[1e300,-1e300]", False), ("tde.g_bar=[[0],[1e-300]]", False),
+    ])
+    def test_every_accepted_config_runs(self, tmp_path, capsys, override, refused):
+        # a configuration is refused at parse time with one line, or every
+        # command runs it to an end (completed or diverged) with no traceback,
+        # engine fault or warning; numpy warnings are errors under tier-1
+        for argv in (["compare"], ["run", "--controller", "zero"],
+                     ["run", "--xdot-source", "ground_truth"]):
+            rc = main([*argv, "--scenario", "s1", "--t-end", "0.05",
+                       "--override", override, "--out-dir", str(tmp_path)])
+            err = capsys.readouterr().err
+            if refused:
+                assert rc == 1 and err.startswith("config error: ") \
+                    and len(err.splitlines()) == 1, (argv, rc, err)
+            else:
+                assert rc in (0, 2) and err == "", (argv, rc, err)
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "s9"],
         ["run", "--seed", "one"],

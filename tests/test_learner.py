@@ -5,28 +5,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iadp import kernels
-from iadp.learner import ExperienceBuffer, LearnerGains, step_weights, try_insert
+from iadp.learner import ExperienceBuffer, step_weights, try_insert
 from iadp.plant import ConfigurationError
+from iadp.sim import SimConfig
 
 
-def wdot(w, Y, theta, buf, gains):
+def wdot(w, Y, theta, buf, Gamma, k_c=5.0, k_e=3.0):
     """The engine's update law at w for the current pair (Y, theta)."""
     return np.array(kernels.weight_derivative_kernel(
-        w, Y, theta + np.dot(w, Y), buf.M, buf.b, gains.Gamma, gains.k_c, gains.k_e))
+        w, Y, theta + np.dot(w, Y), buf.M, buf.b, Gamma, k_c, k_e))
 
 
 class TestGains:
+    # the update law's gains are SimConfig fields, checked at construction
     def test_defaults(self):
-        g = LearnerGains(1e-4 * np.eye(6))
-        assert g.k_c == 5.0 and g.k_e == 3.0
+        cfg = SimConfig()
+        assert np.array_equal(cfg.Gamma, 1e-4 * np.eye(6))
+        assert cfg.k_c == 5.0 and cfg.k_e == 3.0
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LearnerGains(np.array([[1.0, 0.2], [0.0, 1.0]]))
-        with pytest.raises(ConfigurationError):
-            LearnerGains(-np.eye(3))
-        with pytest.raises(ConfigurationError):
-            LearnerGains(np.eye(3), k_c=0.0)
+        skew = np.eye(6)
+        skew[0, 1] = 0.2
+        with pytest.raises(ConfigurationError, match="Gamma must be symmetric positive definite"):
+            SimConfig(Gamma=skew)
+        with pytest.raises(ConfigurationError, match="Gamma must be symmetric positive definite"):
+            SimConfig(Gamma=-np.eye(6))
+        with pytest.raises(ConfigurationError, match="k_c and k_e must be > 0"):
+            SimConfig(k_c=0.0)
 
 
 class TestBuffer:
@@ -132,21 +137,19 @@ class TestUpdateLaw:
     def test_weight_derivative_frozen(self):
         # scalar case, empty buffer: wdot = -Gamma k_c Y (Theta + w Y)
         # = -1 * 5 * 2 * (0.4 + 0.1*2) = -6
-        gains = LearnerGains(np.eye(1), k_c=5.0, k_e=3.0)
         buf = ExperienceBuffer(2, 1)
-        assert wdot([0.1], [2.0], 0.4, buf, gains)[0] == pytest.approx(-6.0, abs=1e-12)
+        assert wdot([0.1], [2.0], 0.4, buf, np.eye(1))[0] == pytest.approx(-6.0, abs=1e-12)
 
     def test_replay_term(self):
-        gains = LearnerGains(np.eye(1), k_c=5.0, k_e=3.0)
         buf = ExperienceBuffer(2, 1)
         try_insert(buf, [1.0], 0.5)  # replay residual at w=0.1: 0.6
         # a zero current regressor leaves only the replay term
-        got = wdot([0.1], [0.0], 0.0, buf, gains)[0]
+        got = wdot([0.1], [0.0], 0.0, buf, np.eye(1))[0]
         assert got == pytest.approx(-3.0 * 1.0 * 0.6, abs=1e-12)
 
     def test_is_gradient_flow(self, rng):
         # wdot must equal -Gamma * grad of the summed half-squared residuals
-        gains = LearnerGains(1e-4 * np.eye(5), k_c=5.0, k_e=3.0)
+        Gamma, k_c, k_e = 1e-4 * np.eye(5), 5.0, 3.0
         buf = ExperienceBuffer(4, 5)
         for _ in range(4):
             try_insert(buf, rng.uniform(-3, 3, 5), rng.uniform(0, 4))
@@ -154,27 +157,27 @@ class TestUpdateLaw:
         w = rng.uniform(-2, 2, 5)
 
         def energy(wv):
-            e = 0.5 * gains.k_c * (theta + wv @ Y) ** 2
+            e = 0.5 * k_c * (theta + wv @ Y) ** 2
             for l in range(len(buf)):
-                e += 0.5 * gains.k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
+                e += 0.5 * k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
             return e
 
         h = 1e-6
         grad = np.array([(energy(w + h * e) - energy(w - h * e)) / (2 * h)
                          for e in np.eye(5)])
-        assert np.allclose(wdot(w, Y, theta, buf, gains),
-                           -gains.Gamma @ grad, rtol=1e-6, atol=1e-12)
+        assert np.allclose(wdot(w, Y, theta, buf, Gamma, k_c, k_e),
+                           -Gamma @ grad, rtol=1e-6, atol=1e-12)
 
     def test_fixed_point(self, rng):
         # if every residual is zero at w, the derivative vanishes
-        gains = LearnerGains(1e-4 * np.eye(3))
+        Gamma = 1e-4 * np.eye(3)
         w = rng.uniform(-1, 1, 3)
         buf = ExperienceBuffer(2, 3)
         for _ in range(2):
             Y = rng.uniform(-2, 2, 3)
             try_insert(buf, Y, float(-w @ Y))
         Yc = rng.uniform(-2, 2, 3)
-        assert np.allclose(wdot(w, Yc, float(-w @ Yc), buf, gains), 0.0, atol=1e-15)
+        assert np.allclose(wdot(w, Yc, float(-w @ Yc), buf, Gamma), 0.0, atol=1e-15)
 
 
 class TestStep:
@@ -187,7 +190,3 @@ class TestStep:
         out, finite = step_weights(np.array([1.0, 2.0]), np.array([np.inf, 1.0]), 0.1)
         assert not finite
         assert np.array_equal(out, [0.0, 2.1])
-
-    def test_bad_dt(self):
-        with pytest.raises(ConfigurationError):
-            step_weights(np.array([1.0]), np.array([1.0]), 0.0)
