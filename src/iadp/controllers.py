@@ -53,13 +53,13 @@ class ZeroLaw:
 class IadpLaw(_Law):
     """u = -beta tanh(g_bar . grad_phi^T w / (2 beta)).
 
-    Y = grad_phi (g_bar du + x0dot); Theta = x^T Q x + W(u) + c_bar^2 du^2.
+    Y = grad_phi (g_bar du + x0dot); Theta = x^T Q x + W(u) + (c_bar du)^2.
     """
 
     def __init__(self, imc: IncrementalModelConfig, cost: CostConfig):
         super().__init__(cost)
         self.g_bar = imc.g_bar
-        self.c_bar2 = cost.c_bar * cost.c_bar
+        self.c_bar = cost.c_bar
 
     def control(self, gphi_t, w):
         return kernels.saturated_control(
@@ -67,7 +67,8 @@ class IadpLaw(_Law):
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
         a = [du * g + x0 for g, x0 in zip(self.g_bar, x0dot)]
-        return kernels.vecmat(a, gphi_t), self._cost(x, u) + self.c_bar2 * (du * du)
+        cdu = self.c_bar * du
+        return kernels.vecmat(a, gphi_t), self._cost(x, u) + cdu * cdu
 
 
 class _BaselineLaw(_Law):

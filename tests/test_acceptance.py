@@ -1,4 +1,5 @@
-"""Acceptance suite: one test and one printed PASS/FAIL line per criterion.
+"""Acceptance suite: one test and one printed PASS/FAIL line per criterion,
+plus a test that the oracle criteria fail when a kernel they check is broken.
 
 The long closed-loop episodes are shared through conftest.cached_run, so the
 whole module costs a handful of full 80 s runs rather than one per test.
@@ -8,13 +9,10 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from conftest import cached_run, monomials
-from iadp import kernels
+from conftest import cached_run
+from iadp import checks, kernels
 from iadp.cli import main
-from iadp.critic import BasisSet
-from iadp.learner import ExperienceBuffer, try_insert
 from iadp.plant import DisturbanceSignal, pendulum_nominal
 
 CONTROLLERS = ("iadp", "zsadp", "tadp")
@@ -42,33 +40,15 @@ def report(idx, name, ok, detail):
 
 
 def test_c01_basis_gradient_oracle():
-    basis = BasisSet.default()
-    rng = np.random.default_rng(1)
-    h = 1e-6
-    worst = 0.0
-    for _ in range(200):
-        x = rng.uniform(-3, 3, 2)
-        x *= min(1.0, 3.0 / max(np.linalg.norm(x), 1e-12))
-        g = np.array(kernels.monomial_grad(basis.partials, x)).T
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd = (monomials(x + e) - monomials(x - e)) / (2 * h)
-            denom = np.maximum(np.abs(g[:, j]), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - g[:, j]) / denom)))
-    report(1, "basis-gradient-oracle", worst < 1e-6, f"max rel err {worst:.2e}")
+    err = checks.grad_phi_fd_error(np.random.default_rng(1), 200)
+    report(1, "basis-gradient-oracle", err < checks.grad_phi_fd_error.tol,
+           f"max rel err {err:.2e}")
 
 
 def test_c02_penalty_quadrature_oracle():
-    beta = 2.0
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(100):
-        v = rng.uniform(-0.99 * beta, 0.99 * beta)
-        ref, _ = quad(lambda s: 2 * beta * np.arctanh(s / beta), 0.0, v,
-                      epsabs=1e-13, epsrel=1e-13)
-        worst = max(worst, abs(kernels.penalty_sat(v, beta) - ref) / max(abs(ref), 1e-300))
-    report(2, "penalty-quadrature-oracle", worst < 1e-8, f"max rel err {worst:.2e}")
+    err = checks.penalty_quadrature_error(np.random.default_rng(2), 100)
+    report(2, "penalty-quadrature-oracle", err < checks.penalty_quadrature_error.tol,
+           f"max rel err {err:.2e}")
 
 
 def test_c03_weight_convergence_oracle():
@@ -100,32 +80,9 @@ def test_c03_weight_convergence_oracle():
 
 
 def test_c04_update_law_gradient_identity():
-    rng = np.random.default_rng(4)
-    Gamma, k_c, k_e = 1e-4 * np.eye(6), 5.0, 3.0
-    worst = 0.0
-    for _ in range(50):
-        buf = ExperienceBuffer(8, 6)
-        for _ in range(8):
-            try_insert(buf, rng.uniform(-5, 5, 6), rng.uniform(-1, 5))
-        w = rng.uniform(-3, 3, 6)
-        Y, theta = rng.uniform(-5, 5, 6), rng.uniform(-1, 5)
-        wdot = np.array(kernels.weight_derivative_kernel(
-            w, Y, theta + w @ Y, buf.M, buf.b, Gamma, k_c, k_e))
-
-        def energy(wv):
-            e = 0.5 * k_c * (theta + wv @ Y) ** 2
-            for l in range(len(buf)):
-                e += 0.5 * k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
-            return e
-
-        h = 1e-6
-        grad = np.array([(energy(w + h * e) - energy(w - h * e)) / (2 * h)
-                         for e in np.eye(6)])
-        expect = -Gamma @ grad
-        worst = max(worst, float(np.max(np.abs(wdot - expect))
-                                 / max(np.max(np.abs(expect)), 1e-9)))
-    report(4, "update-law-gradient-identity", worst < 1e-6,
-           f"max rel err {worst:.2e} over 50 configs")
+    err = checks.update_gradient_error(np.random.default_rng(4), 50)
+    report(4, "update-law-gradient-identity", err < checks.update_gradient_error.tol,
+           f"max rel err {err:.2e} over 50 configs")
 
 
 def test_c05_saturation_bound_all_runs():
@@ -221,3 +178,18 @@ def test_c12_determinism_byte_identical(tmp_path):
         digests.append(hashlib.sha256(data).hexdigest())
     report(12, "determinism-byte-identical", digests[0] == digests[1],
            f"sha256 {digests[0][:16]}.. == {digests[1][:16]}..")
+
+
+@pytest.mark.parametrize("criterion, kernel", [
+    (test_c01_basis_gradient_oracle, "monomial_grad"),
+    (test_c02_penalty_quadrature_oracle, "penalty_sat"),
+    (test_c04_update_law_gradient_identity, "weight_derivative_kernel"),
+])
+def test_oracle_criterion_fails_on_a_broken_kernel(monkeypatch, criterion, kernel):
+    # the shared bodies reach the engine's kernels at the criterion's seed and count
+    real = getattr(kernels, kernel)
+    monkeypatch.setattr(kernels, kernel, lambda *args: np.multiply(real(*args), 1.01).tolist())
+    verdicts = []
+    monkeypatch.setitem(globals(), "report", lambda *args: verdicts.append(args[2]))
+    criterion()
+    assert verdicts == [False]

@@ -62,6 +62,11 @@ class TestIadpLaw:
         assert got == pytest.approx(2.0 + kernels.penalty_sat(1.0, 2.0) + 1.0, abs=1e-12)
         assert got == pytest.approx(2.0 + 1.0464963 + 1.0, abs=1e-6)
 
+    def test_huge_c_bar_at_zero_du(self):
+        # (c_bar du)^2 is 0 at du = 0 for any finite c_bar; c_bar^2 du^2 was inf * 0 = nan
+        huge = IadpLaw(IncrementalModelConfig([[0.0], [0.1]]), CostConfig(np.eye(2), 2.0, 1e300))
+        assert law_pair(huge, [1.0, -0.5], 0.7)[1] == law_pair(self.make(), [1.0, -0.5], 0.7)[1]
+
 
 class TestZsadpLaw:
     def make(self):
@@ -140,3 +145,23 @@ def test_penalty_even_and_increasing(a, b):
     assert kernels.penalty_sat(-a, 2.0) == wa
     if b > a * (1 + 1e-9):
         assert kernels.penalty_sat(b, 2.0) > wa
+
+
+@given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       w=st.lists(st.floats(-1e150, 1e150), min_size=6, max_size=6),
+       w0=st.lists(st.floats(-1e150, 1e150), min_size=6, max_size=6))
+def test_only_the_baseline_costs_grow_with_w(x, w, w0):
+    # IADP's Theta depends on w only through the saturated u and du, so it
+    # stays in [0, x^T Q x + W(beta - margin) + 4 c_bar^2 beta^2] for any w
+    iadp, zs, ta = make_laws()
+    u = control(iadp, w, x)[0]
+    theta = law_pair(iadp, x, u, du=u - control(iadp, w0, x)[0])[1]
+    top = kernels.penalty_sat(2.0 - kernels.SATURATION_MARGIN, 2.0)
+    assert 0.0 <= theta <= kernels.dot(x, x) + top + 4.0 * 2.0 ** 2 * 2.0 ** 2
+    # zsadp's gamma d_hat^2 and tadp's rho v_hat^2 are quadratic in w: w -> 2w
+    # gives exactly 4x wherever the term is a normal float (no underflow)
+    for law, coef in ((zs, zs.gamma), (ta, ta.rho)):
+        once, twice = (coef * (a * a) for a in
+                       (control(law, np.multiply(k, w), x)[1] for k in (1.0, 2.0)))
+        if once >= 2.0 ** -1020:
+            assert twice == 4.0 * once
