@@ -5,13 +5,13 @@ benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .critic import BasisSet, CostConfig
+from .critic import BasisSet
 from .plant import ControlAffinePlant, DisturbanceSignal, Event, NoiseSpec
 from .scenarios import run_scenario
 from .sim import SimConfig, TrajectoryLog, run_episode
 
 __all__ = [
-    "BasisSet", "ControlAffinePlant", "CostConfig", "DisturbanceSignal",
+    "BasisSet", "ControlAffinePlant", "DisturbanceSignal",
     "Event", "NoiseSpec", "SimConfig", "TrajectoryLog",
     "run_episode", "run_scenario", "__version__",
 ]

@@ -20,7 +20,6 @@ from .plant import DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noi
     pendulum_nominal
 from .scenarios import run_scenario
 from .sim import SimConfig
-from .tde import IncrementalModelConfig
 
 
 def check_plant_affine(rng):
@@ -64,8 +63,8 @@ def check_noise_determinism():
 
 
 def check_gbar_pinv():
-    imc = IncrementalModelConfig([[0.0], [0.1]])
-    err = abs(kernels.dot(imc.g_bar_pinv, imc.g_bar) - 1.0)
+    cfg = SimConfig(g_bar=[[0.0], [0.1]])
+    err = abs(kernels.dot(cfg.g_bar_pinv, cfg.g_bar_col) - 1.0)
     return err < 1e-12, f"|g_bar^+ g_bar - I| = {err:.2e}"
 
 

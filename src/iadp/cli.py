@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("plots", help="emit plot scripts and data files from logs")
-    sp.add_argument("logs", nargs="*")
+    sp.add_argument("logs", nargs="+")
     sp.add_argument("--out-dir")
     sp.set_defaults(fn=cmd_plots)
     return p

@@ -10,10 +10,12 @@ xdot estimate of the sample one delay earlier. The plant has one input, so
 u, du and aux are floats; vectors are sequences of floats and matrices
 sequences of rows, as in ``kernels``.
 
-IADP is model-free: it reads only the constant surrogate g_bar. ZSADP and
-TADP are the model-based baselines; they capture the true plant's g and k at
-construction and keep using them when the simulated plant is swapped mid-run
-(the robustness stress of the benchmark).
+Each law is built from a checked ``SimConfig``, whose Q, beta and c_bar
+weight the running cost. IADP is model-free: it reads only the constant
+surrogate g_bar (``cfg.g_bar_col``) and is never handed the plant. ZSADP and
+TADP are the model-based baselines; they are handed the true plant's g and k
+at construction and keep using them when the simulated plant is swapped
+mid-run (the robustness stress of the benchmark).
 """
 
 import math
@@ -21,8 +23,6 @@ import math
 import numpy as np
 
 from . import kernels
-from .critic import CostConfig
-from .tde import IncrementalModelConfig
 
 
 class _Law:
@@ -31,9 +31,9 @@ class _Law:
 
     learns = True
 
-    def __init__(self, cost: CostConfig):
-        self.Q_cols = tuple(zip(*cost.Q.tolist()))
-        self.beta = cost.beta
+    def __init__(self, cfg):
+        self.Q_cols = tuple(zip(*cfg.Q.tolist()))
+        self.beta = cfg.beta
 
     def _cost(self, x, u) -> float:
         # x^T Q x, formed as (x^T Q) x
@@ -56,10 +56,10 @@ class IadpLaw(_Law):
     Y = grad_phi (g_bar du + x0dot); Theta = x^T Q x + W(u) + (c_bar du)^2.
     """
 
-    def __init__(self, imc: IncrementalModelConfig, cost: CostConfig):
-        super().__init__(cost)
-        self.g_bar = imc.g_bar
-        self.c_bar = cost.c_bar
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.g_bar = cfg.g_bar_col
+        self.c_bar = cfg.c_bar
 
     def control(self, gphi_t, w):
         return kernels.saturated_control(
@@ -77,8 +77,8 @@ class _BaselineLaw(_Law):
     Bellman-residual regressor Y = grad_phi xdot. ``g`` and ``k`` are the
     input and disturbance columns, n floats each."""
 
-    def __init__(self, g, k, cost: CostConfig):
-        super().__init__(cost)
+    def __init__(self, cfg, g, k):
+        super().__init__(cfg)
         self.g, self.k = tuple(map(float, g)), tuple(map(float, k))
 
     def control(self, gphi_t, w):
@@ -93,10 +93,10 @@ class ZsadpLaw(_BaselineLaw):
     Theta = x^T Q x + W(u) - gamma d_hat^2.
     """
 
-    def __init__(self, g, k, gamma: float, cost: CostConfig):
-        self.gamma = gamma
-        self.d_scale = 2.0 * (gamma * gamma)
-        super().__init__(g, k, cost)
+    def __init__(self, cfg, g, k):
+        self.gamma = cfg.gamma
+        self.d_scale = 2.0 * (self.gamma * self.gamma)
+        super().__init__(cfg, g, k)
 
     def aux(self, v):
         return kernels.dot(self.k, v) / self.d_scale
@@ -119,11 +119,11 @@ class TadpLaw(_BaselineLaw):
     d_M_coeff = math.sqrt(2.0) / 2.0
     l_M_coeff = 0.4 * math.sqrt(2.0)
 
-    def __init__(self, g, k, rho: float, cost: CostConfig):
-        self.rho = rho
-        self.v_scale = 2.0 * rho
+    def __init__(self, cfg, g, k):
+        self.rho = cfg.rho
+        self.v_scale = 2.0 * self.rho
         self.bound2 = self.l_M_coeff ** 2 + self.d_M_coeff ** 2
-        super().__init__(g, k, cost)
+        super().__init__(cfg, g, k)
         g, k = np.reshape(self.g, (-1, 1)), np.reshape(self.k, (-1, 1))
         self.h = tuple(((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)[:, 0].tolist())
 

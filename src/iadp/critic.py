@@ -1,10 +1,11 @@
-"""The critic's monomial basis and the running-cost weights.
+"""The critic's monomial basis.
 
 The critic is V(x) ~ w^T Phi(x) with Phi a fixed monomial basis; the loop
 only ever needs its Jacobian, which ``kernels.monomial_grad`` evaluates with
 ``BasisSet.partials``. The saturation penalty W(u) is ``kernels.penalty_sat``,
 and the regression pairs (Y, Theta) the critic learns from are formed by the
-control laws in ``controllers``.
+control laws in ``controllers``. The running-cost weights Q, beta and c_bar
+are ``SimConfig`` fields and checked there.
 """
 
 from dataclasses import dataclass
@@ -56,25 +57,3 @@ class BasisSet:
     def default(cls) -> "BasisSet":
         return cls(DEFAULT_EXPONENTS.copy())
 
-
-@dataclass
-class CostConfig:
-    """Running-cost weights: state matrix Q, saturation bound beta, slope c_bar."""
-
-    Q: np.ndarray
-    beta: float = 2.0
-    c_bar: float = 2.0
-
-    def __post_init__(self):
-        self.Q = np.asarray(self.Q, dtype=float)
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
-            raise ConfigurationError("Q must be square")
-        if not np.allclose(self.Q, self.Q.T):
-            raise ConfigurationError("Q must be symmetric")
-        if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
-            raise ConfigurationError("Q must be positive definite")
-        # the control is clamped to |u| <= beta - SATURATION_MARGIN
-        if not self.beta > kernels.SATURATION_MARGIN:
-            raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r}")
-        if not self.c_bar > 0.0:
-            raise ConfigurationError("c_bar must be > 0")

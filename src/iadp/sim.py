@@ -17,12 +17,11 @@ import numpy as np
 
 from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
-from .critic import BasisSet, CostConfig
+from .critic import BasisSet
 from .kernels import disturbance_value
 from .learner import ExperienceBuffer, step_weights, try_insert
 from .plant import (ConfigurationError, ControlAffinePlant, NoiseState, World,
                     add_measurement_noise, apply_event_schedule)
-from .tde import IncrementalModelConfig
 
 DIVERGENCE_NORM = 1e6
 # log rows are staged as tuples and written into the log arrays this many at
@@ -40,7 +39,14 @@ class SimConfig:
     ``dataclasses.replace`` copy).
 
     ``Q`` and ``Gamma`` may be given as a scalar c, which stands for c times
-    the identity of the basis's state size n and basis size N.
+    the identity of the basis's state size n and basis size N; either is
+    kept as an array of floats.
+
+    Construction also resolves what the loop reads, as plain attributes that
+    are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
+    ``g_bar_col``, the one input's surrogate column g_bar as n floats; and
+    ``g_bar_pinv``, its left pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1),
+    n floats. ``g_bar`` may come as a column, a row or a flat vector.
     """
 
     scenario: str = "s1"
@@ -87,13 +93,25 @@ class SimConfig:
             raise ConfigurationError("zsadp.gamma and tadp.rho must be > 0")
         if not 2.0 * (self.gamma * self.gamma) > 0:
             raise ConfigurationError(f"zsadp.gamma = {self.gamma!r}: 2 gamma^2 underflows to 0")
-        basis = BasisSet(self.basis_exponents)
+        basis = self.basis = BasisSet(self.basis_exponents)
         n = basis.n
         if np.ndim(self.Q) == 0:
             self.Q = float(self.Q) * np.eye(n)
         if np.ndim(self.Gamma) == 0:
             self.Gamma = float(self.Gamma) * np.eye(basis.N)
-        if CostConfig(self.Q, self.beta, self.c_bar).Q.shape != (n, n):
+        self.Q = np.asarray(self.Q, dtype=float)
+        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+            raise ConfigurationError("Q must be square")
+        if not np.allclose(self.Q, self.Q.T):
+            raise ConfigurationError("Q must be symmetric")
+        if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
+            raise ConfigurationError("Q must be positive definite")
+        # the control is clamped to |u| <= beta - SATURATION_MARGIN
+        if not self.beta > kernels.SATURATION_MARGIN:
+            raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r}")
+        if not self.c_bar > 0.0:
+            raise ConfigurationError("c_bar must be > 0")
+        if self.Q.shape != (n, n):
             raise ConfigurationError(f"Q must be {n}x{n}")
         self.Gamma = np.asarray(self.Gamma, dtype=float)
         if self.Gamma.shape != (basis.N, basis.N):
@@ -112,7 +130,16 @@ class SimConfig:
         if (n, m) != (ControlAffinePlant.n, ControlAffinePlant.m):
             raise ConfigurationError(f"(n, m) = ({n}, {m}) from the basis and g_bar, but the "
                                      f"plant has ({ControlAffinePlant.n}, {ControlAffinePlant.m})")
-        IncrementalModelConfig(self.g_bar)
+        g = np.asarray(self.g_bar, dtype=float).reshape(-1, 1)
+        if np.linalg.matrix_rank(g) < 1:
+            raise ConfigurationError("g_bar must have full column rank")
+        self.g_bar_col = tuple(g[:, 0].tolist())
+        # pinv, not g / (g . g): the closed form rounds 1/0.1 to 9.999999999999998
+        with np.errstate(all="ignore"):  # 1/sigma overflows for a subnormal g_bar
+            pinv = np.linalg.pinv(g)[0]
+        if not np.all(np.isfinite(pinv)):
+            raise ConfigurationError(f"g_bar^+ of g_bar = {self.g_bar_col} is not finite")
+        self.g_bar_pinv = tuple(pinv.tolist())
 
 
 @dataclass
@@ -167,19 +194,18 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
     t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
 
-    basis = BasisSet(cfg.basis_exponents)
-    N, n = basis.N, basis.n
-    cost = CostConfig(cfg.Q, cfg.beta, cfg.c_bar)
-    imc = IncrementalModelConfig(cfg.g_bar)
+    partials = cfg.basis.partials
+    N, n = cfg.basis.N, cfg.basis.n
+    g_bar_pinv = cfg.g_bar_pinv
     gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
     buf = ExperienceBuffer(cfg.buffer_size, N)
 
     # the baselines' model: the true g and k as columns, kept through plant swaps
     g_ctrl, k_ctrl = (0.0, world.plant.g2), (world.plant.k1, world.plant.k2)
     law = {
-        "iadp": lambda: IadpLaw(imc, cost),
-        "zsadp": lambda: ZsadpLaw(g_ctrl, k_ctrl, cfg.gamma, cost),
-        "tadp": lambda: TadpLaw(g_ctrl, k_ctrl, cfg.rho, cost),
+        "iadp": lambda: IadpLaw(cfg),
+        "zsadp": lambda: ZsadpLaw(cfg, g_ctrl, k_ctrl),
+        "tadp": lambda: TadpLaw(cfg, g_ctrl, k_ctrl),
         "zero": ZeroLaw,
     }[cfg.controller]()
     learning = law.learns
@@ -251,7 +277,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
             u = 0.0
             aux = None
         else:
-            gphi_t = kernels.monomial_grad(basis.partials, xm)
+            gphi_t = kernels.monomial_grad(partials, xm)
             u, aux = law.control(gphi_t, w)
         if abs(u) > clamp:
             raise FloatingPointError(
@@ -274,7 +300,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
         else:
             # increments against the sample one delay L = dt back
             du = u - u_prev
-            xi = tde.tde_error(list(map(sub, xdot, xdot_prev)), du, imc)
+            xi = tde.tde_error(list(map(sub, xdot, xdot_prev)), du, g_bar_pinv)
             if learning:
                 Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
                 theta_tilde = theta + kernels.dot(w, Y)
@@ -289,8 +315,7 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
                 # buffer collection: cadence while the rank condition is
                 # unmet, and during the excitation phase while the buffer
                 # fills or enriches
-                if i % buffer_every == 0 and all(map(math.isfinite, Y)) \
-                        and math.isfinite(theta):
+                if i % buffer_every == 0:
                     if not rank_complete or t < cfg.buffer_until and (
                             len(buf) < buf.capacity or enriching):
                         enriching = enriching or len(buf) >= buf.capacity

@@ -277,6 +277,11 @@ class TestMain:
         ("learner.rank_deadline=nan", []),
         ("basis.exponents=[[2,0],[1,1],[0,2],[0,3],[1,2],[-1,1]]", []),
         ("sim.seed=-1", []),
+        ("cost.Q=[[1,0],[0.5,1]]", []),
+        ("cost.Q=[[-1,0],[0,-1]]", []),
+        ("cost.beta=0", []),
+        ("cost.c_bar=0", []),
+        ("tde.g_bar=[[0],[0]]", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
@@ -359,8 +364,9 @@ class TestMain:
         ["run", "--config", "missing.cfg"],
         ["plots", "missing.csv"],
         ["check", "--seed", "-1"],
+        ["plots"],
     ], ids=["bad_choice", "bad_type", "unknown_flag", "no_command", "missing_config",
-            "missing_csv", "negative_check_seed"])
+            "missing_csv", "negative_check_seed", "no_csv"])
     def test_input_error_exit_one(self, tmp_path, capsys, monkeypatch, argv):
         # argparse's own usage exit, 2, is the divergence code; these and
         # missing files end on one stderr line instead of a traceback

@@ -7,15 +7,14 @@ from hypothesis import given, strategies as st
 from conftest import cached_run, gphi_t, law_pair
 from iadp import kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import CostConfig
-from iadp.tde import IncrementalModelConfig
+from iadp.scenarios import build_world
+from iadp.sim import SimConfig
 
 G_TRUE = (0.0, 0.25)
 K_TRUE = (1.0, -0.2)
 
 
-def make_cost():
-    return CostConfig(Q=np.eye(2), beta=2.0, c_bar=2.0)
+CFG = SimConfig(Q=np.eye(2), beta=2.0, c_bar=2.0, g_bar=[[0.0], [0.1]], gamma=1.0, rho=0.1)
 
 
 def control(law, w, x):
@@ -24,14 +23,12 @@ def control(law, w, x):
 
 
 def make_laws():
-    return (IadpLaw(IncrementalModelConfig([[0.0], [0.1]]), make_cost()),
-            ZsadpLaw(G_TRUE, K_TRUE, 1.0, make_cost()),
-            TadpLaw(G_TRUE, K_TRUE, 0.1, make_cost()))
+    return IadpLaw(CFG), ZsadpLaw(CFG, G_TRUE, K_TRUE), TadpLaw(CFG, G_TRUE, K_TRUE)
 
 
 class TestIadpLaw:
     def make(self):
-        return IadpLaw(IncrementalModelConfig([[0.0], [0.1]]), make_cost())
+        return IadpLaw(CFG)
 
     def test_frozen_value(self):
         # at x = (1, 0): grad_phi^T w = [2w1, w2 + w6]; with w = e2 + e6 the
@@ -64,13 +61,13 @@ class TestIadpLaw:
 
     def test_huge_c_bar_at_zero_du(self):
         # (c_bar du)^2 is 0 at du = 0 for any finite c_bar; c_bar^2 du^2 was inf * 0 = nan
-        huge = IadpLaw(IncrementalModelConfig([[0.0], [0.1]]), CostConfig(np.eye(2), 2.0, 1e300))
+        huge = IadpLaw(SimConfig(Q=np.eye(2), beta=2.0, c_bar=1e300, g_bar=[[0.0], [0.1]]))
         assert law_pair(huge, [1.0, -0.5], 0.7)[1] == law_pair(self.make(), [1.0, -0.5], 0.7)[1]
 
 
 class TestZsadpLaw:
     def make(self):
-        return ZsadpLaw(G_TRUE, K_TRUE, gamma=1.0, cost=make_cost())
+        return ZsadpLaw(CFG, G_TRUE, K_TRUE)
 
     def test_frozen_values(self):
         # same x and w as the incremental case but with the true g column
@@ -92,7 +89,7 @@ class TestZsadpLaw:
 
 class TestTadpLaw:
     def make(self):
-        return TadpLaw(G_TRUE, K_TRUE, rho=0.1, cost=make_cost())
+        return TadpLaw(CFG, G_TRUE, K_TRUE)
 
     def test_h_is_out_of_span_part(self):
         # g spans the second axis, so h keeps only the first component of k
@@ -115,9 +112,9 @@ class TestTadpLaw:
         assert got == pytest.approx(base + 0.1 * 4.0, abs=1e-12)
 
     def test_h_from_construction(self):
-        law = TadpLaw((0.0, -0.25), K_TRUE, 0.1, make_cost())
+        law = TadpLaw(CFG, (0.0, -0.25), K_TRUE)
         assert np.allclose(law.h, [1.0, 0.0], atol=1e-12)
-        law = TadpLaw((0.25, 0.0), K_TRUE, 0.1, make_cost())
+        law = TadpLaw(CFG, (0.25, 0.0), K_TRUE)
         assert np.allclose(law.h, [0.0, -0.2], atol=1e-12)
 
 
@@ -165,3 +162,27 @@ def test_only_the_baseline_costs_grow_with_w(x, w, w0):
                        (control(law, np.multiply(k, w), x)[1] for k in (1.0, 2.0)))
         if once >= 2.0 ** -1020:
             assert twice == 4.0 * once
+
+
+@pytest.mark.parametrize("controller", ["zsadp", "tadp"])
+def test_s3_baseline_stop_is_the_aux_term(controller):
+    # over the last 6 finite rows before each s3 baseline stops, theta_tilde
+    # is the w-quadratic cost term rebuilt from the step's weights w[i-1] at
+    # x_meas[i], while the state stays near the origin
+    log = cached_run(scenario="s3", controller=controller)
+    cfg = SimConfig(scenario="s3", controller=controller)
+    plant = build_world(cfg).plant
+    g, k = np.array([[0.0], [plant.g2]]), np.array([plant.k1, plant.k2])
+    S = log.rows()
+    assert log.stop_cause == "nonfinite_weights"
+    for i in range(S - 7, S - 1):
+        v = gphi_t(log.x_meas[i]) @ log.w[i - 1]
+        if controller == "zsadp":
+            d_hat = k @ v / (2.0 * cfg.gamma ** 2)
+            term = -cfg.gamma * d_hat ** 2
+        else:
+            h = (np.eye(2) - g @ np.linalg.pinv(g)) @ k
+            v_hat = -h @ v / (2.0 * cfg.rho)
+            term = cfg.rho * v_hat ** 2
+        assert log.theta_tilde[i] / term == pytest.approx(1.0, abs=0.1), i
+        assert np.linalg.norm(log.x_true[i]) < 1.0, i

@@ -7,14 +7,13 @@ from scipy.integrate import quad
 from conftest import gphi_t, law_pair, monomials
 from iadp import kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import BasisSet, CostConfig
+from iadp.critic import BasisSet
 from iadp.plant import ConfigurationError
-from iadp.tde import IncrementalModelConfig
+from iadp.sim import SimConfig
 
 
 def iadp_law(cfg=None):
-    return IadpLaw(IncrementalModelConfig([[0.0], [0.1]]),
-                   cfg or CostConfig(Q=np.eye(2), beta=2.0, c_bar=2.0))
+    return IadpLaw(cfg or SimConfig(Q=np.eye(2), beta=2.0, c_bar=2.0, g_bar=[[0.0], [0.1]]))
 
 
 class TestBasis:
@@ -99,7 +98,7 @@ class TestCost:
         assert got == pytest.approx(2.0 + 1.0464963 + 1.0, abs=1e-6)
 
     def test_zero_at_rest(self):
-        law = iadp_law(CostConfig(Q=np.eye(2)))
+        law = iadp_law(SimConfig(Q=np.eye(2)))
         assert law_pair(law, [0.0, 0.0], 0.0, du=0.0)[1] == 0.0
 
     def test_nonnegative(self, rng):
@@ -111,14 +110,14 @@ class TestCost:
             assert law_pair(law, x, u0 + du, du=du)[1] >= 0.0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CostConfig(Q=np.array([[1.0, 0.0], [0.5, 1.0]]))
-        with pytest.raises(ConfigurationError):
-            CostConfig(Q=-np.eye(2))
-        with pytest.raises(ConfigurationError):
-            CostConfig(Q=np.eye(2), beta=0.0)
-        with pytest.raises(ConfigurationError):
-            CostConfig(Q=np.eye(2), c_bar=-1.0)
+        with pytest.raises(ConfigurationError, match="Q must be symmetric"):
+            SimConfig(Q=np.array([[1.0, 0.0], [0.5, 1.0]]))
+        with pytest.raises(ConfigurationError, match="Q must be positive definite"):
+            SimConfig(Q=-np.eye(2))
+        with pytest.raises(ConfigurationError, match="beta must be > 1e-12"):
+            SimConfig(Q=np.eye(2), beta=0.0)
+        with pytest.raises(ConfigurationError, match="c_bar must be > 0"):
+            SimConfig(Q=np.eye(2), c_bar=-1.0)
 
 
 class TestRegressor:
@@ -131,12 +130,12 @@ class TestRegressor:
         assert np.allclose(got, gphi @ (g_bar * du + x0dot), atol=0)
 
     def test_baseline_form(self, rng):
-        cost = CostConfig(Q=np.eye(2))
+        cfg = SimConfig(Q=np.eye(2), gamma=1.0, rho=0.1)
         g, k = (0.0, 0.25), (1.0, -0.2)
         x = rng.uniform(-2, 2, 2)
         xdot = rng.uniform(-5, 5, 2)
         gphi = gphi_t(x).T
-        for law in (ZsadpLaw(g, k, 1.0, cost), TadpLaw(g, k, 0.1, cost)):
+        for law in (ZsadpLaw(cfg, g, k), TadpLaw(cfg, g, k)):
             got, _ = law_pair(law, x, 0.0, xdot=xdot, aux=0.0)
             assert np.allclose(got, gphi @ xdot, atol=0)
 

@@ -1,10 +1,10 @@
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import pytest
 
-from conftest import cached_run
+from conftest import cached_run, law_pair
 from iadp import kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
@@ -61,6 +61,24 @@ class TestConfig:
         cfg.scenario = "s9"
         with pytest.raises(ConfigurationError):
             build_world(cfg)
+
+    def test_resolved_attributes_follow_replace(self):
+        # compare builds its configs with replace: the basis, g_bar, g_bar^+
+        # and the law's cost are resolved from the new fields
+        base = SimConfig()
+        exps = [[2, 0], [1, 1], [0, 2], [3, 0], [0, 3], [1, 2]]
+        cfg = replace(base, c_bar=1e300, g_bar=[[0.0], [0.2]], basis_exponents=exps)
+        assert np.array_equal(cfg.basis.exponents, exps)
+        assert cfg.basis.partials is not base.basis.partials
+        assert cfg.g_bar_col == (0.0, 0.2) and cfg.g_bar_pinv == (0.0, 5.0)
+        assert base.g_bar_col == (0.0, 0.1) and base.g_bar_pinv == (0.0, 10.0)
+        # (c_bar du)^2 at du = 1e-300 is ~1 for c_bar = 1e300 and 0 for c_bar = 2
+        law = IadpLaw(cfg)
+        assert law.c_bar == 1e300 and law.g_bar == (0.0, 0.2)
+        assert law_pair(law, [0.0, 0.0], 0.0, du=1e-300)[1] == pytest.approx(1.0)
+        assert law_pair(IadpLaw(base), [0.0, 0.0], 0.0, du=1e-300)[1] == 0.0
+        with pytest.raises(ConfigurationError, match="Q must be symmetric"):
+            replace(base, Q=np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
 class TestRk4:

@@ -6,7 +6,7 @@ from iadp.controllers import IadpLaw
 from iadp.plant import ConfigurationError
 from iadp.scenarios import run_scenario
 from iadp.sim import SimConfig
-from iadp.tde import IncrementalModelConfig, backward_difference, tde_error
+from iadp.tde import backward_difference, tde_error
 
 
 class TestXdotEstimate:
@@ -34,7 +34,7 @@ class TestXdotEstimate:
 
 class TestIncrements:
     def make_cfg(self):
-        return IncrementalModelConfig([[0.0], [0.1]])
+        return SimConfig(g_bar=[[0.0], [0.1]])
 
     def test_increment_record(self, monkeypatch):
         # the law is handed the newest xdot, du = u - u_prev and the xdot one
@@ -59,20 +59,20 @@ class TestIncrements:
 
     def test_xi_zero_when_model_exact(self):
         # dx_dot = g_bar du  =>  xi = 0
-        assert np.allclose(tde_error([0.0, 0.05], 0.5, self.make_cfg()), 0.0,
+        assert np.allclose(tde_error([0.0, 0.05], 0.5, self.make_cfg().g_bar_pinv), 0.0,
                            atol=1e-14)
 
     def test_xi_frozen_value(self):
         # dx_dot = [0, 0.2], du = 1: xi = 0.2/0.1 - 1 = 1
-        assert np.allclose(tde_error([0.0, 0.2], 1.0, self.make_cfg()), 1.0,
+        assert np.allclose(tde_error([0.0, 0.2], 1.0, self.make_cfg().g_bar_pinv), 1.0,
                            atol=1e-12)
 
     def test_rank_deficient_gbar_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IncrementalModelConfig([[0.0], [0.0]])
+        with pytest.raises(ConfigurationError, match="full column rank"):
+            SimConfig(g_bar=[[0.0], [0.0]])
 
     def test_pinv_left_inverse(self):
         cfg = self.make_cfg()
-        assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar), 1.0,
+        assert np.allclose(np.array(cfg.g_bar_pinv) @ np.array(cfg.g_bar_col), 1.0,
                            atol=1e-14)
 
