@@ -19,7 +19,10 @@ import itertools
 import math
 import operator
 import os
+import shutil
+import signal
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -209,26 +212,75 @@ def csv_header(n: int, N: int) -> str:
 CSV_CHUNK_ROWS = 1024
 
 
-def write_csv(log: TrajectoryLog, path) -> None:
-    """Trajectory CSV, floats as shortest round-trip decimals.
+def _write_rows(f, log: TrajectoryLog, start: int, stop: int) -> None:
+    """Rows start..stop of the log as CSV lines, CSV_CHUNK_ROWS at a time.
 
-    Rows are stacked, formatted and written CSV_CHUNK_ROWS at a time, so no
-    copy of the whole log is made; ``repr`` of a Python float is its
-    shortest round-trip decimal.
+    Each chunk is stacked and formatted on its own, so no copy of the whole
+    log is made; ``repr`` of a Python float is its shortest round-trip
+    decimal.
     """
-    n = log.x_true.shape[1]
-    N = log.w.shape[1]
     cols = (log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
             log.theta_tilde, log.xi, log.d, log.E_u, log.E_x)
-    ranks = log.rank
-    with open(path, "w") as f:
-        f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{csv_header(n, N)}\n")
-        for s in range(0, log.rows(), CSV_CHUNK_ROWS):
-            e = s + CSV_CHUNK_ROWS
-            block = np.column_stack([c[s:e] for c in cols])
-            f.write("".join(
-                f"{','.join(map(repr, row))},{rank}\n"
-                for row, rank in zip(block.tolist(), ranks[s:e].tolist())))
+    for s in range(start, stop, CSV_CHUNK_ROWS):
+        e = min(s + CSV_CHUNK_ROWS, stop)
+        block = np.column_stack([c[s:e] for c in cols])
+        f.write("".join(
+            f"{','.join(map(repr, row))},{rank}\n"
+            for row, rank in zip(block.tolist(), log.rank[s:e].tolist())))
+
+
+def write_csv(log: TrajectoryLog, path) -> None:
+    """Trajectory CSV, floats as shortest round-trip decimals, formatted on
+    two processes.
+
+    Formatting the floats, not writing them, is the CSV's cost, and one
+    process is at its one-``repr``-per-float floor. So the rows are split
+    near the middle: a forked child formats the second half into an
+    unnamed temporary file in the CSV's directory while this process writes
+    the header and the first half, then reaps the child and appends the
+    child's bytes. Each row's text depends only on the row, so the file is
+    byte for byte the one-process file. The split is a multiple of
+    CSV_CHUNK_ROWS, so each process formats whole chunks of the one-process
+    writer and holds at most one chunk's strings at a time.
+
+    The child runs no BLAS and leaves only through ``os._exit``, so it
+    flushes none of this process's buffers and runs none of its exit
+    handlers. If it fails, OSError is raised. On every path the child is
+    reaped (killed first if this process fails) and the temporary file,
+    which has no name, is gone once closed.
+    """
+    rows = log.rows()
+    split = CSV_CHUNK_ROWS * round(rows / (2 * CSV_CHUNK_ROWS))
+    with tempfile.TemporaryFile(dir=Path(path).parent) as part:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with open(part.fileno(), "w", closefd=False) as f:
+                    _write_rows(f, log, split, rows)
+                code = 0
+            finally:
+                os._exit(code)
+        status = None
+        try:
+            with open(path, "w") as f:
+                f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n"
+                        f"{csv_header(log.x_true.shape[1], log.w.shape[1])}\n")
+                _write_rows(f, log, 0, split)
+                status = os.waitpid(pid, 0)[1]
+                if code := os.waitstatus_to_exitcode(status):
+                    raise OSError(f"{path}: the process formatting rows "
+                                  f"{split}..{rows} exited with status {code}")
+                f.flush()
+                # the child's writes moved the shared file offset
+                part.seek(0)
+                # copies in a loop, so a signal that cuts one write short
+                # loses no bytes
+                shutil.copyfileobj(part, f.buffer)
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def read_csv(path):
@@ -434,11 +486,17 @@ def cmd_plots(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A bad command line, its message already naming the command."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on a usage error, which is the divergence code; main
-    # reports it on one line and exits 1 instead
+    # reports it on one line and exits 1 instead. argparse passes an
+    # ArgumentError back through each enclosing parser's error, so a
+    # different type is raised: it reaches main with one prefix.
     def error(self, message):
-        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +541,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (argparse.ArgumentError, OSError) as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:

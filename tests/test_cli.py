@@ -1,4 +1,8 @@
 import dataclasses
+import errno
+import hashlib
+import os
+import signal
 import struct
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cached_run
-from iadp import kernels
+from iadp import cli, kernels
 from iadp.cli import (CONFIG_KEYS, CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES,
                       _format_value, _parse_value, _resolved_cfg, build_parser, config_dict,
                       csv_header, emit_plots, main, parse_config, read_config_file, read_csv,
@@ -175,23 +179,61 @@ def write_csv_row_loop(log, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# row counts around the chunk size, where the two-process writer's split
+# moves: the parent writes none, or one chunk, of these rows
+CUT_ROWS = (1, 1023, 1024, 1025, 2047, 2048, 2049)
+
+
+def cut_log(log, rows):
+    """The log's first ``rows`` rows."""
+    return dataclasses.replace(log, **{
+        f.name: getattr(log, f.name)[:rows] for f in dataclasses.fields(log)
+        if isinstance(getattr(log, f.name), np.ndarray)})
+
+
 @pytest.fixture(scope="module")
 def io_logs():
-    """A log longer than one write chunk, and a diverged s3 zsadp log: cut
-    short, with non-finite theta_tilde entries."""
+    """A log longer than one write chunk, a diverged s3 zsadp log (cut
+    short, with non-finite theta_tilde entries), and the long log cut to
+    each of CUT_ROWS."""
     long_log = cached_run(t_end=5.0)
     diverged = cached_run(scenario="s3", controller="zsadp")
     assert long_log.rows() > CSV_CHUNK_ROWS
     assert diverged.diverged and diverged.rows() < 80001
     assert not np.all(np.isfinite(diverged.theta_tilde))
-    return {"long": long_log, "diverged": diverged}
+    return {"long": long_log, "diverged": diverged,
+            **{f"rows{k}": cut_log(long_log, k) for k in CUT_ROWS}}
 
 
 class TestStreamedIo:
-    @pytest.mark.parametrize("name", ["long", "diverged"])
+    @pytest.mark.parametrize("name", ["long", "diverged",
+                                      *(f"rows{k}" for k in CUT_ROWS)])
     def test_csv_bytes_match_row_loop(self, tmp_path, io_logs, name):
         write_csv(io_logs[name], tmp_path / "streamed.csv")
         write_csv_row_loop(io_logs[name], tmp_path / "rows.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+    def test_s1_csv_matches_its_reference_sha256(self, tmp_path):
+        # the 80 s s1 iadp seed-0 file, as the one-process writer wrote it
+        write_csv(cached_run(), tmp_path / "s1.csv")
+        assert hashlib.sha256((tmp_path / "s1.csv").read_bytes()).hexdigest() == \
+            "784cea91a0d6ed737290a58dc201571580416a271df859ff3af643ee31a1c9fa"
+
+    def test_csv_bytes_survive_signals(self, tmp_path, io_logs):
+        # a signal handler that returns cuts a copy call short; the writer
+        # must still append every byte of the child's part. A 0.1 ms period
+        # cuts a single sendfile of this ~1 MB part every time; at 1 ms some
+        # copies finish first, so the test would catch that defect only
+        # some of the time
+        old_handler = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+        old_timer = signal.setitimer(signal.ITIMER_REAL, 1e-4, 1e-4)
+        try:
+            write_csv(io_logs["long"], tmp_path / "streamed.csv")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, *old_timer)
+            signal.signal(signal.SIGALRM, old_handler)
+        write_csv_row_loop(io_logs["long"], tmp_path / "rows.csv")
         assert (tmp_path / "streamed.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
@@ -356,24 +398,62 @@ class TestMain:
             else:
                 assert rc in (0, 2) and err == "", (argv, rc, err)
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--scenario", "s9"],
-        ["run", "--seed", "one"],
-        ["run", "--bogus"],
-        [],
-        ["run", "--config", "missing.cfg"],
-        ["plots", "missing.csv"],
-        ["check", "--seed", "-1"],
-        ["plots"],
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "--scenario", "s9"], None),
+        (["run", "--seed", "one"],
+         "error: iadp run: argument --seed: invalid int value: 'one'"),
+        (["run", "--bogus"], None),
+        ([], "error: iadp: the following arguments are required: command"),
+        (["run", "--config", "missing.cfg"], None),
+        (["plots", "missing.csv"], None),
+        (["check", "--seed", "-1"], None),
+        (["plots"], "error: iadp plots: the following arguments are required: logs"),
     ], ids=["bad_choice", "bad_type", "unknown_flag", "no_command", "missing_config",
             "missing_csv", "negative_check_seed", "no_csv"])
-    def test_input_error_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+    def test_input_error_exit_one(self, tmp_path, capsys, monkeypatch, argv, line):
         # argparse's own usage exit, 2, is the divergence code; these and
-        # missing files end on one stderr line instead of a traceback
+        # missing files end on one stderr line instead of a traceback, and a
+        # usage error names its command once
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
+        if line is not None:
+            assert err == line + "\n"
+
+    @pytest.mark.parametrize("argv, files", [
+        (["run"], ["s1_iadp_seed0.csv", "s1_iadp_seed0.manifest"]),
+        (["compare"], ["s1_compare_seed0.csv", "s1_compare_seed0.manifest",
+                       "s1_iadp_seed0.csv", "s1_tadp_seed0.csv", "s1_zsadp_seed0.csv"]),
+    ])
+    def test_csv_writer_leaves_no_part_or_child(self, tmp_path, capsys, argv, files):
+        assert main([*argv, "--scenario", "s1", "--t-end", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("side, message", [
+        ("child", "exited with status 1"), ("parent", "No space left on device")])
+    def test_csv_writer_failure_exit_one(self, tmp_path, capsys, monkeypatch,
+                                         side, message):
+        # the child's or this process's formatting fails: one stderr line,
+        # the child reaped and no temporary part left beside the CSV
+        real, parent = cli._write_rows, os.getpid()
+
+        def failing(f, log, start, stop):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(f, log, start, stop)
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        rc = main(["run", "--scenario", "s1", "--t-end", "3",
+                   "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and len(err.splitlines()) == 1 and message in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["s1_iadp_seed0.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
