@@ -15,14 +15,13 @@ such as |u| > beta, reported with its time and values).
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import itertools
 import math
 import operator
 import os
-import shutil
 import signal
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -207,80 +206,120 @@ def csv_header(n: int, N: int) -> str:
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows formatted per write; each chunk's rows live as Python floats and
-# strings (~1.5 KB a row) until written, so a larger chunk raises peak RSS
+# rows the CSV writer reads and formats at a time; each chunk's rows live as
+# Python floats and strings (~1.5 KB a row) until written, so a larger chunk
+# raises peak RSS
 CSV_CHUNK_ROWS = 1024
+# the CSV writer's pipe holds several of its child's reads (1,024 rows are
+# 155 KB at N = 6), so neither side waits for the other to fill or drain
+# one: over an 80 s s1 run the caller's pipe writes blocked for 1.1-1.4 s in
+# all at Linux's 64 KiB default and for 0.01 s at 1 MiB (2 vCPUs)
+CSV_PIPE_BYTES = 1 << 20
 
 
-def _write_rows(f, log: TrajectoryLog, start: int, stop: int) -> None:
-    """Rows start..stop of the log as CSV lines, CSV_CHUNK_ROWS at a time.
+def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
+    """CSV lines of rows of floats and their ranks; ``repr`` of a Python
+    float is its shortest round-trip decimal."""
+    return "".join(f"{','.join(map(repr, row))},{rank}\n"
+                   for row, rank in zip(values.tolist(), ranks.tolist()))
 
-    Each chunk is stacked and formatted on its own, so no copy of the whole
-    log is made; ``repr`` of a Python float is its shortest round-trip
-    decimal.
+
+def _write_all(pipe, data: bytes) -> None:
+    """Write all of ``data`` to ``pipe``: a signal can cut a pipe write short."""
+    view = memoryview(data)
+    while view:
+        view = view[pipe.write(view):]
+
+
+@contextlib.contextmanager
+def csv_writer(path, n: int, N: int):
+    """Write a trajectory CSV at ``path`` on a forked child while the caller
+    produces its rows; n and N are the state and basis sizes.
+
+    Yields ``send(log, start, stop)``, which hands rows start..stop of a
+    ``TrajectoryLog`` to the child; the caller sends [0, rows) in order,
+    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature, so
+    the rows are formatted while the episode runs and ``iadp run`` takes
+    about max(episode, CSV) rather than their sum: formatting the floats,
+    one ``repr`` each, is the CSV's cost.
+
+    A row goes down a pipe as its floats, packed as float64, and its rank
+    as int64. The child writes the schema line and the header, then formats
+    CSV_CHUNK_ROWS rows at a time into a temporary file beside ``path``;
+    each row's text depends only on the row. Only after the with-block
+    has ended and the child has exited 0 is that file moved onto ``path``,
+    so a CSV at ``path`` is whole. On every other path the child is reaped
+    (killed first unless it has already stopped reading), the temporary
+    file is removed and the exception goes on: an OSError that names the
+    child's exit status if the child failed. The child runs no BLAS and
+    leaves only through ``os._exit``, so it flushes none of this process's
+    buffers and runs none of its exit handlers.
     """
-    cols = (log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
-            log.theta_tilde, log.xi, log.d, log.E_u, log.E_x)
-    for s in range(start, stop, CSV_CHUNK_ROWS):
-        e = min(s + CSV_CHUNK_ROWS, stop)
-        block = np.column_stack([c[s:e] for c in cols])
-        f.write("".join(
-            f"{','.join(map(repr, row))},{rank}\n"
-            for row, rank in zip(block.tolist(), log.rank[s:e].tolist())))
+    path = Path(path)
+    header = csv_header(n, N)
+    # every column but the last, rank, is a float
+    record = np.dtype([("values", np.float64, header.count(",")), ("rank", np.int64)])
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    read_end, write_end = os.pipe()
+    pid = None
+    try:
+        with open(write_end, "wb", buffering=0) as pipe:
+            with open(read_end, "rb") as src, open(part, "w") as f:
+                fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, CSV_PIPE_BYTES)
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        pipe.close()
+                        f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n")
+                        while data := src.read(CSV_CHUNK_ROWS * record.itemsize):
+                            rows = np.frombuffer(data, record)
+                            f.write(_csv_lines(rows["values"], rows["rank"]))
+                        f.close()
+                        code = 0
+                    finally:
+                        os._exit(code)
+
+            def send(log, start, stop):
+                rows = np.empty(stop - start, record)
+                rows["values"] = np.column_stack([
+                    c[start:stop] for c in (log.t, log.x_true, log.x_meas, log.u,
+                                            log.du, log.w, log.theta_tilde, log.xi,
+                                            log.d, log.E_u, log.E_x)])
+                rows["rank"] = log.rank[start:stop]
+                _write_all(pipe, rows.tobytes())
+
+            try:
+                yield send
+            except BrokenPipeError:
+                # the child stopped reading, so it has exited: say why
+                status, pid = os.waitpid(pid, 0)[1], None
+                raise OSError(f"{path}: the CSV writer process exited with status "
+                              f"{os.waitstatus_to_exitcode(status)}") from None
+        status, pid = os.waitpid(pid, 0)[1], None
+        if code := os.waitstatus_to_exitcode(status):
+            raise OSError(f"{path}: the CSV writer process exited with status {code}")
+        os.replace(part, path)
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        part.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
-    """Trajectory CSV, floats as shortest round-trip decimals, formatted on
-    two processes.
+    """Trajectory CSV of a finished log, floats as shortest round-trip
+    decimals.
 
-    Formatting the floats, not writing them, is the CSV's cost, and one
-    process is at its one-``repr``-per-float floor. So the rows are split
-    near the middle: a forked child formats the second half into an
-    unnamed temporary file in the CSV's directory while this process writes
-    the header and the first half, then reaps the child and appends the
-    child's bytes. Each row's text depends only on the row, so the file is
-    byte for byte the one-process file. The split is a multiple of
-    CSV_CHUNK_ROWS, so each process formats whole chunks of the one-process
-    writer and holds at most one chunk's strings at a time.
-
-    The child runs no BLAS and leaves only through ``os._exit``, so it
-    flushes none of this process's buffers and runs none of its exit
-    handlers. If it fails, OSError is raised. On every path the child is
-    reaped (killed first if this process fails) and the temporary file,
-    which has no name, is gone once closed.
+    The rows go CSV_CHUNK_ROWS at a time through ``csv_writer``, which
+    ``iadp run`` and ``compare`` stream their episodes into, so a log gives
+    the same bytes either way; the writer's child formats them.
     """
     rows = log.rows()
-    split = CSV_CHUNK_ROWS * round(rows / (2 * CSV_CHUNK_ROWS))
-    with tempfile.TemporaryFile(dir=Path(path).parent) as part:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                with open(part.fileno(), "w", closefd=False) as f:
-                    _write_rows(f, log, split, rows)
-                code = 0
-            finally:
-                os._exit(code)
-        status = None
-        try:
-            with open(path, "w") as f:
-                f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n"
-                        f"{csv_header(log.x_true.shape[1], log.w.shape[1])}\n")
-                _write_rows(f, log, 0, split)
-                status = os.waitpid(pid, 0)[1]
-                if code := os.waitstatus_to_exitcode(status):
-                    raise OSError(f"{path}: the process formatting rows "
-                                  f"{split}..{rows} exited with status {code}")
-                f.flush()
-                # the child's writes moved the shared file offset
-                part.seek(0)
-                # copies in a loop, so a signal that cuts one write short
-                # loses no bytes
-                shutil.copyfileobj(part, f.buffer)
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    with csv_writer(path, log.x_true.shape[1], log.w.shape[1]) as send:
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            send(log, start, min(start + CSV_CHUNK_ROWS, rows))
 
 
 def read_csv(path):
@@ -332,10 +371,10 @@ def cmd_run(args) -> int:
     cfg = _resolved_cfg(args)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    log = run_scenario(cfg)
     stem = f"{cfg.scenario}_{cfg.controller}_seed{cfg.seed}"
     csv_path = out / f"{stem}.csv"
-    write_csv(log, csv_path)
+    with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
+        log = run_scenario(cfg, on_rows)
     write_manifest(cfg, out / f"{stem}.manifest", [csv_path],
                    time.perf_counter() - t0)
     status = f"diverged ({log.stop_cause})" if log.diverged else "completed"
@@ -351,10 +390,10 @@ def cmd_compare(args) -> int:
     results = {}
     csvs = []
     for ctrl in ("iadp", "zsadp", "tadp"):
-        log = run_scenario(dataclasses.replace(cfg, controller=ctrl))
-        results[ctrl] = log
         csv_path = out / f"{cfg.scenario}_{ctrl}_seed{cfg.seed}.csv"
-        write_csv(log, csv_path)
+        with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
+            results[ctrl] = run_scenario(dataclasses.replace(cfg, controller=ctrl),
+                                         on_rows)
         csvs.append(csv_path)
 
     summary = [f"# compare {cfg.scenario}, seed {cfg.seed}",

@@ -41,7 +41,8 @@ def build_world(cfg: SimConfig) -> World:
     return World(pendulum_nominal(), dist, noise, events)
 
 
-def run_scenario(cfg: SimConfig):
-    """Convenience wrapper: build the scenario world and run one episode."""
+def run_scenario(cfg: SimConfig, on_rows=None):
+    """Convenience wrapper: build the scenario world and run one episode,
+    passing ``on_rows`` to ``run_episode``."""
     from .sim import run_episode
-    return run_episode(cfg, build_world(cfg))
+    return run_episode(cfg, build_world(cfg), on_rows)

@@ -183,13 +183,20 @@ class TrajectoryLog:
 rk4_step = kernels.pendulum_rk4
 
 
-def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
+def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     """Run one closed-loop episode and return the complete per-step log.
 
     The per-step state (x, xm, u, w, ...) is held in Python floats and
     tuples. Each step stages its log row as a tuple, and every
     LOG_CHUNK_ROWS rows (and once at the end) the staged rows are written
     into the preallocated log arrays, one slice assignment per array.
+
+    ``on_rows(log, start, stop)``, if given, is called after each such
+    write with the rows it just filled: the ranges cover [0, rows) in order,
+    each row once, and each is final in the log arrays when it is handed
+    over. It lets a caller consume the log while the episode runs; the
+    returned log is the same with or without it. An exception it raises
+    ends the episode.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -261,6 +268,8 @@ def run_episode(cfg: SimConfig, world: World) -> TrajectoryLog:
             arr[flushed:flushed + k] = col
         flushed += k
         staged.clear()
+        if on_rows is not None and k:
+            on_rows(log, flushed - k, flushed)
 
     for i in range(S):
         t = i * dt

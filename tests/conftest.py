@@ -1,4 +1,5 @@
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ def _run_cached(scenario, controller, dt, t_end, seed, xdot_source):
     cfg = SimConfig(scenario=scenario, controller=controller, dt=dt,
                     t_end=t_end, seed=seed, xdot_source=xdot_source)
     return run_scenario(cfg)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid: pid {pid}, status {status})")
 
 
 @pytest.fixture

@@ -179,8 +179,8 @@ def write_csv_row_loop(log, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# row counts around the chunk size, where the two-process writer's split
-# moves: the parent writes none, or one chunk, of these rows
+# row counts around the chunk size, where the writer's child ends a read
+# with a whole chunk, one row more or one row short
 CUT_ROWS = (1, 1023, 1024, 1025, 2047, 2048, 2049)
 
 
@@ -220,21 +220,33 @@ class TestStreamedIo:
         assert hashlib.sha256((tmp_path / "s1.csv").read_bytes()).hexdigest() == \
             "784cea91a0d6ed737290a58dc201571580416a271df859ff3af643ee31a1c9fa"
 
-    def test_csv_bytes_survive_signals(self, tmp_path, io_logs):
-        # a signal handler that returns cuts a copy call short; the writer
-        # must still append every byte of the child's part. A 0.1 ms period
-        # cuts a single sendfile of this ~1 MB part every time; at 1 ms some
-        # copies finish first, so the test would catch that defect only
-        # some of the time
+    def test_csv_bytes_survive_signals(self, tmp_path, capsys, monkeypatch, io_logs):
+        # a signal handler that returns cuts a pipe write or read short; the
+        # streamed CSV must still hold every byte. The timer runs in the
+        # episode's process and, restarted after the fork, in the writer's
+        # child; with a 0.1 ms period and a one-page pipe, on which every
+        # row block's write blocks, both are interrupted many times
+        monkeypatch.setattr(cli, "CSV_PIPE_BYTES", 4096)
+        period = (signal.ITIMER_REAL, 1e-4, 1e-4)
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                signal.setitimer(*period)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
         old_handler = signal.signal(signal.SIGALRM, lambda signum, frame: None)
-        old_timer = signal.setitimer(signal.ITIMER_REAL, 1e-4, 1e-4)
+        old_timer = signal.setitimer(*period)
         try:
-            write_csv(io_logs["long"], tmp_path / "streamed.csv")
+            assert main(["run", "--scenario", "s1", "--t-end", "5",
+                         "--out-dir", str(tmp_path)]) == 0
         finally:
             signal.setitimer(signal.ITIMER_REAL, *old_timer)
             signal.signal(signal.SIGALRM, old_handler)
         write_csv_row_loop(io_logs["long"], tmp_path / "rows.csv")
-        assert (tmp_path / "streamed.csv").read_bytes() == \
+        assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["long", "diverged"])
@@ -351,6 +363,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: saturation invariant violated at t=0.002")
         assert "u=3.0" in err
+        # no CSV, no temporary file and no writer process is left
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fault_mid_stream_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # the fault comes at t = 2.001 s, after the episode has sent its
+        # first 1,792 rows to the writer's child
+        from iadp.controllers import IadpLaw
+        control, calls = IadpLaw.control, []
+
+        def faulting(self, gphi_t, w):
+            calls.append(None)
+            return (3.0, None) if len(calls) == 2000 else control(self, gphi_t, w)
+
+        sent, write_all = [], cli._write_all
+        monkeypatch.setattr(IadpLaw, "control", faulting)
+        monkeypatch.setattr(cli, "_write_all",
+                            lambda pipe, data: sent.append(len(data)) or write_all(pipe, data))
+        rc = main(["run", "--scenario", "s1", "--t-end", "5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 4 and len(sent) == 7
+        assert capsys.readouterr().err.startswith(
+            "error: saturation invariant violated at t=2.001")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_run_names_stop_cause(self, tmp_path, capsys, monkeypatch):
         from iadp import kernels
@@ -437,21 +476,27 @@ class TestMain:
         ("child", "exited with status 1"), ("parent", "No space left on device")])
     def test_csv_writer_failure_exit_one(self, tmp_path, capsys, monkeypatch,
                                          side, message):
-        # the child's or this process's formatting fails: one stderr line,
-        # the child reaped and no temporary part left beside the CSV
-        real, parent = cli._write_rows, os.getpid()
+        # the child's formatting or this process's pipe write fails partway:
+        # one stderr line, the child reaped and nothing left in the out dir
+        def fail(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        def failing(f, log, start, stop):
-            if (os.getpid() == parent) == (side == "parent"):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            real(f, log, start, stop)
+        if side == "child":
+            # only the writer's child formats rows
+            monkeypatch.setattr(cli, "_csv_lines", fail)
+        else:
+            # this process's third block of rows fails to go down the pipe
+            real, calls = cli._write_all, []
 
-        monkeypatch.setattr(cli, "_write_rows", failing)
+            def failing(pipe, data):
+                calls.append(None)
+                (fail if len(calls) == 3 else real)(pipe, data)
+            monkeypatch.setattr(cli, "_write_all", failing)
         rc = main(["run", "--scenario", "s1", "--t-end", "3",
                    "--out-dir", str(tmp_path)])
         out, err = capsys.readouterr()
         assert rc == 1 and len(err.splitlines()) == 1 and message in err, err
-        assert [p.name for p in tmp_path.iterdir()] == ["s1_iadp_seed0.csv"]
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -1,5 +1,8 @@
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass, replace
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSigna
                         NoiseSpec, NoiseState, World, pendulum_nominal)
 from iadp.scenarios import build_world, run_scenario
 from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, run_episode
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workload import fingerprint  # noqa: E402
 
 
 @dataclass
@@ -272,12 +278,12 @@ class TestEpisode:
         assert np.all(np.isfinite(log.x_true))
 
 
-def unstable_uncontrolled_run():
+def unstable_uncontrolled_run(on_rows=None):
     """An unstable pendulum under the zero controller: the state leaves the
     DIVERGENCE_NORM ball, finite, after 2.3 s."""
     world = World(ControlAffinePlant(1.0, 500.0, 5.0, 0.25, 1.0, -0.2),
                   DisturbanceSignal(), NoiseSpec())
-    return run_episode(SimConfig(controller="zero", t_end=80.0), world)
+    return run_episode(SimConfig(controller="zero", t_end=80.0), world, on_rows)
 
 
 class TestStopCause:
@@ -413,3 +419,63 @@ class TestNoiseTracker:
     def test_every_step_with_noise_spec(self, updates):
         log = run_scenario(SimConfig(scenario="s2", t_end=0.5))
         assert len(updates) == log.rows() == 501
+
+
+class RowsRecorder:
+    """An ``on_rows`` callback that keeps a copy of each range it is handed,
+    read from the log arrays at the time of the call."""
+
+    def __init__(self):
+        self.ranges = []
+        self.copies = []
+
+    def __call__(self, log, start, stop):
+        self.ranges.append((start, stop))
+        self.copies.append({name: value[start:stop].copy()
+                            for name, value in vars(log).items()
+                            if isinstance(value, np.ndarray)})
+
+    def check(self, log):
+        """The ranges tile [0, rows) in order, and each copy is the final log's
+        rows, bit for bit."""
+        assert self.ranges[0][0] == 0 and self.ranges[-1][1] == log.rows()
+        for (_, stop), (start, _) in zip(self.ranges, self.ranges[1:]):
+            assert stop == start
+        for (start, stop), copy in zip(self.ranges, self.copies):
+            assert start < stop
+            for name, rows in copy.items():
+                assert rows.tobytes() == getattr(log, name)[start:stop].tobytes(), name
+
+
+class TestOnRows:
+    """``run_episode``'s ``on_rows`` callback hands over each flushed range of
+    rows once, in order, after the rows are written, and leaves the log as it
+    is without one."""
+
+    def test_full_episode(self):
+        rec = RowsRecorder()
+        log = run_scenario(SimConfig(t_end=1.0), rec)
+        assert not log.diverged and log.rows() == 1001
+        assert rec.ranges == [(0, 256), (256, 512), (512, 768), (768, 1001)]
+        rec.check(log)
+
+    def test_nonfinite_weights_stop(self, monkeypatch):
+        monkeypatch.setattr(kernels, "weight_derivative_kernel",
+                            lambda w, *args: [math.inf] * len(w))
+        rec = RowsRecorder()
+        log = run_scenario(SimConfig(t_end=1.0), rec)
+        assert log.stop_cause == "nonfinite_weights" and rec.ranges == [(0, 3)]
+        rec.check(log)
+
+    def test_state_norm_stop(self):
+        rec = RowsRecorder()
+        log = unstable_uncontrolled_run(rec)
+        assert log.stop_cause == "state_norm" and log.rows() % sim.LOG_CHUNK_ROWS
+        rec.check(log)
+
+    @pytest.mark.parametrize("scenario, controller", [("s2", "iadp"), ("s3", "zsadp")])
+    def test_log_unchanged_by_callback(self, scenario, controller):
+        rec = RowsRecorder()
+        log = run_scenario(SimConfig(scenario=scenario, controller=controller), rec)
+        assert fingerprint(log) == fingerprint(cached_run(scenario, controller))
+        rec.check(log)
