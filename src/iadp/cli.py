@@ -282,10 +282,9 @@ def csv_writer(path, n: int, N: int):
 
             def send(log, start, stop):
                 rows = np.empty(stop - start, record)
-                rows["values"] = np.column_stack([
-                    c[start:stop] for c in (log.t, log.x_true, log.x_meas, log.u,
-                                            log.du, log.w, log.theta_tilde, log.xi,
-                                            log.d, log.E_u, log.E_x)])
+                rows["values"] = np.column_stack([getattr(log, name)[start:stop]
+                                                  for name in TrajectoryLog.ARRAYS
+                                                  if name != "rank"])
                 rows["rank"] = log.rank[start:stop]
                 _write_all(pipe, rows.tobytes())
 
@@ -367,18 +366,24 @@ def _out_dir(args) -> Path:
     return path
 
 
+def run_to_csv(cfg: SimConfig, out: Path):
+    """Run cfg's episode, its trajectory CSV written into ``out`` while it
+    runs; returns (log, CSV path)."""
+    csv_path = out / f"{cfg.scenario}_{cfg.controller}_seed{cfg.seed}.csv"
+    with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
+        log = run_scenario(cfg, on_rows)
+    return log, csv_path
+
+
 def cmd_run(args) -> int:
     cfg = _resolved_cfg(args)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    stem = f"{cfg.scenario}_{cfg.controller}_seed{cfg.seed}"
-    csv_path = out / f"{stem}.csv"
-    with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
-        log = run_scenario(cfg, on_rows)
-    write_manifest(cfg, out / f"{stem}.manifest", [csv_path],
+    log, csv_path = run_to_csv(cfg, out)
+    write_manifest(cfg, csv_path.with_suffix(".manifest"), [csv_path],
                    time.perf_counter() - t0)
     status = f"diverged ({log.stop_cause})" if log.diverged else "completed"
-    print(f"{stem}: {status}, rows={log.rows()}, "
+    print(f"{csv_path.stem}: {status}, rows={log.rows()}, "
           f"E_u={log.E_u[-1]:.6g}, E_x={log.E_x[-1]:.6g} -> {csv_path}")
     return 2 if log.diverged else 0
 
@@ -390,10 +395,7 @@ def cmd_compare(args) -> int:
     results = {}
     csvs = []
     for ctrl in ("iadp", "zsadp", "tadp"):
-        csv_path = out / f"{cfg.scenario}_{ctrl}_seed{cfg.seed}.csv"
-        with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
-            results[ctrl] = run_scenario(dataclasses.replace(cfg, controller=ctrl),
-                                         on_rows)
+        results[ctrl], csv_path = run_to_csv(dataclasses.replace(cfg, controller=ctrl), out)
         csvs.append(csv_path)
 
     summary = [f"# compare {cfg.scenario}, seed {cfg.seed}",
@@ -483,13 +485,17 @@ def emit_plots(log_paths, out_dir) -> list:
 
     With multiple logs an extra overlay figure compares their E_u curves.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     stems = {}
     for path in log_paths:
         stem = Path(path).stem
-        stems[stem] = None
+        if stem in stems:
+            raise ConfigurationError(f"two logs share the stem {stem!r} ({stems[stem]}, "
+                                     f"{path}); their plot files would overwrite each other")
+        stems[stem] = path
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for stem, path in stems.items():
         figures = _write_figure_data(path, out, stem)
         for fig, (_, title) in FIGURES.items():
             dat = out / f"{stem}_{fig}.dat"

@@ -9,7 +9,7 @@ so episodes on one World are independent: a rerun gives the same log.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import sub
 
@@ -178,6 +178,10 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
+# the per-step arrays' names in field order, which is the CSV's column order
+TrajectoryLog.ARRAYS = tuple(f.name for f in fields(TrajectoryLog) if f.type is np.ndarray)
+
+
 # the engine steps kernels.pendulum_rk4 itself; this alias stays only because
 # perfbench's hook table names iadp.sim:rk4_step (its call count reads 0)
 rk4_step = kernels.pendulum_rk4
@@ -250,9 +254,8 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()
-    # the arrays in the order of a staged row's fields
-    columns = (log.x_true, log.x_meas, log.u, log.du, log.w, log.theta_tilde,
-               log.xi, log.d, log.rank, log.E_u, log.E_x)
+    # a staged row holds every array's value but t's, which is filled above
+    columns = [getattr(log, name) for name in TrajectoryLog.ARRAYS[1:]]
     staged = []
     stage = staged.append
     chunk = LOG_CHUNK_ROWS
@@ -340,7 +343,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        stage((x, xm, u, du, w, theta_tilde, xi, d_val, rank_val, E_u, E_x))
+        stage((x, xm, u, du, w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
         # the next step's sample one delay L = dt back
         xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:
@@ -372,15 +375,14 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
             if log.diverged:
                 # record the diverged state row, then stop
-                stage((x, x, 0.0, 0.0, w, 0.0, 0.0, 0.0, rank_val, E_u, E_x))
+                stage((x, x, 0.0, 0.0, w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
                 break
 
     flush()
     rows = log.diverged_step + 1 if log.diverged else S
     if log.diverged:
         # copies, so the truncated log does not keep all S rows alive
-        for name in ("t", "x_true", "x_meas", "u", "du", "w", "theta_tilde",
-                     "xi", "d", "E_u", "E_x", "rank"):
+        for name in TrajectoryLog.ARRAYS:
             setattr(log, name, getattr(log, name)[:rows].copy())
     log.buffer_sigma_min = sigma_min
     log.wall_time = time.perf_counter() - t_start

@@ -541,6 +541,18 @@ class TestMain:
         assert main(["check"]) == 3
         assert f"FAIL  {check}:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kernel, check", [
+        ("penalty_sat", "penalty_vs_quadrature"),
+        ("disturbance_value", "vanishing_disturbance_bound"),
+    ])
+    def test_check_fails_on_a_nan_kernel(self, capsys, monkeypatch, kernel, check):
+        # a nan defect fails: it is not dropped by a max or passed by a comparison
+        real = getattr(kernels, kernel)
+        monkeypatch.setattr(kernels, kernel,
+                            lambda *args: np.multiply(real(*args), np.nan).tolist())
+        assert main(["check"]) == 3
+        assert f"FAIL  {check}:" in capsys.readouterr().out
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IADP_OUT_DIR", str(tmp_path / "envout"))
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5"])
@@ -564,3 +576,15 @@ class TestMain:
         emit_plots([tmp_path / "s1_iadp_seed0.csv",
                     tmp_path / "s1_iadp_seed1.csv"], tmp_path / "figs")
         assert (tmp_path / "figs" / "compare_E_u.gp").exists()
+
+    @pytest.mark.parametrize("dirs", [("a", "b"), ("a", "a")], ids=["two_dirs", "same_path"])
+    def test_plots_refuses_a_repeated_stem(self, tmp_path, capsys, dirs):
+        # logs of one stem would write the same plot files, the later over the earlier
+        for d in set(dirs):
+            main(["run", "--t-end", "0.5", "--out-dir", str(tmp_path / d)])
+        capsys.readouterr()
+        rc = main(["plots", *(str(tmp_path / d / "s1_iadp_seed0.csv") for d in dirs),
+                   "--out-dir", str(tmp_path / "figs")])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1 and "'s1_iadp_seed0'" in err, err
+        assert not any((tmp_path / "figs").iterdir())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iadp import kernels
+from iadp import checks, kernels
 from iadp.learner import ExperienceBuffer, step_weights, try_insert
 from iadp.plant import ConfigurationError
 from iadp.sim import SimConfig
@@ -149,24 +149,8 @@ class TestUpdateLaw:
 
     def test_is_gradient_flow(self, rng):
         # wdot must equal -Gamma * grad of the summed half-squared residuals
-        Gamma, k_c, k_e = 1e-4 * np.eye(5), 5.0, 3.0
-        buf = ExperienceBuffer(4, 5)
-        for _ in range(4):
-            try_insert(buf, rng.uniform(-3, 3, 5), rng.uniform(0, 4))
-        Y, theta = rng.uniform(-3, 3, 5), rng.uniform(0, 4)
-        w = rng.uniform(-2, 2, 5)
-
-        def energy(wv):
-            e = 0.5 * k_c * (theta + wv @ Y) ** 2
-            for l in range(len(buf)):
-                e += 0.5 * k_e * (buf.Theta[l] + wv @ buf.Y[l]) ** 2
-            return e
-
-        h = 1e-6
-        grad = np.array([(energy(w + h * e) - energy(w - h * e)) / (2 * h)
-                         for e in np.eye(5)])
-        assert np.allclose(wdot(w, Y, theta, buf, Gamma, k_c, k_e),
-                           -Gamma @ grad, rtol=1e-6, atol=1e-12)
+        error = checks.update_gradient_error(rng, N=5, P=4)
+        assert error < checks.update_gradient_error.tol
 
     def test_fixed_point(self, rng):
         # if every residual is zero at w, the derivative vanishes

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iadp import kernels
+from iadp import checks, kernels
 from iadp.plant import (ConfigurationError, DisturbanceSignal, Event, NoiseSpec,
                         NoiseState, World, add_measurement_noise, apply_event_schedule,
                         pendulum_nominal, pendulum_reset_mild)
@@ -43,19 +43,11 @@ class TestEvalDynamics:
                 SimConfig(**kwargs)
 
     def test_affine_in_u(self, rng):
-        # d = 0.3 on [0, 1)
+        # k d at rest, with the body's square wave d = 0.3 on [0, 1)
         dist = DisturbanceSignal(amplitude=0.3, period=2.0, t_on=0.0, t_off=10.0).packed()
-
-        def rhs(x, u):
-            return np.array(kernels.pendulum_rhs(*x, u, NOMINAL, dist, 0.5))
-
-        assert np.allclose(rhs((0.0, 0.0), 0.0), [0.3, -0.06], atol=1e-15)  # k d
-        for _ in range(100):
-            x = rng.uniform(-3, 3, 2)
-            u1, u2 = rng.uniform(-2, 2, 2)
-            a = rng.uniform()
-            lhs = rhs(x, a * u1 + (1 - a) * u2)
-            assert np.allclose(lhs, a * rhs(x, u1) + (1 - a) * rhs(x, u2), atol=1e-12)
+        assert np.allclose(kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, dist, 0.5),
+                           [0.3, -0.06], atol=1e-15)
+        assert checks.plant_affine_defect(rng) < checks.plant_affine_defect.tol
 
 
 def d_at(sig, x, t):
@@ -84,10 +76,7 @@ class TestDisturbance:
         assert d_at(sig, [0.0, 3.0], 1.0) == 0.0
 
     def test_vanishing_bound(self, rng):
-        sig = DisturbanceSignal(w1=-0.3906, w2=1.0051)
-        for _ in range(300):
-            x = rng.uniform(-6, 6, 2)
-            assert abs(d_at(sig, x, 0.0)) <= 0.3906 * abs(x[0]) + 1e-14
+        assert checks.vanishing_bound_defect(rng) < checks.vanishing_bound_defect.tol
 
     def test_square_wave(self):
         sig = DisturbanceSignal(amplitude=0.2, period=5.0, t_on=20.0, t_off=60.0)
@@ -96,11 +85,9 @@ class TestDisturbance:
         assert d_at(sig, [0, 0], 10.0) == 0.0
         assert d_at(sig, [0, 0], 60.0) == 0.0
 
-    def test_square_wave_zero_mean(self):
-        sig = DisturbanceSignal(amplitude=0.5, period=5.0, t_on=20.0, t_off=60.0)
-        ts = 20.0 + np.arange(0, 5.0, 1e-3)
-        vals = [d_at(sig, np.zeros(2), t) for t in ts]
-        assert abs(np.mean(vals)) < 1e-12
+    def test_square_wave_zero_mean(self, rng):
+        error = checks.square_wave_mean_error(rng, amplitude=0.5)
+        assert error < checks.square_wave_mean_error.tol
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
@@ -138,12 +125,9 @@ class TestNoise:
         ratio_db = 10 * np.log10(powers[10.0] / powers[50.0])
         assert ratio_db == pytest.approx(40.0, abs=1.0)
 
-    def test_seed_reproducibility(self):
-        spec = NoiseSpec(kind="gaussian", snr_db=20, t_on=0, t_off=10)
-        x = np.array([0.5, -0.5])
-        a = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3), tracked(x))
-        b = add_measurement_noise(x, spec, 1.0, np.random.default_rng(3), tracked(x))
-        assert np.array_equal(a, b)
+    def test_seed_reproducibility(self, rng):
+        defect = checks.noise_determinism_defect(rng, snr_db=20.0, seed=3)
+        assert defect < checks.noise_determinism_defect.tol
 
 
 class TestEvents:

