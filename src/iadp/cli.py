@@ -17,7 +17,6 @@ import contextlib
 import dataclasses
 import fcntl
 import itertools
-import math
 import operator
 import os
 import signal
@@ -34,29 +33,29 @@ from .sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 CSV_SCHEMA_VERSION = 1
 
-# config keys <-> SimConfig fields; kind controls parsing/serialization
+# config key -> SimConfig field; SimConfig converts and checks the values
 CONFIG_KEYS = {
-    "scenario": ("scenario", "str"),
-    "controller": ("controller", "str"),
-    "sim.dt": ("dt", "float"),
-    "sim.t_end": ("t_end", "float"),
-    "sim.seed": ("seed", "int"),
-    "sim.xdot_source": ("xdot_source", "str"),
-    "init.x0": ("x0", "vector"),
-    "tde.g_bar": ("g_bar", "matrix"),
-    "cost.Q": ("Q", "matrix"),
-    "cost.beta": ("beta", "float"),
-    "cost.c_bar": ("c_bar", "float"),
-    "learner.Gamma": ("Gamma", "matrix"),
-    "learner.k_c": ("k_c", "float"),
-    "learner.k_e": ("k_e", "float"),
-    "learner.P": ("buffer_size", "int"),
-    "learner.buffer_every": ("buffer_every", "int"),
-    "learner.buffer_until": ("buffer_until", "float"),
-    "learner.rank_deadline": ("rank_deadline", "float"),
-    "basis.exponents": ("basis_exponents", "imatrix"),
-    "zsadp.gamma": ("gamma", "float"),
-    "tadp.rho": ("rho", "float"),
+    "scenario": "scenario",
+    "controller": "controller",
+    "sim.dt": "dt",
+    "sim.t_end": "t_end",
+    "sim.seed": "seed",
+    "sim.xdot_source": "xdot_source",
+    "init.x0": "x0",
+    "tde.g_bar": "g_bar",
+    "cost.Q": "Q",
+    "cost.beta": "beta",
+    "cost.c_bar": "c_bar",
+    "learner.Gamma": "Gamma",
+    "learner.k_c": "k_c",
+    "learner.k_e": "k_e",
+    "learner.P": "buffer_size",
+    "learner.buffer_every": "buffer_every",
+    "learner.buffer_until": "buffer_until",
+    "learner.rank_deadline": "rank_deadline",
+    "basis.exponents": "basis_exponents",
+    "zsadp.gamma": "gamma",
+    "tadp.rho": "rho",
 }
 
 
@@ -64,14 +63,10 @@ def _parse_scalar(text: str):
     t = text.strip()
     if t.lower() in ("true", "false"):
         return t.lower() == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        return t
+    for number in (int, float):
+        with contextlib.suppress(ValueError):
+            return number(t)
+    return t
 
 
 def _parse_value(text: str):
@@ -117,49 +112,6 @@ def _format_value(v) -> str:
     return "[" + ", ".join(_format_value(row) for row in arr) + "]"
 
 
-def _as_int(value) -> int:
-    """An integral number as an int; a bool or a fraction is an error."""
-    if isinstance(value, (bool, np.bool_)) or int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _as_float(value) -> float:
-    """A finite number as a float; a bool, nan or +-inf is an error."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{value!r} is not a number")
-    if not math.isfinite(value := float(value)):
-        raise ValueError(f"{value!r} is not finite")
-    return value
-
-
-def _array(value, convert, dtype) -> np.ndarray:
-    """Nested lists of numbers as an array, each entry through ``convert``."""
-    arr = np.asarray(value, dtype=object)
-    return np.array([convert(v) for v in arr.ravel()], dtype=dtype).reshape(arr.shape)
-
-
-def _coerce(key: str, kind: str, value):
-    try:
-        if kind == "str":
-            return str(value)
-        if kind == "int":
-            return _as_int(value)
-        if kind == "float":
-            return _as_float(value)
-        if kind == "vector":
-            return _array(value, _as_float, float).ravel()
-        if kind == "imatrix":
-            return np.atleast_2d(_array(value, _as_int, np.int64))
-        # matrix; a scalar c stands for c * I, which SimConfig sizes
-        if np.isscalar(value):
-            return _as_float(value)
-        arr = _array(value, _as_float, float)
-        return arr if arr.ndim == 2 else arr.reshape(-1, 1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"bad value for {key}: {exc}") from exc
-
-
 def read_config_file(path) -> dict:
     """Read a flat key=value config file into a {key: raw_value} dict."""
     out = {}
@@ -175,28 +127,21 @@ def read_config_file(path) -> dict:
 
 
 def parse_config(path=None, overrides: dict | None = None) -> SimConfig:
-    """Resolve a SimConfig from an optional file plus override pairs: each
-    key is coerced to its field's type, and the fields go to one SimConfig
-    construction, which checks them; a key left out keeps its default."""
+    """Resolve a SimConfig from an optional file plus override pairs: the
+    parsed values go to one SimConfig construction, which converts and
+    checks them; a key left out keeps its default."""
     raw = read_config_file(path) if path else {}
     for k, v in (overrides or {}).items():
         raw[k] = _parse_value(v) if isinstance(v, str) else v
-
-    values = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        field_name, kind = CONFIG_KEYS[key]
-        values[field_name] = _coerce(key, kind, value)
-    return SimConfig(**values)
+    return SimConfig(**{CONFIG_KEYS[key]: value for key, value in raw.items()})
 
 
 def config_dict(cfg: SimConfig) -> dict:
     """The resolved config as canonical {config key: value} pairs."""
-    out = {}
-    for key, (field_name, kind) in CONFIG_KEYS.items():
-        out[key] = getattr(cfg, field_name)
-    return out
+    return {key: getattr(cfg, name) for key, name in CONFIG_KEYS.items()}
 
 
 def csv_header(n: int, N: int) -> str:

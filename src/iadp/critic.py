@@ -39,7 +39,7 @@ class BasisSet:
 
     def __post_init__(self):
         self.exponents = np.asarray(self.exponents, dtype=np.int64)
-        if self.exponents.ndim != 2:
+        if self.exponents.ndim != 2 or not self.exponents.size:
             raise ConfigurationError("basis exponents must be an (N, n) matrix")
         if np.any(self.exponents < 0):
             raise ConfigurationError("basis exponents must be >= 0")

@@ -31,22 +31,56 @@ CONTROLLERS = ("iadp", "zsadp", "tadp", "zero")
 XDOT_SOURCES = ("backward_difference", "ground_truth")
 
 
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _as_int(value) -> int:
+    """An integral number as an int; a bool or a fraction is an error."""
+    if isinstance(value, (bool, np.bool_)) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    """A finite number as a float; a bool, a string, nan or +-inf is an error."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
+def _as_array(value, convert, dtype) -> np.ndarray:
+    """Nested lists of numbers as an array, each entry through ``convert``."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([convert(v) for v in arr.ravel()], dtype=dtype).reshape(arr.shape)
+
+
+_CONVERT = {str: _as_str, int: _as_int, float: _as_float}
+
+
 @dataclass
 class SimConfig:
     """Fully resolved episode configuration (benchmark defaults), checked
-    once, here: a config the loop cannot run raises ConfigurationError, and
-    no field is assigned after construction (a variant is a
-    ``dataclasses.replace`` copy).
+    once, here, for every caller: a config the loop cannot run raises
+    ConfigurationError, and no field is assigned after construction (a
+    variant is a ``dataclasses.replace`` copy).
 
-    ``Q`` and ``Gamma`` may be given as a scalar c, which stands for c times
-    the identity of the basis's state size n and basis size N; either is
-    kept as an array of floats.
+    Each value is first converted by its field's type: no field takes a
+    bool, and every number must be finite (integral in an int field and in
+    ``basis_exponents``). ``x0`` is read flat, a flat ``basis_exponents`` as
+    one row, and ``Q``, ``Gamma`` and ``g_bar`` with neither 0 nor 2
+    dimensions as a column (``g_bar`` may also come as a row); a scalar c
+    for ``Q`` or ``Gamma`` is c times the identity of size n or N.
 
     Construction also resolves what the loop reads, as plain attributes that
     are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
     ``g_bar_col``, the one input's surrogate column g_bar as n floats; and
     ``g_bar_pinv``, its left pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1),
-    n floats. ``g_bar`` may come as a column, a row or a flat vector.
+    n floats.
     """
 
     scenario: str = "s1"
@@ -73,12 +107,26 @@ class SimConfig:
     rho: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ConfigurationError("dt must be finite and > 0")
-        if not 0 < self.t_end < math.inf:
-            raise ConfigurationError("t_end must be finite and > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                if f.type is not np.ndarray:
+                    value = _CONVERT[f.type](value)
+                elif f.name == "basis_exponents":
+                    value = np.atleast_2d(_as_array(value, _as_int, np.int64))
+                else:
+                    value = _as_array(value, _as_float, float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"bad value for {f.name}: {exc}") from exc
+            setattr(self, f.name, value)
+        self.x0 = self.x0.ravel()
+        for name in ("Q", "Gamma", "g_bar"):
+            if getattr(self, name).ndim not in (0, 2):
+                setattr(self, name, getattr(self, name).reshape(-1, 1))
+        if not (self.dt > 0 and self.t_end > 0):
+            raise ConfigurationError("dt and t_end must be > 0")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-6:
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6):
             raise ConfigurationError("t_end must be a multiple of dt")
         if self.seed < 0:
             raise ConfigurationError("sim.seed must be >= 0")
@@ -95,13 +143,12 @@ class SimConfig:
             raise ConfigurationError(f"zsadp.gamma = {self.gamma!r}: 2 gamma^2 underflows to 0")
         basis = self.basis = BasisSet(self.basis_exponents)
         n = basis.n
-        if np.ndim(self.Q) == 0:
-            self.Q = float(self.Q) * np.eye(n)
-        if np.ndim(self.Gamma) == 0:
-            self.Gamma = float(self.Gamma) * np.eye(basis.N)
-        self.Q = np.asarray(self.Q, dtype=float)
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
-            raise ConfigurationError("Q must be square")
+        if self.Q.ndim == 0:
+            self.Q = self.Q * np.eye(n)
+        if self.Gamma.ndim == 0:
+            self.Gamma = self.Gamma * np.eye(basis.N)
+        if self.Q.shape != (n, n):
+            raise ConfigurationError(f"Q must be {n}x{n}")
         if not np.allclose(self.Q, self.Q.T):
             raise ConfigurationError("Q must be symmetric")
         if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
@@ -111,18 +158,14 @@ class SimConfig:
             raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r}")
         if not self.c_bar > 0.0:
             raise ConfigurationError("c_bar must be > 0")
-        if self.Q.shape != (n, n):
-            raise ConfigurationError(f"Q must be {n}x{n}")
-        self.Gamma = np.asarray(self.Gamma, dtype=float)
         if self.Gamma.shape != (basis.N, basis.N):
             raise ConfigurationError("learner.Gamma shape does not match basis size")
         if not np.allclose(self.Gamma, self.Gamma.T) or np.linalg.eigvalsh(self.Gamma)[0] <= 0:
             raise ConfigurationError("Gamma must be symmetric positive definite")
         if not (self.k_c > 0 and self.k_e > 0):
             raise ConfigurationError("k_c and k_e must be > 0")
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (n,) or not np.all(np.isfinite(x0)):
-            raise ConfigurationError(f"x0 must be {n} finite values, got {self.x0}")
+        if self.x0.shape != (n,):
+            raise ConfigurationError(f"x0 must be {n} values, got {self.x0.tolist()}")
         # g_bar is n x m; a single row is read as a column
         rows, m = sorted(np.shape(np.atleast_2d(self.g_bar)), reverse=True)
         if rows != n:
@@ -130,7 +173,7 @@ class SimConfig:
         if (n, m) != (ControlAffinePlant.n, ControlAffinePlant.m):
             raise ConfigurationError(f"(n, m) = ({n}, {m}) from the basis and g_bar, but the "
                                      f"plant has ({ControlAffinePlant.n}, {ControlAffinePlant.m})")
-        g = np.asarray(self.g_bar, dtype=float).reshape(-1, 1)
+        g = self.g_bar.reshape(-1, 1)
         if np.linalg.matrix_rank(g) < 1:
             raise ConfigurationError("g_bar must have full column rank")
         self.g_bar_col = tuple(g[:, 0].tolist())

@@ -4,6 +4,8 @@ import hashlib
 import os
 import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cached_run
+import iadp
 from iadp import cli, kernels
 from iadp.cli import (CONFIG_KEYS, CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES,
                       _format_value, _parse_value, _resolved_cfg, build_parser, config_dict,
@@ -81,7 +84,7 @@ class TestConfigFile:
 
     def test_every_field_has_one_key(self):
         # so a run's manifest replays every field of its config
-        targets = sorted(name for name, _ in CONFIG_KEYS.values())
+        targets = sorted(CONFIG_KEYS.values())
         assert targets == sorted(f.name for f in dataclasses.fields(SimConfig))
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -340,8 +343,8 @@ class TestMain:
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
                    "--override", override, "--out-dir", str(tmp_path)])
-        assert rc == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error") and len(err.splitlines()) == 1
 
     def test_basis_state_size_must_match_plant(self, tmp_path, capsys):
         # a consistent 3-state set-up is refused by the config, as the plant
@@ -401,6 +404,17 @@ class TestMain:
         assert "s1_iadp_seed0: diverged (nonfinite_weights), rows=3," \
             in capsys.readouterr().out
 
+    @pytest.mark.parametrize("override, rows", [
+        ("learner.k_c=1e300", 4), ("learner.Gamma=1e300", 4), ("learner.k_e=1e300", 13)])
+    def test_huge_gain_runs_to_nonfinite_weights(self, tmp_path, capsys, override, rows):
+        # no magnitude bound refuses a finite gain at parse time: the run
+        # stops under the divergence contract instead
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.05", "--override", override,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"s1_iadp_seed0: diverged (nonfinite_weights), rows={rows}," \
+            in capsys.readouterr().out
+
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -421,15 +435,22 @@ class TestMain:
         ("learner.Gamma=1e300", False), ("learner.Gamma=5e-324", False),
         ("cost.Q=1e300", False), ("cost.Q=5e-324", False),
         ("init.x0=[1e300,-1e300]", False), ("tde.g_bar=[[0],[1e-300]]", False),
+        # x0 is read flat and a flat exponent list as one row
+        ("init.x0=[[2],[-2]]", False), ("init.x0=[[1,2],[3,4]]", True),
+        ("basis.exponents=[2,0] learner.Gamma=1e-4", False),
+        # t_end / dt overflows to inf; an empty basis leaves Q 0x0
+        ("sim.dt=5e-324", True), ("cost.Q=1 basis.exponents=[]", True),
     ])
     def test_every_accepted_config_runs(self, tmp_path, capsys, override, refused):
-        # a configuration is refused at parse time with one line, or every
-        # command runs it to an end (completed or diverged) with no traceback,
-        # engine fault or warning; numpy warnings are errors under tier-1
+        # a configuration (space-separated overrides) is refused at parse
+        # time with one line, or every command runs it to an end (completed
+        # or diverged) with no traceback, engine fault or warning; numpy
+        # warnings are errors under tier-1
+        overrides = [arg for item in override.split() for arg in ("--override", item)]
         for argv in (["compare"], ["run", "--controller", "zero"],
                      ["run", "--xdot-source", "ground_truth"]):
-            rc = main([*argv, "--scenario", "s1", "--t-end", "0.05",
-                       "--override", override, "--out-dir", str(tmp_path)])
+            rc = main([*argv, "--scenario", "s1", "--t-end", "0.05", *overrides,
+                       "--out-dir", str(tmp_path)])
             err = capsys.readouterr().err
             if refused:
                 assert rc == 1 and err.startswith("config error: ") \
@@ -526,6 +547,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "10/10 checks passed" in out
+
+    def test_check_loads_no_scipy(self):
+        # scipy is a test-only dependency: ``iadp check`` runs without it
+        script = ("import sys; from iadp.cli import main; rc = main(['check']); "
+                  "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        path = [str(Path(iadp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("kernel, check", [
         ("monomial_grad", "grad_phi_finite_difference"),

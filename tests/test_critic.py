@@ -64,6 +64,15 @@ class TestPenalty:
         error = checks.penalty_quadrature_error(rng)
         assert error < checks.penalty_quadrature_error.tol
 
+    def test_gauss_legendre_reference_matches_quad(self):
+        # the check's reference against an independent, adaptive integrator
+        from scipy.integrate import quad
+        beta, rule = 2.0, np.polynomial.legendre.leggauss(200)
+        for v in np.linspace(-0.99 * beta, 0.99 * beta, 41):
+            ref, _ = quad(lambda s: 2 * beta * np.arctanh(s / beta), 0.0, v,
+                          epsabs=1e-13, epsrel=1e-13)
+            assert checks.penalty_integral(v, beta, rule) == pytest.approx(ref, rel=1e-13, abs=0)
+
     def test_domain_clamp_and_error(self):
         # arguments at the bound are clamped off it; the engine raises on
         # |u| > beta itself (tests/test_cli.py, exit code 4)

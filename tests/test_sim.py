@@ -57,6 +57,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(scenario="s9") and run_scenario(SimConfig(scenario="s9"))
 
+    @pytest.mark.parametrize("bad", [
+        dict(seed=1.5), dict(buffer_size=2.5), dict(buffer_until=math.nan),
+        dict(rank_deadline=math.nan), dict(beta=math.inf), dict(k_c=math.inf),
+        dict(basis_exponents=[[2.5, 0], [1, 1], [0, 2], [0, 3], [1, 2], [2, 1]]),
+        dict(x0=[True, -2.0]), dict(Q=True), dict(seed=True), dict(t_end=True),
+    ], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))}")
+    def test_value_type_checked_for_every_caller(self, bad):
+        # what the CLI refuses at parse time, a direct construction refuses too
+        with pytest.raises(ConfigurationError, match=f"bad value for {next(iter(bad))}: "):
+            SimConfig(**bad)
+
     def test_nonfinite_step_rejected(self):
         for bad in (dict(dt=math.nan), dict(t_end=math.nan), dict(t_end=math.inf)):
             with pytest.raises(ConfigurationError):
