@@ -70,11 +70,12 @@ def noise_determinism_defect(rng, snr_db=30.0, seed=7):
     from [-3, 3]^2, by two generators of one seed."""
     spec = NoiseSpec(kind="gaussian", snr_db=snr_db, t_on=0.0, t_off=1.0)
     x = rng.uniform(-3, 3, 2)
-    state = NoiseState(2)
-    state.update(x)
-    a, b = (add_measurement_noise(x, spec, 0.5, np.random.default_rng(seed), state)
-            for _ in range(2))
-    return float(np.max(np.abs(np.subtract(a, b))))
+
+    def measured():
+        state = NoiseState(2, np.random.default_rng(seed))
+        state.update(x)
+        return add_measurement_noise(x, spec, 0.5, state)
+    return float(np.max(np.abs(np.subtract(measured(), measured()))))
 noise_determinism_defect.tol = EXACT
 
 

@@ -16,6 +16,9 @@ surrogate g_bar (``cfg.g_bar_col``) and is never handed the plant. ZSADP and
 TADP are the model-based baselines; they are handed the true plant's g and k
 at construction and keep using them when the simulated plant is swapped
 mid-run (the robustness stress of the benchmark).
+
+A law binds the shape kernels of its basis's n and N once, at construction;
+see ``kernels`` for which kernels stay looked up through the module.
 """
 
 import math
@@ -32,12 +35,18 @@ class _Law:
     learns = True
 
     def __init__(self, cfg):
+        n, N = cfg.basis.n, cfg.basis.N
+        # x^T Q, grad_phi^T w and a^T grad_phi^T, by shape
+        self.dot_n = kernels._dot(n)
+        self.matvec_nn = kernels._matvec(n, n)
+        self.matvec_nN = kernels._matvec(n, N)
+        self.vecmat_nN = kernels._vecmat(n, N)
         self.Q_cols = tuple(zip(*cfg.Q.tolist()))
         self.beta = cfg.beta
 
     def _cost(self, x, u) -> float:
         # x^T Q x, formed as (x^T Q) x
-        return kernels.dot(kernels.matvec(self.Q_cols, x), x) \
+        return self.dot_n(self.matvec_nn(self.Q_cols, x), x) \
             + kernels.penalty_sat(u, self.beta)
 
 
@@ -62,13 +71,13 @@ class IadpLaw(_Law):
         self.c_bar = cfg.c_bar
 
     def control(self, gphi_t, w):
-        return kernels.saturated_control(
-            self.g_bar, kernels.matvec(gphi_t, w), self.beta), None
+        gv = self.dot_n(self.g_bar, self.matvec_nN(gphi_t, w))
+        return kernels.saturated_control(gv, self.beta), None
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
         a = [du * g + x0 for g, x0 in zip(self.g_bar, x0dot)]
         cdu = self.c_bar * du
-        return kernels.vecmat(a, gphi_t), self._cost(x, u) + cdu * cdu
+        return self.vecmat_nN(a, gphi_t), self._cost(x, u) + cdu * cdu
 
 
 class _BaselineLaw(_Law):
@@ -82,8 +91,8 @@ class _BaselineLaw(_Law):
         self.g, self.k = tuple(map(float, g)), tuple(map(float, k))
 
     def control(self, gphi_t, w):
-        v = kernels.matvec(gphi_t, w)
-        return kernels.saturated_control(self.g, v, self.beta), self.aux(v)
+        v = self.matvec_nN(gphi_t, w)
+        return kernels.saturated_control(self.dot_n(self.g, v), self.beta), self.aux(v)
 
 
 class ZsadpLaw(_BaselineLaw):
@@ -99,10 +108,10 @@ class ZsadpLaw(_BaselineLaw):
         super().__init__(cfg, g, k)
 
     def aux(self, v):
-        return kernels.dot(self.k, v) / self.d_scale
+        return self.dot_n(self.k, v) / self.d_scale
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, d_hat):
-        Y = kernels.vecmat(xdot, gphi_t)
+        Y = self.vecmat_nN(xdot, gphi_t)
         return Y, self._cost(x, u) - self.gamma * (d_hat * d_hat)
 
 
@@ -128,9 +137,9 @@ class TadpLaw(_BaselineLaw):
         self.h = tuple(((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)[:, 0].tolist())
 
     def aux(self, v):
-        return -kernels.dot(self.h, v) / self.v_scale
+        return -self.dot_n(self.h, v) / self.v_scale
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, v_hat):
-        Y = kernels.vecmat(xdot, gphi_t)
+        Y = self.vecmat_nN(xdot, gphi_t)
         return Y, self._cost(x, u) + self.rho * (v_hat * v_hat) \
-            + self.bound2 * kernels.dot(x, x)
+            + self.bound2 * self.dot_n(x, x)

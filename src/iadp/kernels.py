@@ -24,8 +24,16 @@ raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
 a non-finite argument is nan). A diverging run therefore ends in the
 engine's divergence checks rather than in an exception.
 
-Callers look the kernels up through the module (``kernels.saturated_control(...)``)
-so per-call tracing can wrap them.
+Five kernels are looked up through the module on every call
+(``kernels.saturated_control(...)``): ``monomial_grad``, ``saturated_control``,
+``penalty_sat``, ``weight_derivative_kernel`` and ``pendulum_rk4``. Per-call
+tracing wraps them there, and tests patch them there, before an episode
+starts. The shape kernels are bound instead: a control law takes
+``_dot(n)``, ``_matvec(n, n)``, ``_matvec(n, N)`` and ``_vecmat(n, N)`` at
+construction, and an episode takes ``_dot(n)`` and ``_dot(N)`` at its start,
+so a step makes no per-call ``len`` and cache lookup. The generic ``dot``,
+``matvec`` and ``vecmat`` serve everything off the step path: the replay
+buffer's Gram rebuild, the checks and the tests.
 """
 
 import functools
@@ -172,14 +180,14 @@ def vecmat(v, rows):
     return _vecmat(len(v), len(rows[0]))(v, rows)
 
 
-def saturated_control(g, v, beta):
-    """u = -beta * tanh(g . v / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
+def saturated_control(gv, beta):
+    """u = -beta * tanh(gv / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
 
-    ``g`` is the input column (n floats), and ``v`` is grad_phi^T w, the
-    critic's state gradient: ``matvec`` of ``monomial_grad``'s grad_phi^T
-    (n x N) and the weights.
+    ``gv`` is g . v: the input column g (n floats) times v = grad_phi^T w,
+    the critic's state gradient, which is ``monomial_grad``'s grad_phi^T
+    (n x N) times the weights. The law forms it with its bound ``_dot(n)``.
     """
-    u = -beta * math.tanh(dot(g, v) / (2.0 * beta))
+    u = -beta * math.tanh(gv / (2.0 * beta))
     lim = beta - SATURATION_MARGIN
     # nan fails both tests and passes through, as in np.clip
     if u > lim:

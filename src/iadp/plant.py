@@ -6,14 +6,17 @@ disturbance is given by its six numbers; the float kernels in ``kernels``
 evaluate both and integrate the plant. Everything here
 lives on the simulator side of the loop: the data-driven controller never
 reads these objects, it only sees measured samples. All but the per-episode
-NoiseState are frozen values: an episode reads its World and changes
-nothing in it.
+NoiseState, which owns the episode's noise generator, are frozen values: an
+episode reads its World and changes nothing in it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# rows of standard normals a NoiseState draws at a time (~120 B a row at n = 2)
+NOISE_BLOCK_ROWS = 1024
 
 
 class ConfigurationError(ValueError):
@@ -96,7 +99,9 @@ class NoiseSpec:
 
     ``snr_db`` sets the per-channel noise std to rms(channel) * 10^(-snr/20),
     where the rms is a running estimate of the clean trajectory: the
-    nominal dBW figures are read as signal-to-noise ratios.
+    nominal dBW figures are read as signal-to-noise ratios. The noise is on
+    while t_on <= t < t_off; an empty window (t_on = t_off, the default) has
+    none.
     """
 
     kind: str = "none"
@@ -107,36 +112,60 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.snr_db):
+            raise ConfigurationError(f"noise snr_db must be finite, got {self.snr_db!r}")
+        if not self.t_on <= self.t_off:
+            raise ConfigurationError("noise window requires t_on <= t_off")
 
 
 class NoiseState:
-    """Per-episode running signal-power tracker for SNR-referenced noise;
-    ``msq`` is the per-channel running mean square, a list of floats."""
+    """One episode's noise state: the running signal-power tracker for
+    SNR-referenced noise, and the episode's generator of the noise.
 
-    def __init__(self, n: int):
+    ``msq`` is the per-channel running mean square, a list of floats.
+    ``normals()`` hands out the generator's standard normals, n at a time,
+    from blocks of NOISE_BLOCK_ROWS rows drawn when the last is used up. For
+    ``np.random.default_rng`` that is the stream k calls of
+    ``standard_normal(n)`` give, and a state that never draws takes no block.
+    """
+
+    def __init__(self, n: int, rng: np.random.Generator):
         self.msq = [0.0] * n
         self.count = 0
+        self.rng = rng
+        self._rows = iter(())
 
     def update(self, x_true) -> None:
         self.count += 1
         c = self.count
-        self.msq = [m + (xi * xi - m) / c for m, xi in zip(self.msq, x_true)]
+        msq = self.msq
+        for i, xi in enumerate(x_true):
+            msq[i] += (xi * xi - msq[i]) / c
+
+    def normals(self) -> list:
+        """The next n standard normals of the stream, as a list."""
+        try:
+            return next(self._rows)
+        except StopIteration:
+            block = self.rng.standard_normal((NOISE_BLOCK_ROWS, len(self.msq)))
+            self._rows = iter(block.tolist())
+            return next(self._rows)
 
 
-def add_measurement_noise(x, spec: NoiseSpec, t: float, rng: np.random.Generator,
-                          state: NoiseState):
+def add_measurement_noise(x, spec: NoiseSpec, t: float, state: NoiseState):
     """Return x plus windowed Gaussian noise scaled per the spec, with each
-    channel's rms read from ``state``.
+    channel's rms and the standard normals read from ``state``.
 
-    Outside the noise window x itself comes back; inside it, a tuple of
-    floats. Each noisy call draws ``rng.standard_normal(len(x))``.
+    Outside the noise window x itself comes back; inside it, a list of
+    floats, and the call takes ``state.normals()`` once.
     """
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
     scale = 10.0 ** (-spec.snr_db / 20.0)
-    sigma = [math.sqrt(max(m, 1e-12)) * scale for m in state.msq]
-    z = rng.standard_normal(len(x)).tolist()
-    return tuple(xi + si * zi for xi, si, zi in zip(x, sigma, z))
+    out = []
+    for xi, m, zi in zip(x, state.msq, state.normals()):
+        out.append(xi + math.sqrt(max(m, 1e-12)) * scale * zi)
+    return out
 
 
 @dataclass(frozen=True)

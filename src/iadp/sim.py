@@ -246,10 +246,10 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     ends the episode.
     """
     t_start = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
 
     partials = cfg.basis.partials
     N, n = cfg.basis.N, cfg.basis.n
+    dot_n, dot_N = kernels._dot(n), kernels._dot(N)
     g_bar_pinv = cfg.g_bar_pinv
     gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
     buf = ExperienceBuffer(cfg.buffer_size, N)
@@ -279,7 +279,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
     w = [0.0] * N
     zero_n = (0.0,) * n
-    noise_state = NoiseState(n)
+    noise_state = NoiseState(n, np.random.default_rng(cfg.seed))
     # the SNR reference is a running mean from t = 0, so it is tracked on
     # every step whenever noise can be on
     track_noise = world.noise.kind != "none"
@@ -291,7 +291,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     enriching = False  # offered a candidate while full and rank-short
     E_u = E_x = 0.0
     u_sq = 0.0
-    x_sq = kernels.dot(x, x)
+    x_sq = dot_n(x, x)
     ground_truth = cfg.xdot_source == "ground_truth"
     buffer_every = cfg.buffer_every
 
@@ -323,7 +323,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         # --- measurement
         if track_noise:
             noise_state.update(x)
-        xm = add_measurement_noise(x, world.noise, t, rng, noise_state)
+        xm = add_measurement_noise(x, world.noise, t, noise_state)
 
         # --- control; u is held at 0 until the sample one delay back
         # carries a real xdot estimate
@@ -355,10 +355,10 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         else:
             # increments against the sample one delay L = dt back
             du = u - u_prev
-            xi = tde.tde_error(list(map(sub, xdot, xdot_prev)), du, g_bar_pinv)
+            xi = tde.tde_error(map(sub, xdot, xdot_prev), du, g_bar_pinv, dot_n)
             if learning:
                 Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
-                theta_tilde = theta + kernels.dot(w, Y)
+                theta_tilde = theta + dot_N(w, Y)
                 wdot = kernels.weight_derivative_kernel(
                     w, Y, theta_tilde, buf.M, buf.b, gamma, k_c, k_e)
                 w, finite = step_weights(w, wdot, dt)
@@ -398,7 +398,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         # --- integrate
         if i < steps:
             x = kernels.pendulum_rk4(x, u, coeffs, dist, t, dt)
-            prev_x_sq, x_sq = x_sq, kernels.dot(x, x)
+            prev_x_sq, x_sq = x_sq, dot_n(x, x)
             # the norm is nan or inf when x is not finite
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
                 log.diverged = True

@@ -8,16 +8,15 @@ only. The input-map surrogate g_bar and its left pseudo-inverse g_bar^+ are
 resolved and checked by ``SimConfig`` (``g_bar_col``, ``g_bar_pinv``).
 """
 
-from . import kernels
-
 
 def backward_difference(x_prev, x, dt: float) -> list:
     """Backward-difference state derivative (x(t) - x(t-dt))/dt."""
     return [(xb - xa) / dt for xa, xb in zip(x_prev, x)]
 
 
-def tde_error(dx_dot, du: float, g_bar_pinv) -> float:
+def tde_error(dx_dot, du: float, g_bar_pinv, dot) -> float:
     """Diagnostic TDE error xi = g_bar^+ . dx_dot - du, with g_bar^+ as n
     floats (zero iff the incremental model reproduces the measured increment
-    exactly)."""
-    return kernels.dot(g_bar_pinv, dx_dot) - du
+    exactly). ``dot`` is the inner product of n-vectors: the engine passes
+    the ``kernels._dot(n)`` it binds per episode; ``kernels.dot`` takes any n."""
+    return dot(g_bar_pinv, dx_dot) - du

@@ -99,7 +99,7 @@ def test_saturated_control_parity(x, w, g):
     ref = control_reference(g, gphi_t, w, beta)
     scale = 0.5 * np.abs(g) @ (np.abs(gphi_t) @ np.abs(w))
     got = kernels.saturated_control(
-        g, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w), beta)
+        kernels.dot(g, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w)), beta)
     assert close(got, ref, scale)
 
 
@@ -199,7 +199,7 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
     x = (1e200, -1e200)
     gphi_t = kernels.monomial_grad(PARTIALS, x)
     assert not np.all(np.isfinite(gphi_t))
-    u = kernels.saturated_control((0.0, 0.1), kernels.matvec(gphi_t, w), 2.0)
+    u = kernels.saturated_control(kernels.dot((0.0, 0.1), kernels.matvec(gphi_t, w)), 2.0)
     assert np.isnan(u)  # inf - inf inside grad_phi^T w
     Y = [1e4] * 6
     M, b = gram([Y] * 8, [1.0] * 8)
@@ -217,7 +217,8 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
 def test_saturation_clamped_off_boundary():
     # huge weights drive tanh to 1 in float64; the clamp keeps |u| < beta
     gphi_t = kernels.monomial_grad(PARTIALS, (2.0, -2.0))
-    u = kernels.saturated_control((0.0, 0.1), kernels.matvec(gphi_t, [1e9] * 6), 2.0)
+    u = kernels.saturated_control(
+        kernels.dot((0.0, 0.1), kernels.matvec(gphi_t, [1e9] * 6)), 2.0)
     assert np.all(np.abs(u) <= 2.0 - 1e-12)
     assert np.all(np.abs(u) > 1.99)
 
@@ -360,7 +361,7 @@ def test_scalar_input_kernels_bitwise(data):
     u = data.draw(ENTRIES)
     beta = data.draw(st.one_of(st.just(2.0), st.floats(1e-3, 1e3)))
     column = [[gi] for gi in g]
-    assert bits([kernels.saturated_control(g, v, beta)]) == \
+    assert bits([kernels.saturated_control(kernels.dot(g, v), beta)]) == \
         bits(saturated_control_loop(column, v, beta))
     assert bits([kernels.penalty_sat(u, beta)]) == bits([penalty_sat_loop([u], beta)])
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from iadp import checks, kernels
-from iadp.plant import (ConfigurationError, DisturbanceSignal, Event, NoiseSpec,
-                        NoiseState, World, add_measurement_noise, apply_event_schedule,
-                        pendulum_nominal, pendulum_reset_mild)
+from iadp.plant import (NOISE_BLOCK_ROWS, ConfigurationError, DisturbanceSignal, Event,
+                        NoiseSpec, NoiseState, World, add_measurement_noise,
+                        apply_event_schedule, pendulum_nominal, pendulum_reset_mild)
 from iadp.sim import SimConfig
 
 NOMINAL = pendulum_nominal().params
@@ -55,9 +56,9 @@ def d_at(sig, x, t):
     return kernels.disturbance_value(*x, sig.packed(), t)
 
 
-def tracked(x):
-    """A NoiseState that has seen x once, so its mean square is x**2."""
-    state = NoiseState(len(x))
+def tracked(x, rng):
+    """A NoiseState on rng that has seen x once, so its mean square is x**2."""
+    state = NoiseState(len(x), rng)
     state.update(x)
     return state
 
@@ -99,26 +100,25 @@ class TestDisturbance:
 class TestNoise:
     def test_none_is_identity(self, rng):
         x = np.array([1.0, 2.0])
-        out = add_measurement_noise(x, NoiseSpec(kind="none"), 0.0, rng, tracked(x))
+        out = add_measurement_noise(x, NoiseSpec(kind="none"), 0.0, tracked(x, rng))
         assert np.array_equal(out, x)
 
     def test_window_gate(self, rng):
         spec = NoiseSpec(kind="gaussian", snr_db=10, t_on=20, t_off=60)
         x = np.array([1.0, 2.0])
-        assert np.array_equal(add_measurement_noise(x, spec, 5.0, rng, tracked(x)), x)
-        assert not np.array_equal(add_measurement_noise(x, spec, 30.0, rng, tracked(x)), x)
+        assert np.array_equal(add_measurement_noise(x, spec, 5.0, tracked(x, rng)), x)
+        assert not np.array_equal(add_measurement_noise(x, spec, 30.0, tracked(x, rng)), x)
 
     def test_snr_power_ratio(self):
         # 50 dB vs 10 dB on the same clean stream: noise power ratio ~40 dB
         n_samples = 200_000
         x = np.array([1.0])
-        state = tracked(x)
         powers = {}
         for snr in (50.0, 10.0):
             spec = NoiseSpec(kind="gaussian", snr_db=snr, t_on=0.0, t_off=1e9)
-            gen = np.random.default_rng(0)
+            state = tracked(x, np.random.default_rng(0))
             noise = np.array([
-                add_measurement_noise(x, spec, 1.0, gen, state)[0] - x[0]
+                add_measurement_noise(x, spec, 1.0, state)[0] - x[0]
                 for _ in range(n_samples // 100)])
             # scale check is deterministic per-sample, variance over draws
             powers[snr] = np.var(noise)
@@ -128,6 +128,32 @@ class TestNoise:
     def test_seed_reproducibility(self, rng):
         defect = checks.noise_determinism_defect(rng, snr_db=20.0, seed=3)
         assert defect < checks.noise_determinism_defect.tol
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           count=st.integers(NOISE_BLOCK_ROWS + 1, 2 * NOISE_BLOCK_ROWS + 1))
+    def test_blocked_stream_is_the_per_call_stream(self, seed, n, count):
+        # every count crosses a block boundary, and the largest a second one
+        state, per_call = NoiseState(n, np.random.default_rng(seed)), np.random.default_rng(seed)
+        blocked = np.array([state.normals() for _ in range(count)])
+        drawn = np.array([per_call.standard_normal(n) for _ in range(count)])
+        assert blocked.shape == (count, n) and blocked.tobytes() == drawn.tobytes()
+
+    def test_no_block_before_the_window(self):
+        spec = NoiseSpec(kind="gaussian", snr_db=10, t_on=20, t_off=60)
+        state, x = NoiseState(2, np.random.default_rng(4)), (1.0, 2.0)
+        for t in np.arange(0.0, 20.0, 0.5):
+            state.update(x)
+            assert add_measurement_noise(x, spec, t, state) is x
+        assert state.rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_snr_refused(self, snr_db):
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            NoiseSpec(kind="gaussian", snr_db=snr_db, t_on=0.0, t_off=1.0)
+
+    def test_inverted_window_refused(self):
+        with pytest.raises(ConfigurationError, match="t_on <= t_off"):
+            NoiseSpec(kind="gaussian", snr_db=10.0, t_on=60.0, t_off=20.0)
 
 
 class TestEvents:

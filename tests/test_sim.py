@@ -338,6 +338,27 @@ def assert_logs_identical(a, b):
             assert va == vb, name
 
 
+# perfbench's fingerprint of the nine seed-0 80 s reference logs, each
+# scenario x controller: a change to the arithmetic, its order or the noise
+# stream moves them
+REFERENCE_FINGERPRINTS = {
+    ("s1", "iadp"): "0e6aa73cbc62b5a35c4436408cef5a6460b16dcfee6833c87e053cf6372c8c95",
+    ("s1", "zsadp"): "3910837ba86fef09d787157462194c27275ca0c0317e65322b1327dfaacd5508",
+    ("s1", "tadp"): "32612842bcf2f61b887fae572509924f69870f5f6cc4a7a498e8922b78441f1e",
+    ("s2", "iadp"): "51d6da78cc7d19c2e1b82af2e6c9bbe12f54d3cfb35c34455aeea6519fba2542",
+    ("s2", "zsadp"): "c9a5d214db71604e9298fcb73dcf85b53e81b610d9427adc695f1a6cdcc7f135",
+    ("s2", "tadp"): "b07a872394f4ddefeb45236e51df720eb9d89ca601cc10cae92776f540afc7a8",
+    ("s3", "iadp"): "d3a6e3fd1d61aaa3e8cd0b00889ffda3cbd8cb153f8dd9ee5d73b2adb6f88d4e",
+    ("s3", "zsadp"): "703c4290433b41286b388d47f5835368dfc8e39e6dbccd79492e8ee5fe25719f",
+    ("s3", "tadp"): "17f8123bbdfa139eb43736bbf59a8b71028f356516d077c5df4c855e2aeaea59",
+}
+
+
+def test_reference_logs_keep_their_fingerprints():
+    got = {key: fingerprint(cached_run(*key)) for key in REFERENCE_FINGERPRINTS}
+    assert got == REFERENCE_FINGERPRINTS
+
+
 class TestWorld:
     """An episode reads its World and changes nothing in it."""
 

@@ -5,7 +5,9 @@ perfbench patches the module attributes the engine looks up (such as
 call that bypasses the module would silently drop a per-layer metric. This
 installs perfbench's own hook table around a short s2 iadp episode, which
 has noise, a plant swap and buffer insertions, and requires every per-step
-span to count calls.
+span to count exactly its calls a step. The shape kernels are bound per law
+and episode instead, so the generic ``kernels.dot``, ``matvec`` and
+``vecmat`` must stay off the step path.
 """
 
 import sys
@@ -23,12 +25,14 @@ from iadp.sim import SimConfig  # noqa: E402
 
 PER_STEP = ([f"kernels.{k}" for k in workload.KERNELS]
             + [f"plant.{p}" for p in workload.PLANT] + ["learner.try_insert"])
+GENERIC = ("dot", "matvec", "vecmat")
 
 
 def test_every_per_step_hook_counts_calls():
     originals = {name: getattr(kernels, name) for name in workload.KERNELS}
     tracer, counts = spans.Tracer(), workload.Counts()
-    missing, restore = spans.install(tracer, workload.hooks(counts))
+    generic = [(f"generic.{k}", f"iadp.kernels:{k}", None) for k in GENERIC]
+    missing, restore = spans.install(tracer, workload.hooks(counts) + generic)
     try:
         log = run_scenario(SimConfig(scenario="s2", controller="iadp", t_end=20.5))
     finally:
@@ -38,8 +42,18 @@ def test_every_per_step_hook_counts_calls():
     assert not log.diverged and log.fired_events == [(20.0, "swap_plant")]
     assert [name for name in PER_STEP if tracer.get(name).calls == 0] == []
     assert tracer.get("sim.run_episode").calls == 1
+    rows = log.rows()
+    assert rows == 20501
     # one logged d per row; the RK4 stages call the kernel under its own name
-    assert tracer.get("plant.disturbance_value").calls == log.rows()
+    assert tracer.get("plant.disturbance_value").calls == rows
+    # one RK4 step between rows; the law and the critic from the third row
+    assert tracer.get("kernels.pendulum_rk4").calls == rows - 1
+    for k in ("monomial_grad", "saturated_control", "penalty_sat",
+              "weight_derivative_kernel"):
+        assert tracer.get(f"kernels.{k}").calls == rows - 2, k
+    assert tracer.get("plant.NoiseState.update").calls == rows
+    # the buffer's Gram rebuilds only; a per-step call would make ~20,000
+    assert sum(tracer.get(f"generic.{k}").calls for k in GENERIC) < 1000
     # the hooks are gone again
     assert {name: getattr(kernels, name) for name in workload.KERNELS} == originals
     assert not hasattr(sim.try_insert, "__wrapped__")
