@@ -41,6 +41,7 @@ class _Law:
         self.matvec_nn = kernels._matvec(n, n)
         self.matvec_nN = kernels._matvec(n, N)
         self.vecmat_nN = kernels._vecmat(n, N)
+        self.axpy_n = kernels._axpy(n)
         self.Q_cols = tuple(zip(*cfg.Q.tolist()))
         self.beta = cfg.beta
 
@@ -75,7 +76,7 @@ class IadpLaw(_Law):
         return kernels.saturated_control(gv, self.beta), None
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
-        a = [du * g + x0 for g, x0 in zip(self.g_bar, x0dot)]
+        a = self.axpy_n(du, self.g_bar, x0dot)
         cdu = self.c_bar * du
         return self.vecmat_nN(a, gphi_t), self._cost(x, u) + cdu * cdu
 

@@ -17,7 +17,13 @@ gradient run straight-line code generated once per shape; its source holds
 only names and integer indices, and matrices and gains are arguments. Their
 sums run in index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python:
 this equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which
-is compensated from 3.12.
+is compensated from 3.12. The rest of the step's per-element arithmetic is
+generated the same way, each in the order of the loop it replaced:
+``_euler(N)``, the critic's Euler step w + dt*d and whether every entry is
+finite; ``_difference(n)``, the backward difference (b - a)/dt;
+``_tde_error(n)``, g_bar^+ . (a - b) - du; ``_axpy(n)``, a*x + y;
+``_mean_square(n)``, the running mean square updated in place; and
+``_noisy(n)``, x + sqrt(max(m, 1e-12)) * scale * z.
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
 raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
@@ -28,12 +34,16 @@ Five kernels are looked up through the module on every call
 (``kernels.saturated_control(...)``): ``monomial_grad``, ``saturated_control``,
 ``penalty_sat``, ``weight_derivative_kernel`` and ``pendulum_rk4``. Per-call
 tracing wraps them there, and tests patch them there, before an episode
-starts. The shape kernels are bound instead: a control law takes
-``_dot(n)``, ``_matvec(n, n)``, ``_matvec(n, N)`` and ``_vecmat(n, N)`` at
-construction, and an episode takes ``_dot(n)`` and ``_dot(N)`` at its start,
-so a step makes no per-call ``len`` and cache lookup. The generic ``dot``,
-``matvec`` and ``vecmat`` serve everything off the step path: the replay
-buffer's Gram rebuild, the checks and the tests.
+starts. The shape kernels are bound instead, so a step makes no per-call
+``len`` and cache lookup: a control law takes ``_dot(n)``, ``_matvec(n, n)``,
+``_matvec(n, N)``, ``_vecmat(n, N)`` and ``_axpy(n)`` at construction; a
+``NoiseState`` takes ``_mean_square(n)`` and ``_noisy(n)``; and an episode
+takes ``_dot(n)``, ``_dot(N)``, ``_difference(n)``, ``_tde_error(n)`` and
+``_euler(N)`` at its start. The generic wrappers serve everything off the
+step path: ``dot``, ``matvec`` and ``vecmat`` the replay buffer's Gram
+rebuild, the checks and the tests, and ``learner.step_weights``,
+``tde.backward_difference`` and ``tde.tde_error`` the tests and the Euler
+step's zeroing on a diverged step.
 """
 
 import functools
@@ -49,9 +59,9 @@ ATANH_MARGIN = 1e-9
 SATURATION_MARGIN = 1e-12
 
 
-def _compile(name, params, lines):
-    """The function ``def name(params):`` with the given body lines."""
-    scope = {}
+def _compile(name, params, lines, **scope):
+    """The function ``def name(params):`` with the given body lines; ``scope``
+    holds the globals the body reads."""
     exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines), scope)
     return scope[name]
 
@@ -93,6 +103,59 @@ def _vecmat(J, K):
     out = (" + ".join(map("{} * {}".format, v, col)) for col in zip(*rows))
     return _compile("vecmat", "v, rows", [
         f"{_pack([v, rows])} = v, rows", f"return [{', '.join(out)}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _axpy(n):
+    x, y = _names("x", n), _names("y", n)
+    return _compile("axpy", "a, x, y", [
+        f"{_pack([x, y])} = x, y",
+        f"return [{', '.join(map('a * {} + {}'.format, x, y))}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _difference(n):
+    a, b = _names("a", n), _names("b", n)
+    return _compile("difference", "a, b, dt", [
+        f"{_pack([a, b])} = a, b",
+        f"return [{', '.join(map('({1} - {0}) / dt'.format, a, b))}]"])
+
+
+@functools.lru_cache(maxsize=None)
+def _tde_error(n):
+    a, b, p = _names("a", n), _names("b", n), _names("p", n)
+    return _compile("tde_error", "a, b, du, p", [
+        f"{_pack([a, b, p])} = a, b, p",
+        f"return {_sum(p, map('({} - {})'.format, a, b))} - du"])
+
+
+@functools.lru_cache(maxsize=None)
+def _euler(N):
+    w, d, o = _names("w", N), _names("d", N), _names("o", N)
+    return _compile("euler", "w, d, dt", [
+        f"{_pack([w, d])} = w, d",
+        *map("{} = {} + dt * {}".format, o, w, d),
+        f"return [{', '.join(o)}], {' and '.join(map('isfinite({})'.format, o))}"],
+        isfinite=math.isfinite)
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_square(n):
+    x, m = _names("x", n), _names("m", n)
+    return _compile("mean_square", "msq, x, c", [
+        f"{_pack([x, m])} = x, msq",
+        *(f"msq[{i}] = {mi} + ({xi} * {xi} - {mi}) / c"
+          for i, (xi, mi) in enumerate(zip(x, m)))])
+
+
+@functools.lru_cache(maxsize=None)
+def _noisy(n):
+    x, m, z = _names("x", n), _names("m", n), _names("z", n)
+    # max(m, 1e-12) as max picks: m unless 1e-12 > m, so a nan m stays nan
+    out = (f"{xi} + sqrt(1e-12 if 1e-12 > {mi} else {mi}) * scale * {zi}"
+           for xi, mi, zi in zip(x, m, z))
+    return _compile("noisy", "x, msq, z, scale", [
+        f"{_pack([x, m, z])} = x, msq, z", f"return [{', '.join(out)}]"], sqrt=math.sqrt)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,8 +8,11 @@ where that raises sigma_min; the engine decides when to offer one.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
-every call. ``step_weights`` integrates that law one step. The law's gains
-Gamma, k_c and k_e, like dt, are ``SimConfig`` fields and checked there.
+every call. ``step_weights`` integrates that law one step with the
+generated ``kernels._euler``; the engine runs that kernel, bound per
+episode, and calls ``step_weights`` only for the zeroing on a diverged
+step. The law's gains Gamma, k_c and k_e, like dt, are ``SimConfig`` fields
+and checked there.
 """
 
 import math
@@ -97,7 +100,7 @@ def step_weights(w, wdot, dt: float) -> tuple[list, bool]:
     A non-finite entry means the critic has diverged: it comes back zeroed,
     so the logged weights stay finite, and ``finite`` is False.
     """
-    out = [wi + dt * di for wi, di in zip(w, wdot)]
-    if all(map(math.isfinite, out)):
+    out, finite = kernels._euler(len(w))(w, wdot, dt)
+    if finite:
         return out, True
     return [v if math.isfinite(v) else 0.0 for v in out], False

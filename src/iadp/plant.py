@@ -3,7 +3,8 @@ and the World that holds one scenario's set of them.
 
 The plant is the pendulum family, given by its six coefficients, and the
 disturbance is given by its six numbers; the float kernels in ``kernels``
-evaluate both and integrate the plant. Everything here
+evaluate both and integrate the plant, and run the noise tracker's and the
+noise add's per-element arithmetic. Everything here
 lives on the simulator side of the loop: the data-driven controller never
 reads these objects, it only sees measured samples. All but the per-episode
 NoiseState, which owns the episode's noise generator, are frozen values: an
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 # rows of standard normals a NoiseState draws at a time (~120 B a row at n = 2)
 NOISE_BLOCK_ROWS = 1024
@@ -122,7 +125,10 @@ class NoiseState:
     """One episode's noise state: the running signal-power tracker for
     SNR-referenced noise, and the episode's generator of the noise.
 
-    ``msq`` is the per-channel running mean square, a list of floats.
+    ``msq`` is the per-channel running mean square, a list of floats that
+    ``update`` changes in place with the generated ``kernels._mean_square``;
+    ``noisy`` is the generated ``kernels._noisy`` that
+    ``add_measurement_noise`` runs. Both are bound to n at construction.
     ``normals()`` hands out the generator's standard normals, n at a time,
     from blocks of NOISE_BLOCK_ROWS rows drawn when the last is used up. For
     ``np.random.default_rng`` that is the stream k calls of
@@ -134,13 +140,13 @@ class NoiseState:
         self.count = 0
         self.rng = rng
         self._rows = iter(())
+        self._track = kernels._mean_square(n)
+        self.noisy = kernels._noisy(n)
 
     def update(self, x_true) -> None:
+        """Fold x_true into msq in place: m += (x * x - m) / count."""
         self.count += 1
-        c = self.count
-        msq = self.msq
-        for i, xi in enumerate(x_true):
-            msq[i] += (xi * xi - msq[i]) / c
+        self._track(self.msq, x_true, self.count)
 
     def normals(self) -> list:
         """The next n standard normals of the stream, as a list."""
@@ -162,10 +168,7 @@ def add_measurement_noise(x, spec: NoiseSpec, t: float, state: NoiseState):
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
     scale = 10.0 ** (-spec.snr_db / 20.0)
-    out = []
-    for xi, m, zi in zip(x, state.msq, state.normals()):
-        out.append(xi + math.sqrt(max(m, 1e-12)) * scale * zi)
-    return out
+    return state.noisy(x, state.msq, state.normals(), scale)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import sub
 
 import numpy as np
 
-from . import kernels, tde
+from . import kernels
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet
 from .kernels import disturbance_value
@@ -250,9 +249,12 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     partials = cfg.basis.partials
     N, n = cfg.basis.N, cfg.basis.n
     dot_n, dot_N = kernels._dot(n), kernels._dot(N)
+    difference, tde_error = kernels._difference(n), kernels._tde_error(n)
+    euler = kernels._euler(N)
     g_bar_pinv = cfg.g_bar_pinv
     gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
     buf = ExperienceBuffer(cfg.buffer_size, N)
+    capacity = buf.capacity
 
     # the baselines' model: the true g and k as columns, kept through plant swaps
     g_ctrl, k_ctrl = (0.0, world.plant.g2), (world.plant.k1, world.plant.k2)
@@ -279,10 +281,11 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
     w = [0.0] * N
     zero_n = (0.0,) * n
+    noise, events = world.noise, world.events
     noise_state = NoiseState(n, np.random.default_rng(cfg.seed))
     # the SNR reference is a running mean from t = 0, so it is tracked on
-    # every step whenever noise can be on
-    track_noise = world.noise.kind != "none"
+    # every step until the noise window closes, and never without noise
+    track_until = noise.t_off if noise.kind != "none" else -math.inf
     clamp = cfg.beta - kernels.SATURATION_MARGIN
 
     rank_val = 0
@@ -294,6 +297,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     x_sq = dot_n(x, x)
     ground_truth = cfg.xdot_source == "ground_truth"
     buffer_every = cfg.buffer_every
+    buffer_until, rank_deadline = cfg.buffer_until, cfg.rank_deadline
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()
@@ -321,9 +325,9 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         t = i * dt
 
         # --- measurement
-        if track_noise:
+        if t < track_until:
             noise_state.update(x)
-        xm = add_measurement_noise(x, world.noise, t, noise_state)
+        xm = add_measurement_noise(x, noise, t, noise_state)
 
         # --- control; u is held at 0 until the sample one delay back
         # carries a real xdot estimate
@@ -345,7 +349,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if ground_truth:
             xdot = kernels.pendulum_rhs(*x, u, coeffs, dist, t)
         elif i:
-            xdot = tde.backward_difference(xm_prev, xm, dt)
+            xdot = difference(xm_prev, xm, dt)
         else:
             xdot = zero_n
 
@@ -355,30 +359,33 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         else:
             # increments against the sample one delay L = dt back
             du = u - u_prev
-            xi = tde.tde_error(map(sub, xdot, xdot_prev), du, g_bar_pinv, dot_n)
+            xi = tde_error(xdot, xdot_prev, du, g_bar_pinv)
             if learning:
                 Y, theta = law.pair(xm, u, xdot, du, xdot_prev, gphi_t, aux)
                 theta_tilde = theta + dot_N(w, Y)
                 wdot = kernels.weight_derivative_kernel(
                     w, Y, theta_tilde, buf.M, buf.b, gamma, k_c, k_e)
-                w, finite = step_weights(w, wdot, dt)
+                w_next, finite = euler(w, wdot, dt)
                 if not finite:
+                    # step_weights zeroes the non-finite entries
+                    w_next, _ = step_weights(w, wdot, dt)
                     log.diverged = True
                     log.diverged_step = i
                     log.stop_cause = "nonfinite_weights"
+                w = w_next
 
                 # buffer collection: cadence while the rank condition is
                 # unmet, and during the excitation phase while the buffer
                 # fills or enriches
                 if i % buffer_every == 0:
-                    if not rank_complete or t < cfg.buffer_until and (
-                            len(buf) < buf.capacity or enriching):
-                        enriching = enriching or len(buf) >= buf.capacity
+                    if not rank_complete or t < buffer_until and (
+                            len(buf) < capacity or enriching):
+                        enriching = enriching or len(buf) >= capacity
                         ins, rep = try_insert(buf, Y, theta)
                         if ins:
                             rank_val, sigma_min = rep.rank, rep.sigma_min
                             rank_complete = rank_val >= N
-                if not rank_complete and t >= cfg.rank_deadline:
+                if not rank_complete and t >= rank_deadline:
                     log.insufficient_excitation = True
 
         # --- log row; x_sq is x's, from the integrate step before
@@ -410,7 +417,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                           for v in x)
 
             # --- plant swaps fire on the step that lands on or past them
-            fired = apply_event_schedule(world.events, t if i else -math.inf,
+            fired = apply_event_schedule(events, t if i else -math.inf,
                                          (i + 1) * dt)
             if fired:
                 log.fired_events.extend((ev.time, "swap_plant") for ev in fired)

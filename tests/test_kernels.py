@@ -10,13 +10,15 @@ The generated linear-algebra kernels and basis gradient are also checked
 bit for bit against loop forms of the same arithmetic, on every shape up to
 8 and on entries that include +-0, +-inf, nan and subnormals; so are the
 one-input saturated_control and penalty_sat, against the per-input loops
-they replaced.
+they replaced, and the step path's Euler step, backward difference, TDE
+error, axpy, running mean square and noise add, against the per-element
+loops they replaced, on floats and numpy scalars.
 """
 
 import functools
 import math
 import struct
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from hypothesis import given, strategies as st
 
 from iadp import kernels
 from iadp.critic import DEFAULT_EXPONENTS
+from iadp.learner import step_weights
 from iadp.plant import (DisturbanceSignal, pendulum_nominal, pendulum_reset_inverted,
                         pendulum_reset_mild)
+from iadp.tde import backward_difference, tde_error
 
 RTOL = 1e-13
 PARTIALS = kernels.monomial_partials(DEFAULT_EXPONENTS)
@@ -386,3 +390,92 @@ def test_monomial_grad_bitwise(data):
     ref = grad_loop(partials_loop(E), x)
     assert len(got) == n and all(len(row) == N for row in got)
     assert bits(sum(got, [])) == bits(sum(ref, []))
+
+
+# The per-element loops the step path's generated kernels replaced, kept as
+# their references: the Euler step and its flag, the backward difference,
+# the TDE error (g_bar^+ . dx_dot - du, the dot from 0.0), IADP's regressor
+# input, the running mean square and the noise add.
+
+def euler_loop(w, d, dt):
+    out = [wi + dt * di for wi, di in zip(w, d)]
+    return out, all(map(math.isfinite, out))
+
+
+def difference_loop(a, b, dt):
+    return [(xb - xa) / dt for xa, xb in zip(a, b)]
+
+
+def tde_error_loop(a, b, du, p):
+    return seqsum(map(mul, p, map(sub, a, b))) - du
+
+
+def axpy_loop(a, x, y):
+    return [a * xi + yi for xi, yi in zip(x, y)]
+
+
+def mean_square_loop(msq, x, c):
+    for i, xi in enumerate(x):
+        msq[i] += (xi * xi - msq[i]) / c
+
+
+def noisy_loop(x, msq, z, scale):
+    return [xi + math.sqrt(max(m, 1e-12)) * scale * zi for xi, m, zi in zip(x, msq, z)]
+
+
+# floats, and the same entries as numpy scalars, which the kernels also take
+SCALARS = st.one_of(ENTRIES, ENTRIES.map(np.float64))
+STATE_SIZES = st.integers(1, 4)
+
+
+def scalar_vectors(k):
+    return st.lists(SCALARS, min_size=k, max_size=k)
+
+
+@given(st.data())
+def test_euler_bitwise(data):
+    N = data.draw(SIZES)
+    w, d = data.draw(scalar_vectors(N)), data.draw(scalar_vectors(N))
+    dt = data.draw(SCALARS)
+    with np.errstate(all="ignore"):
+        out, finite = kernels._euler(N)(w, d, dt)
+        ref, ref_finite = euler_loop(w, d, dt)
+        stepped, step_finite = step_weights(w, d, dt)
+    assert bits(out) == bits(ref) and finite is ref_finite is step_finite
+    # step_weights zeroes exactly the non-finite entries
+    assert bits(stepped) == bits(v if math.isfinite(v) else 0.0 for v in ref)
+
+
+@given(st.data())
+def test_tde_kernels_bitwise(data):
+    n = data.draw(STATE_SIZES)
+    a, b, p = (data.draw(scalar_vectors(n)) for _ in range(3))
+    du, dt = data.draw(SCALARS), data.draw(SCALARS.filter(bool))
+    with np.errstate(all="ignore"):
+        assert bits(backward_difference(a, b, dt)) == bits(difference_loop(a, b, dt))
+        assert bits([tde_error(a, b, du, p)]) == bits([tde_error_loop(a, b, du, p)])
+
+
+@given(st.data())
+def test_axpy_bitwise(data):
+    n = data.draw(STATE_SIZES)
+    x, y = data.draw(scalar_vectors(n)), data.draw(scalar_vectors(n))
+    a = data.draw(SCALARS)
+    with np.errstate(all="ignore"):
+        assert bits(kernels._axpy(n)(a, x, y)) == bits(axpy_loop(a, x, y))
+
+
+@given(st.data())
+def test_noise_kernels_bitwise(data):
+    # a nan msq must stay nan in the noise add, as max(nan, 1e-12) is nan;
+    # m if m > 1e-12 else 1e-12 would give 1e-12
+    n = data.draw(STATE_SIZES)
+    x, z, msq = (data.draw(scalar_vectors(n)) for _ in range(3))
+    msq[0] = data.draw(st.sampled_from([math.nan, msq[0]]))
+    c, scale = data.draw(st.integers(1, 10 ** 6)), data.draw(SCALARS)
+    with np.errstate(all="ignore"):
+        assert bits(kernels._noisy(n)(x, msq, z, scale)) == bits(noisy_loop(x, msq, z, scale))
+        got, ref = list(msq), list(msq)
+        kernels._mean_square(n)(got, x, c)
+        mean_square_loop(ref, x, c)
+    assert bits(got) == bits(ref)

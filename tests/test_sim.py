@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, replace
@@ -424,7 +425,8 @@ class TestStagedLog:
 
 class TestNoiseTracker:
     """The SNR reference is a running mean square from t = 0: it is tracked on
-    every step when noise can be on, and not at all when it never can."""
+    every step before the noise window closes, when noise can be on, and not
+    at all when it never can."""
 
     @pytest.fixture
     def updates(self, monkeypatch):
@@ -442,6 +444,46 @@ class TestNoiseTracker:
     def test_every_step_with_noise_spec(self, updates):
         log = run_scenario(SimConfig(scenario="s2", t_end=0.5))
         assert len(updates) == log.rows() == 501
+
+    def test_stops_at_window_end(self, updates):
+        cfg = SimConfig(scenario="s2", t_end=0.5)
+        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=0.1, t_off=0.3)
+        log = run_episode(cfg, replace(build_world(cfg), noise=noise))
+        assert log.rows() == 501
+        assert len(updates) == np.count_nonzero(log.t < noise.t_off) == 300
+        # the rows before the window are clean, those inside it are not
+        assert np.array_equal(log.x_meas[:100], log.x_true[:100])
+        assert np.all(log.x_meas[100:300] != log.x_true[100:300])
+
+
+class TestStepPath:
+    """A step builds no comprehension: each is a function call on Python
+    3.11. Only the episode's set-up and the replay buffer's ``try_insert``
+    (its Gram rebuild, and numpy under it) make them, about ten per stored
+    point, so an episode makes fewer than one per 20 steps, while one
+    per-step comprehension would make one per step."""
+
+    def test_no_comprehension_per_step(self):
+        cfg = SimConfig(scenario="s2", t_end=2.0)
+        # the noise window lies inside the episode: clean and noisy steps run
+        noise = NoiseSpec(kind="gaussian", snr_db=50.0, t_on=0.5, t_off=1.5)
+        world = replace(build_world(cfg), noise=noise)
+        # generate every shape kernel first, the buffer's up to its capacity
+        run_episode(replace(cfg, t_end=0.2), world)
+        names = {"<listcomp>", "<genexpr>", "<dictcomp>"}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in names:
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            log = run_episode(cfg, world)
+        finally:
+            sys.setprofile(None)
+        assert not log.diverged and log.rows() == 2001
+        assert len(calls) < log.rows() / 20, collections.Counter(calls)
 
 
 class RowsRecorder:

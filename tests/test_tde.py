@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_run
-from iadp import checks, kernels
+from iadp import checks
 from iadp.controllers import IadpLaw
 from iadp.plant import ConfigurationError
 from iadp.scenarios import run_scenario
@@ -60,12 +60,12 @@ class TestIncrements:
 
     def test_xi_zero_when_model_exact(self):
         # dx_dot = g_bar du  =>  xi = 0
-        xi = tde_error([0.0, 0.05], 0.5, self.make_cfg().g_bar_pinv, kernels.dot)
+        xi = tde_error([0.0, 0.05], [0.0, 0.0], 0.5, self.make_cfg().g_bar_pinv)
         assert np.allclose(xi, 0.0, atol=1e-14)
 
     def test_xi_frozen_value(self):
         # dx_dot = [0, 0.2], du = 1: xi = 0.2/0.1 - 1 = 1
-        xi = tde_error([0.0, 0.2], 1.0, self.make_cfg().g_bar_pinv, kernels.dot)
+        xi = tde_error([0.0, 0.2], [0.0, 0.0], 1.0, self.make_cfg().g_bar_pinv)
         assert np.allclose(xi, 1.0, atol=1e-12)
 
     def test_rank_deficient_gbar_rejected(self):
