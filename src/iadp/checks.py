@@ -72,7 +72,7 @@ def noise_determinism_defect(rng, snr_db=30.0, seed=7):
     x = rng.uniform(-3, 3, 2)
 
     def measured():
-        state = NoiseState(2, np.random.default_rng(seed))
+        state = NoiseState(np.random.default_rng(seed))
         state.update(x)
         return add_measurement_noise(x, spec, 0.5, state)
     return float(np.max(np.abs(np.subtract(measured(), measured()))))

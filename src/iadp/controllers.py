@@ -18,7 +18,9 @@ at construction and keep using them when the simulated plant is swapped
 mid-run (the robustness stress of the benchmark).
 
 A law binds the shape kernels of its basis's n and N once, at construction;
-see ``kernels`` for which kernels stay looked up through the module.
+see ``kernels`` for which kernels stay looked up through the module. IADP's
+regressor input a = g_bar du + x0dot is written out in ``IadpLaw.pair`` for
+the plant's two states.
 """
 
 import math
@@ -41,7 +43,6 @@ class _Law:
         self.matvec_nn = kernels._matvec(n, n)
         self.matvec_nN = kernels._matvec(n, N)
         self.vecmat_nN = kernels._vecmat(n, N)
-        self.axpy_n = kernels._axpy(n)
         self.Q_cols = tuple(zip(*cfg.Q.tolist()))
         self.beta = cfg.beta
 
@@ -76,7 +77,9 @@ class IadpLaw(_Law):
         return kernels.saturated_control(gv, self.beta), None
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
-        a = self.axpy_n(du, self.g_bar, x0dot)
+        g0, g1 = self.g_bar
+        y0, y1 = x0dot
+        a = [du * g0 + y0, du * g1 + y1]
         cdu = self.c_bar * du
         return self.vecmat_nN(a, gphi_t), self._cost(x, u) + cdu * cdu
 

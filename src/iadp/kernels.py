@@ -12,18 +12,17 @@ right-hand side and its RK4 step, the one plant model the engine runs.
 at every RK4 stage, and the engine calls it, as a ``sim`` module global,
 for the log's ``d`` column.
 
-``dot``, ``matvec``, ``vecmat``, ``weight_derivative_kernel`` and the basis
-gradient run straight-line code generated once per shape; its source holds
-only names and integer indices, and matrices and gains are arguments. Their
-sums run in index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python:
-this equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which
-is compensated from 3.12. The rest of the step's per-element arithmetic is
-generated the same way, each in the order of the loop it replaced:
-``_euler(N)``, the critic's Euler step w + dt*d and whether every entry is
-finite; ``_difference(n)``, the backward difference (b - a)/dt;
-``_tde_error(n)``, g_bar^+ . (a - b) - du; ``_axpy(n)``, a*x + y;
-``_mean_square(n)``, the running mean square updated in place; and
-``_noisy(n)``, x + sqrt(max(m, 1e-12)) * scale * z.
+``dot``, ``matvec``, ``vecmat``, ``weight_derivative_kernel``, ``_euler``
+(the critic's Euler step w + dt*d and whether every entry is finite) and
+the basis gradient run straight-line code generated once per shape, which
+the basis sets: its n states and N features. The source holds only names
+and integer indices, and matrices and gains are arguments. Sums run in
+index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python: this
+equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which is
+compensated from 3.12. The step's arithmetic on the plant's two states
+alone is written out where its concept lives: the backward difference and
+the TDE error in ``tde``, IADP's regressor input in ``IadpLaw.pair``, and
+the running mean square and the noise add in ``plant``.
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
 raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
@@ -36,14 +35,12 @@ Five kernels are looked up through the module on every call
 tracing wraps them there, and tests patch them there, before an episode
 starts. The shape kernels are bound instead, so a step makes no per-call
 ``len`` and cache lookup: a control law takes ``_dot(n)``, ``_matvec(n, n)``,
-``_matvec(n, N)``, ``_vecmat(n, N)`` and ``_axpy(n)`` at construction; a
-``NoiseState`` takes ``_mean_square(n)`` and ``_noisy(n)``; and an episode
-takes ``_dot(n)``, ``_dot(N)``, ``_difference(n)``, ``_tde_error(n)`` and
-``_euler(N)`` at its start. The generic wrappers serve everything off the
-step path: ``dot``, ``matvec`` and ``vecmat`` the replay buffer's Gram
-rebuild, the checks and the tests, and ``learner.step_weights``,
-``tde.backward_difference`` and ``tde.tde_error`` the tests and the Euler
-step's zeroing on a diverged step.
+``_matvec(n, N)`` and ``_vecmat(n, N)`` at construction, and an episode
+takes ``_dot(n)``, ``_dot(N)`` and ``_euler(N)`` at its start. The generic
+wrappers serve everything off the step path: ``dot`` the replay buffer's
+Gram rebuild, the checks and the tests; ``matvec`` and ``vecmat`` the tests
+only; and ``learner.step_weights`` the tests and the Euler step's zeroing on
+a diverged step.
 """
 
 import functools
@@ -106,30 +103,6 @@ def _vecmat(J, K):
 
 
 @functools.lru_cache(maxsize=None)
-def _axpy(n):
-    x, y = _names("x", n), _names("y", n)
-    return _compile("axpy", "a, x, y", [
-        f"{_pack([x, y])} = x, y",
-        f"return [{', '.join(map('a * {} + {}'.format, x, y))}]"])
-
-
-@functools.lru_cache(maxsize=None)
-def _difference(n):
-    a, b = _names("a", n), _names("b", n)
-    return _compile("difference", "a, b, dt", [
-        f"{_pack([a, b])} = a, b",
-        f"return [{', '.join(map('({1} - {0}) / dt'.format, a, b))}]"])
-
-
-@functools.lru_cache(maxsize=None)
-def _tde_error(n):
-    a, b, p = _names("a", n), _names("b", n), _names("p", n)
-    return _compile("tde_error", "a, b, du, p", [
-        f"{_pack([a, b, p])} = a, b, p",
-        f"return {_sum(p, map('({} - {})'.format, a, b))} - du"])
-
-
-@functools.lru_cache(maxsize=None)
 def _euler(N):
     w, d, o = _names("w", N), _names("d", N), _names("o", N)
     return _compile("euler", "w, d, dt", [
@@ -137,25 +110,6 @@ def _euler(N):
         *map("{} = {} + dt * {}".format, o, w, d),
         f"return [{', '.join(o)}], {' and '.join(map('isfinite({})'.format, o))}"],
         isfinite=math.isfinite)
-
-
-@functools.lru_cache(maxsize=None)
-def _mean_square(n):
-    x, m = _names("x", n), _names("m", n)
-    return _compile("mean_square", "msq, x, c", [
-        f"{_pack([x, m])} = x, msq",
-        *(f"msq[{i}] = {mi} + ({xi} * {xi} - {mi}) / c"
-          for i, (xi, mi) in enumerate(zip(x, m)))])
-
-
-@functools.lru_cache(maxsize=None)
-def _noisy(n):
-    x, m, z = _names("x", n), _names("m", n), _names("z", n)
-    # max(m, 1e-12) as max picks: m unless 1e-12 > m, so a nan m stays nan
-    out = (f"{xi} + sqrt(1e-12 if 1e-12 > {mi} else {mi}) * scale * {zi}"
-           for xi, mi, zi in zip(x, m, z))
-    return _compile("noisy", "x, msq, z, scale", [
-        f"{_pack([x, m, z])} = x, msq, z", f"return [{', '.join(out)}]"], sqrt=math.sqrt)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,9 +3,10 @@ and the World that holds one scenario's set of them.
 
 The plant is the pendulum family, given by its six coefficients, and the
 disturbance is given by its six numbers; the float kernels in ``kernels``
-evaluate both and integrate the plant, and run the noise tracker's and the
-noise add's per-element arithmetic. Everything here
-lives on the simulator side of the loop: the data-driven controller never
+evaluate both and integrate the plant. The noise tracker's and the noise
+add's arithmetic on the two states is written out here, in
+``NoiseState.update`` and ``add_measurement_noise``. Everything here lives
+on the simulator side of the loop: the data-driven controller never
 reads these objects, it only sees measured samples. All but the per-episode
 NoiseState, which owns the episode's noise generator, are frozen values: an
 episode reads its World and changes nothing in it.
@@ -13,12 +14,11 @@ episode reads its World and changes nothing in it.
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from . import kernels
-
-# rows of standard normals a NoiseState draws at a time (~120 B a row at n = 2)
+# rows of standard normals a NoiseState draws at a time (~120 B a row)
 NOISE_BLOCK_ROWS = 1024
 
 
@@ -104,7 +104,8 @@ class NoiseSpec:
     where the rms is a running estimate of the clean trajectory: the
     nominal dBW figures are read as signal-to-noise ratios. The noise is on
     while t_on <= t < t_off; an empty window (t_on = t_off, the default) has
-    none.
+    none. ``scale``, 10^(-snr/20), is derived once at construction; it is
+    not a field.
     """
 
     kind: str = "none"
@@ -119,41 +120,40 @@ class NoiseSpec:
             raise ConfigurationError(f"noise snr_db must be finite, got {self.snr_db!r}")
         if not self.t_on <= self.t_off:
             raise ConfigurationError("noise window requires t_on <= t_off")
+        object.__setattr__(self, "scale", 10.0 ** (-self.snr_db / 20.0))
 
 
 class NoiseState:
     """One episode's noise state: the running signal-power tracker for
     SNR-referenced noise, and the episode's generator of the noise.
 
-    ``msq`` is the per-channel running mean square, a list of floats that
-    ``update`` changes in place with the generated ``kernels._mean_square``;
-    ``noisy`` is the generated ``kernels._noisy`` that
-    ``add_measurement_noise`` runs. Both are bound to n at construction.
-    ``normals()`` hands out the generator's standard normals, n at a time,
-    from blocks of NOISE_BLOCK_ROWS rows drawn when the last is used up. For
+    ``msq`` is the running mean square of the plant's two states, a list of
+    two floats that ``update`` replaces. ``normals()`` hands out the
+    generator's standard normals, two at a time, from blocks of
+    NOISE_BLOCK_ROWS rows drawn when the last is used up. For
     ``np.random.default_rng`` that is the stream k calls of
-    ``standard_normal(n)`` give, and a state that never draws takes no block.
+    ``standard_normal(2)`` give, and a state that never draws takes no block.
     """
 
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.msq = [0.0] * n
+    def __init__(self, rng: np.random.Generator):
+        self.msq = [0.0, 0.0]
         self.count = 0
         self.rng = rng
         self._rows = iter(())
-        self._track = kernels._mean_square(n)
-        self.noisy = kernels._noisy(n)
 
     def update(self, x_true) -> None:
-        """Fold x_true into msq in place: m += (x * x - m) / count."""
-        self.count += 1
-        self._track(self.msq, x_true, self.count)
+        """Fold x_true into msq: m + (x * x - m) / count, per state."""
+        self.count = c = self.count + 1
+        x0, x1 = x_true
+        m0, m1 = self.msq
+        self.msq = [m0 + (x0 * x0 - m0) / c, m1 + (x1 * x1 - m1) / c]
 
     def normals(self) -> list:
-        """The next n standard normals of the stream, as a list."""
+        """The next two standard normals of the stream, as a list."""
         try:
             return next(self._rows)
         except StopIteration:
-            block = self.rng.standard_normal((NOISE_BLOCK_ROWS, len(self.msq)))
+            block = self.rng.standard_normal((NOISE_BLOCK_ROWS, 2))
             self._rows = iter(block.tolist())
             return next(self._rows)
 
@@ -162,13 +162,19 @@ def add_measurement_noise(x, spec: NoiseSpec, t: float, state: NoiseState):
     """Return x plus windowed Gaussian noise scaled per the spec, with each
     channel's rms and the standard normals read from ``state``.
 
-    Outside the noise window x itself comes back; inside it, a list of
-    floats, and the call takes ``state.normals()`` once.
+    Outside the noise window x itself comes back; inside it, a list of two
+    floats, x + sqrt(max(msq, 1e-12)) * scale * z, and the call takes
+    ``state.normals()`` once.
     """
     if spec.kind == "none" or not (spec.t_on <= t < spec.t_off):
         return x
-    scale = 10.0 ** (-spec.snr_db / 20.0)
-    return state.noisy(x, state.msq, state.normals(), scale)
+    scale = spec.scale
+    x0, x1 = x
+    m0, m1 = state.msq
+    z0, z1 = state.normals()
+    # max(m, 1e-12) as max picks: m unless 1e-12 > m, so a nan m stays nan
+    return [x0 + sqrt(1e-12 if 1e-12 > m0 else m0) * scale * z0,
+            x1 + sqrt(1e-12 if 1e-12 > m1 else m1) * scale * z1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import kernels
+from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import BasisSet
 from .kernels import disturbance_value
@@ -249,7 +249,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     partials = cfg.basis.partials
     N, n = cfg.basis.N, cfg.basis.n
     dot_n, dot_N = kernels._dot(n), kernels._dot(N)
-    difference, tde_error = kernels._difference(n), kernels._tde_error(n)
+    difference, tde_error = tde.backward_difference, tde.tde_error
     euler = kernels._euler(N)
     g_bar_pinv = cfg.g_bar_pinv
     gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
@@ -282,7 +282,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     w = [0.0] * N
     zero_n = (0.0,) * n
     noise, events = world.noise, world.events
-    noise_state = NoiseState(n, np.random.default_rng(cfg.seed))
+    noise_state = NoiseState(np.random.default_rng(cfg.seed))
     # the SNR reference is a running mean from t = 0, so it is tracked on
     # every step until the noise window closes, and never without noise
     track_until = noise.t_off if noise.kind != "none" else -math.inf

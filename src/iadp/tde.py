@@ -7,21 +7,23 @@ the unknown dynamics. The TDE error xi is reconstructed here for diagnostics
 only. The input-map surrogate g_bar and its left pseudo-inverse g_bar^+ are
 resolved and checked by ``SimConfig`` (``g_bar_col``, ``g_bar_pinv``).
 
-``backward_difference`` and ``tde_error`` run the generated
-``kernels._difference`` and ``kernels._tde_error`` of their vectors' length;
-the engine binds the same kernels per episode.
+Both bodies are written out for the plant's two states, and the engine
+binds these same functions once per episode.
 """
-
-from . import kernels
 
 
 def backward_difference(x_prev, x, dt: float) -> list:
     """Backward-difference state derivative (x(t) - x(t-dt))/dt."""
-    return kernels._difference(len(x))(x_prev, x, dt)
+    a0, a1 = x_prev
+    b0, b1 = x
+    return [(b0 - a0) / dt, (b1 - a1) / dt]
 
 
 def tde_error(xdot, x0dot, du: float, g_bar_pinv) -> float:
     """Diagnostic TDE error xi = g_bar^+ . (xdot - x0dot) - du, with g_bar^+
-    as n floats (zero iff the incremental model reproduces the measured
-    increment exactly)."""
-    return kernels._tde_error(len(xdot))(xdot, x0dot, du, g_bar_pinv)
+    as two floats (zero iff the incremental model reproduces the measured
+    increment exactly). The dot product sums from 0.0, as ``kernels.dot``."""
+    a0, a1 = xdot
+    b0, b1 = x0dot
+    p0, p1 = g_bar_pinv
+    return 0.0 + p0 * (a0 - b0) + p1 * (a1 - b1) - du

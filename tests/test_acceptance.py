@@ -1,7 +1,7 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion,
 plus a test that the oracle criteria fail when a kernel they check is broken.
 
-The long closed-loop episodes are shared through conftest.cached_run, so the
+The long closed-loop episodes are shared through helpers.cached_run, so the
 whole module costs a handful of full 80 s runs rather than one per test.
 """
 
@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import cached_run
+from helpers import cached_run
 from iadp import checks, kernels
 from iadp.cli import main
 from iadp.plant import DisturbanceSignal, pendulum_nominal

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cached_run
+from helpers import cached_run
 import iadp
 from iadp import cli, kernels
 from iadp.cli import (CONFIG_KEYS, CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cached_run, gphi_t, law_pair
+from helpers import cached_run, gphi_t, law_pair
 from iadp import checks, kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
 from iadp.scenarios import build_world

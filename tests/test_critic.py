@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gphi_t, law_pair, monomials
+from helpers import gphi_t, law_pair, monomials
 from iadp import checks, kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
 from iadp.critic import BasisSet

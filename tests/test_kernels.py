@@ -11,8 +11,11 @@ bit for bit against loop forms of the same arithmetic, on every shape up to
 8 and on entries that include +-0, +-inf, nan and subnormals; so are the
 one-input saturated_control and penalty_sat, against the per-input loops
 they replaced, and the step path's Euler step, backward difference, TDE
-error, axpy, running mean square and noise add, against the per-element
-loops they replaced, on floats and numpy scalars.
+error, IADP's regressor input, running mean square and noise add, against
+the per-element loops they replaced, on floats and numpy scalars. The
+bodies written out for the plant's two states are checked at n = 2, where
+they are inlined through ``IadpLaw.pair``, ``NoiseState.update`` and
+``add_measurement_noise``.
 """
 
 import functools
@@ -25,10 +28,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iadp import kernels
+from iadp.controllers import IadpLaw
 from iadp.critic import DEFAULT_EXPONENTS
 from iadp.learner import step_weights
-from iadp.plant import (DisturbanceSignal, pendulum_nominal, pendulum_reset_inverted,
-                        pendulum_reset_mild)
+from iadp.plant import (DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise,
+                        pendulum_nominal, pendulum_reset_inverted, pendulum_reset_mild)
+from iadp.sim import SimConfig
 from iadp.tde import backward_difference, tde_error
 
 RTOL = 1e-13
@@ -392,10 +397,11 @@ def test_monomial_grad_bitwise(data):
     assert bits(sum(got, [])) == bits(sum(ref, []))
 
 
-# The per-element loops the step path's generated kernels replaced, kept as
-# their references: the Euler step and its flag, the backward difference,
-# the TDE error (g_bar^+ . dx_dot - du, the dot from 0.0), IADP's regressor
-# input, the running mean square and the noise add.
+# The per-element loops the step path's bodies replaced, kept as their
+# references: the Euler step and its flag, the backward difference, the TDE
+# error (g_bar^+ . dx_dot - du, the dot from 0.0), IADP's regressor input,
+# the running mean square and the noise add. All but the Euler step are
+# written out for the plant's two states, and are checked at n = 2.
 
 def euler_loop(w, d, dt):
     out = [wi + dt * di for wi, di in zip(w, d)]
@@ -425,7 +431,9 @@ def noisy_loop(x, msq, z, scale):
 
 # floats, and the same entries as numpy scalars, which the kernels also take
 SCALARS = st.one_of(ENTRIES, ENTRIES.map(np.float64))
-STATE_SIZES = st.integers(1, 4)
+# g_bar entries SimConfig accepts in a full-rank column
+G_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.1]), st.floats(1e-3, 10.0),
+                      st.floats(-10.0, -1e-3))
 
 
 def scalar_vectors(k):
@@ -448,34 +456,51 @@ def test_euler_bitwise(data):
 
 @given(st.data())
 def test_tde_kernels_bitwise(data):
-    n = data.draw(STATE_SIZES)
-    a, b, p = (data.draw(scalar_vectors(n)) for _ in range(3))
+    a, b, p = (data.draw(scalar_vectors(2)) for _ in range(3))
     du, dt = data.draw(SCALARS), data.draw(SCALARS.filter(bool))
     with np.errstate(all="ignore"):
         assert bits(backward_difference(a, b, dt)) == bits(difference_loop(a, b, dt))
         assert bits([tde_error(a, b, du, p)]) == bits([tde_error_loop(a, b, du, p)])
 
 
+def test_tde_error_sums_from_zero():
+    # two -0.0 products and du = 0.0: summed from 0.0 xi is 0.0, summed from
+    # the first product it would be -0.0
+    args = ([-0.0, -0.0], [0.0, 0.0], 0.0, [1.0, 1.0])
+    assert bits([tde_error(*args)]) == bits([tde_error_loop(*args)]) == bits([0.0])
+
+
 @given(st.data())
 def test_axpy_bitwise(data):
-    n = data.draw(STATE_SIZES)
-    x, y = data.draw(scalar_vectors(n)), data.draw(scalar_vectors(n))
-    a = data.draw(SCALARS)
+    # through IadpLaw.pair, whose Y is a^T grad_phi^T for a = g_bar du + x0dot
+    g = data.draw(st.lists(G_ENTRIES, min_size=2, max_size=2).filter(any))
+    law = IadpLaw(SimConfig(g_bar=[[g[0]], [g[1]]]))
+    x0dot, gphi_t = data.draw(scalar_vectors(2)), data.draw(matrices(2, 6))
+    du = data.draw(SCALARS)
     with np.errstate(all="ignore"):
-        assert bits(kernels._axpy(n)(a, x, y)) == bits(axpy_loop(a, x, y))
+        Y, _ = law.pair((0.0, 0.0), 0.0, None, du, x0dot, gphi_t, None)
+        ref = vecmat_loop(axpy_loop(du, law.g_bar, x0dot), gphi_t)
+    assert bits(Y) == bits(ref)
 
 
 @given(st.data())
 def test_noise_kernels_bitwise(data):
-    # a nan msq must stay nan in the noise add, as max(nan, 1e-12) is nan;
-    # m if m > 1e-12 else 1e-12 would give 1e-12
-    n = data.draw(STATE_SIZES)
-    x, z, msq = (data.draw(scalar_vectors(n)) for _ in range(3))
+    # through add_measurement_noise and NoiseState.update. A nan msq must
+    # stay nan in the noise add, as max(nan, 1e-12) is nan; m if m > 1e-12
+    # else 1e-12 would give 1e-12
+    x, z, msq = (data.draw(scalar_vectors(2)) for _ in range(3))
     msq[0] = data.draw(st.sampled_from([math.nan, msq[0]]))
-    c, scale = data.draw(st.integers(1, 10 ** 6)), data.draw(SCALARS)
+    c = data.draw(st.integers(1, 10 ** 6))
+    # scales from 1e308 down to 0.0
+    snr_db = data.draw(st.floats(-6160.0, 7000.0))
+    spec = NoiseSpec(kind="gaussian", snr_db=snr_db, t_on=0.0, t_off=1.0)
+    assert bits([spec.scale]) == bits([10.0 ** (-snr_db / 20.0)])
+    state = NoiseState(np.random.default_rng(0))
+    state.msq, state.count, state.normals = list(msq), c - 1, lambda: z
+    ref = list(msq)
     with np.errstate(all="ignore"):
-        assert bits(kernels._noisy(n)(x, msq, z, scale)) == bits(noisy_loop(x, msq, z, scale))
-        got, ref = list(msq), list(msq)
-        kernels._mean_square(n)(got, x, c)
+        got = add_measurement_noise(x, spec, 0.5, state)
+        assert bits(got) == bits(noisy_loop(x, msq, z, spec.scale))
+        state.update(x)
         mean_square_loop(ref, x, c)
-    assert bits(got) == bits(ref)
+    assert state.count == c and bits(state.msq) == bits(ref)

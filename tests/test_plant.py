@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def d_at(sig, x, t):
 
 def tracked(x, rng):
     """A NoiseState on rng that has seen x once, so its mean square is x**2."""
-    state = NoiseState(len(x), rng)
+    state = NoiseState(rng)
     state.update(x)
     return state
 
@@ -112,7 +113,7 @@ class TestNoise:
     def test_snr_power_ratio(self):
         # 50 dB vs 10 dB on the same clean stream: noise power ratio ~40 dB
         n_samples = 200_000
-        x = np.array([1.0])
+        x = np.array([1.0, 1.0])
         powers = {}
         for snr in (50.0, 10.0):
             spec = NoiseSpec(kind="gaussian", snr_db=snr, t_on=0.0, t_off=1e9)
@@ -129,18 +130,18 @@ class TestNoise:
         defect = checks.noise_determinism_defect(rng, snr_db=20.0, seed=3)
         assert defect < checks.noise_determinism_defect.tol
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+    @given(seed=st.integers(0, 2**32 - 1),
            count=st.integers(NOISE_BLOCK_ROWS + 1, 2 * NOISE_BLOCK_ROWS + 1))
-    def test_blocked_stream_is_the_per_call_stream(self, seed, n, count):
+    def test_blocked_stream_is_the_per_call_stream(self, seed, count):
         # every count crosses a block boundary, and the largest a second one
-        state, per_call = NoiseState(n, np.random.default_rng(seed)), np.random.default_rng(seed)
+        state, per_call = NoiseState(np.random.default_rng(seed)), np.random.default_rng(seed)
         blocked = np.array([state.normals() for _ in range(count)])
-        drawn = np.array([per_call.standard_normal(n) for _ in range(count)])
-        assert blocked.shape == (count, n) and blocked.tobytes() == drawn.tobytes()
+        drawn = np.array([per_call.standard_normal(2) for _ in range(count)])
+        assert blocked.shape == (count, 2) and blocked.tobytes() == drawn.tobytes()
 
     def test_no_block_before_the_window(self):
         spec = NoiseSpec(kind="gaussian", snr_db=10, t_on=20, t_off=60)
-        state, x = NoiseState(2, np.random.default_rng(4)), (1.0, 2.0)
+        state, x = NoiseState(np.random.default_rng(4)), (1.0, 2.0)
         for t in np.arange(0.0, 20.0, 0.5):
             state.update(x)
             assert add_measurement_noise(x, spec, t, state) is x
@@ -150,6 +151,12 @@ class TestNoise:
     def test_nonfinite_snr_refused(self, snr_db):
         with pytest.raises(ConfigurationError, match="snr_db"):
             NoiseSpec(kind="gaussian", snr_db=snr_db, t_on=0.0, t_off=1.0)
+
+    def test_scale_is_derived_not_a_field(self):
+        spec = NoiseSpec(kind="gaussian", snr_db=10.0, t_on=20.0, t_off=60.0)
+        assert spec.scale == 10.0 ** (-10.0 / 20.0)
+        assert "scale" not in {f.name for f in fields(NoiseSpec)}
+        assert replace(spec, snr_db=50.0).scale == 10.0 ** (-50.0 / 20.0)
 
     def test_inverted_window_refused(self):
         with pytest.raises(ConfigurationError, match="t_on <= t_off"):

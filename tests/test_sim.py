@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cached_run, law_pair
+from helpers import cached_run, law_pair
 from iadp import checks, kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import cached_run
+from helpers import cached_run
 from iadp import checks
 from iadp.controllers import IadpLaw
 from iadp.plant import ConfigurationError
