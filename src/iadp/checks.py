@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .critic import BasisSet
+from .critic import DEFAULT_EXPONENTS, BasisSet
 from .learner import ExperienceBuffer, try_insert
 from .plant import DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise, \
     pendulum_nominal
@@ -91,7 +91,7 @@ def grad_phi_fd_error(rng, count=200, square=False):
     (h = 1e-6), relative to max(|entry|, 1), over count draws of x in
     [-3, 3]^2 pulled into the radius-3 disc unless ``square``. Below tol it
     is also below 1e-5 + 1e-6 |entry|."""
-    basis = BasisSet.default()
+    basis = BasisSet(DEFAULT_EXPONENTS)
     h = 1e-6
     errors = []
     for _ in range(count):

@@ -4,7 +4,7 @@ Each law has ``control(gphi_t, w) -> (u, aux)``, the tanh-saturated input
 and any auxiliary policy output, and ``pair(x, u, xdot, du, x0dot, gphi_t,
 aux) -> (Y, Theta)``, the regression pair of the critic update: the
 regressor and the running cost. ``gphi_t`` is the basis Jacobian transposed,
-grad_phi^T (n x N), as ``kernels.monomial_grad`` returns it; (x, u, xdot) is
+grad_phi^T (2 x N), as ``kernels.monomial_grad`` returns it; (x, u, xdot) is
 the newest measured sample, and du and x0dot are its input increment and the
 xdot estimate of the sample one delay earlier. The plant has one input, so
 u, du and aux are floats; vectors are sequences of floats and matrices
@@ -17,10 +17,14 @@ TADP are the model-based baselines; they are handed the true plant's g and k
 at construction and keep using them when the simulated plant is swapped
 mid-run (the robustness stress of the benchmark).
 
-A law binds the shape kernels of its basis's n and N once, at construction;
-see ``kernels`` for which kernels stay looked up through the module. IADP's
-regressor input a = g_bar du + x0dot is written out in ``IadpLaw.pair`` for
-the plant's two states.
+A law binds ``kernels._dot(N)`` and ``kernels._vecmat(2, N)`` once, at
+construction: v = grad_phi^T w is one bound dot per row, and Y is a^T
+grad_phi^T. The rest is written out for the plant's two states, each sum
+from 0.0 as the kernels sum: x^T Q x in ``_Law._cost`` from the four Q
+floats stored at construction, g . v in ``control``, the baselines' k . v
+and h . v in ``aux(v0, v1)``, IADP's regressor input a = g_bar du + x0dot,
+and TADP's ||x||^2. See ``kernels`` for which kernels stay looked up through
+the module.
 """
 
 import math
@@ -37,18 +41,19 @@ class _Law:
     learns = True
 
     def __init__(self, cfg):
-        n, N = cfg.basis.n, cfg.basis.N
-        # x^T Q, grad_phi^T w and a^T grad_phi^T, by shape
-        self.dot_n = kernels._dot(n)
-        self.matvec_nn = kernels._matvec(n, n)
-        self.matvec_nN = kernels._matvec(n, N)
-        self.vecmat_nN = kernels._vecmat(n, N)
-        self.Q_cols = tuple(zip(*cfg.Q.tolist()))
+        N = cfg.basis.N
+        # a row of grad_phi^T times w, and a^T grad_phi^T
+        self.dot_N = kernels._dot(N)
+        self.vecmat_2N = kernels._vecmat(2, N)
+        # Q00, Q01, Q10, Q11
+        self.Q = tuple(cfg.Q.ravel().tolist())
         self.beta = cfg.beta
 
     def _cost(self, x, u) -> float:
         # x^T Q x, formed as (x^T Q) x
-        return self.dot_n(self.matvec_nn(self.Q_cols, x), x) \
+        x0, x1 = x
+        q00, q01, q10, q11 = self.Q
+        return 0.0 + (0.0 + q00 * x0 + q10 * x1) * x0 + (0.0 + q01 * x0 + q11 * x1) * x1 \
             + kernels.penalty_sat(u, self.beta)
 
 
@@ -73,7 +78,9 @@ class IadpLaw(_Law):
         self.c_bar = cfg.c_bar
 
     def control(self, gphi_t, w):
-        gv = self.dot_n(self.g_bar, self.matvec_nN(gphi_t, w))
+        r0, r1 = gphi_t
+        g0, g1 = self.g_bar
+        gv = 0.0 + g0 * self.dot_N(r0, w) + g1 * self.dot_N(r1, w)
         return kernels.saturated_control(gv, self.beta), None
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, aux):
@@ -81,22 +88,24 @@ class IadpLaw(_Law):
         y0, y1 = x0dot
         a = [du * g0 + y0, du * g1 + y1]
         cdu = self.c_bar * du
-        return self.vecmat_nN(a, gphi_t), self._cost(x, u) + cdu * cdu
+        return self.vecmat_2N(a, gphi_t), self._cost(x, u) + cdu * cdu
 
 
 class _BaselineLaw(_Law):
     """Shared part of the model-based baselines: the saturated law on the
-    true g, an auxiliary policy ``aux(grad_phi^T w)``, and the
+    true g, an auxiliary policy ``aux(v0, v1)`` of v = grad_phi^T w, and the
     Bellman-residual regressor Y = grad_phi xdot. ``g`` and ``k`` are the
-    input and disturbance columns, n floats each."""
+    input and disturbance columns, two floats each."""
 
     def __init__(self, cfg, g, k):
         super().__init__(cfg)
         self.g, self.k = tuple(map(float, g)), tuple(map(float, k))
 
     def control(self, gphi_t, w):
-        v = self.matvec_nN(gphi_t, w)
-        return kernels.saturated_control(self.dot_n(self.g, v), self.beta), self.aux(v)
+        r0, r1 = gphi_t
+        g0, g1 = self.g
+        v0, v1 = self.dot_N(r0, w), self.dot_N(r1, w)
+        return kernels.saturated_control(0.0 + g0 * v0 + g1 * v1, self.beta), self.aux(v0, v1)
 
 
 class ZsadpLaw(_BaselineLaw):
@@ -111,11 +120,12 @@ class ZsadpLaw(_BaselineLaw):
         self.d_scale = 2.0 * (self.gamma * self.gamma)
         super().__init__(cfg, g, k)
 
-    def aux(self, v):
-        return self.dot_n(self.k, v) / self.d_scale
+    def aux(self, v0, v1):
+        k0, k1 = self.k
+        return (0.0 + k0 * v0 + k1 * v1) / self.d_scale
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, d_hat):
-        Y = self.vecmat_nN(xdot, gphi_t)
+        Y = self.vecmat_2N(xdot, gphi_t)
         return Y, self._cost(x, u) - self.gamma * (d_hat * d_hat)
 
 
@@ -140,10 +150,12 @@ class TadpLaw(_BaselineLaw):
         g, k = np.reshape(self.g, (-1, 1)), np.reshape(self.k, (-1, 1))
         self.h = tuple(((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)[:, 0].tolist())
 
-    def aux(self, v):
-        return -self.dot_n(self.h, v) / self.v_scale
+    def aux(self, v0, v1):
+        h0, h1 = self.h
+        return -(0.0 + h0 * v0 + h1 * v1) / self.v_scale
 
     def pair(self, x, u, xdot, du, x0dot, gphi_t, v_hat):
-        Y = self.vecmat_nN(xdot, gphi_t)
+        Y = self.vecmat_2N(xdot, gphi_t)
+        x0, x1 = x
         return Y, self._cost(x, u) + self.rho * (v_hat * v_hat) \
-            + self.bound2 * self.dot_n(x, x)
+            + self.bound2 * (0.0 + x0 * x0 + x1 * x1)

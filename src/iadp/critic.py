@@ -53,7 +53,3 @@ class BasisSet:
     def n(self) -> int:
         return self.exponents.shape[1]
 
-    @classmethod
-    def default(cls) -> "BasisSet":
-        return cls(DEFAULT_EXPONENTS.copy())
-

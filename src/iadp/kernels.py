@@ -12,17 +12,20 @@ right-hand side and its RK4 step, the one plant model the engine runs.
 at every RK4 stage, and the engine calls it, as a ``sim`` module global,
 for the log's ``d`` column.
 
-``dot``, ``matvec``, ``vecmat``, ``weight_derivative_kernel``, ``_euler``
-(the critic's Euler step w + dt*d and whether every entry is finite) and
-the basis gradient run straight-line code generated once per shape, which
-the basis sets: its n states and N features. The source holds only names
-and integer indices, and matrices and gains are arguments. Sums run in
-index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python: this
-equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which is
-compensated from 3.12. The step's arithmetic on the plant's two states
-alone is written out where its concept lives: the backward difference and
-the TDE error in ``tde``, IADP's regressor input in ``IadpLaw.pair``, and
-the running mean square and the noise add in ``plant``.
+``dot``, ``_vecmat``, ``weight_derivative_kernel``, ``_euler`` (the
+critic's Euler step w + dt*d and whether every entry is finite) and the
+basis gradient run straight-line code generated once per shape: the
+basis's N features (by the plant's two states for ``_vecmat``), and for
+the gradient the basis's exponents. The source holds only names and
+integer indices, and matrices and gains are arguments.
+Sums run in index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python:
+this equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which
+is compensated from 3.12. The step's arithmetic on the plant's two states
+alone is written out, with the same sums from 0.0, where its concept lives:
+the backward difference and the TDE error in ``tde``; x^T Q x, g . v, the
+baselines' k . v and h . v, IADP's regressor input and TADP's ||x||^2 in
+``controllers``; ||x||^2 in the engine; and the running mean square and the
+noise add in ``plant``.
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
 raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
@@ -34,13 +37,11 @@ Five kernels are looked up through the module on every call
 ``penalty_sat``, ``weight_derivative_kernel`` and ``pendulum_rk4``. Per-call
 tracing wraps them there, and tests patch them there, before an episode
 starts. The shape kernels are bound instead, so a step makes no per-call
-``len`` and cache lookup: a control law takes ``_dot(n)``, ``_matvec(n, n)``,
-``_matvec(n, N)`` and ``_vecmat(n, N)`` at construction, and an episode
-takes ``_dot(n)``, ``_dot(N)`` and ``_euler(N)`` at its start. The generic
-wrappers serve everything off the step path: ``dot`` the replay buffer's
-Gram rebuild, the checks and the tests; ``matvec`` and ``vecmat`` the tests
-only; and ``learner.step_weights`` the tests and the Euler step's zeroing on
-a diverged step.
+``len`` and cache lookup: a control law takes ``_dot(N)`` and
+``_vecmat(2, N)`` at construction, and an episode takes ``_dot(N)`` and
+``_euler(N)`` at its start. ``dot`` is the one generic wrapper left; it
+serves what runs off the step path: the replay buffer's Gram rebuild, the
+checks and the tests.
 """
 
 import functools
@@ -84,13 +85,6 @@ def _sum(row, v):
 def _dot(n):
     a, b = _names("a", n), _names("b", n)
     return _compile("dot", "a, b", [f"{_pack([a, b])} = a, b", f"return {_sum(a, b)}"])
-
-
-@functools.lru_cache(maxsize=None)
-def _matvec(R, C):
-    v, rows = _names("v", C), _names("r", R, C)
-    return _compile("matvec", "rows, v", [
-        f"{_pack([v, rows])} = v, rows", f"return [{', '.join(_sum(row, v) for row in rows)}]"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,23 +180,13 @@ def dot(a, b) -> float:
     return _dot(len(a))(a, b)
 
 
-def matvec(rows, v):
-    """The matrix-vector product [row . v for row in rows]; rows is a sequence."""
-    return _matvec(len(rows), len(v))(rows, v)
-
-
-def vecmat(v, rows):
-    """The vector-matrix product v^T M: sum_j v_j * rows[j], summed in j order
-    from v_0 * rows[0] (v must not be empty)."""
-    return _vecmat(len(v), len(rows[0]))(v, rows)
-
-
 def saturated_control(gv, beta):
     """u = -beta * tanh(gv / (2 beta)), clamped to +-(beta - SATURATION_MARGIN).
 
-    ``gv`` is g . v: the input column g (n floats) times v = grad_phi^T w,
+    ``gv`` is g . v: the input column g (two floats) times v = grad_phi^T w,
     the critic's state gradient, which is ``monomial_grad``'s grad_phi^T
-    (n x N) times the weights. The law forms it with its bound ``_dot(n)``.
+    (2 x N) times the weights. The law forms each v_j with its bound
+    ``_dot(N)`` and writes g . v out.
     """
     u = -beta * math.tanh(gv / (2.0 * beta))
     lim = beta - SATURATION_MARGIN

@@ -1,5 +1,4 @@
-"""The critic's experience buffer, its Gram summary, and the Euler step of
-the weight ODE.
+"""The critic's experience buffer and its Gram summary.
 
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
@@ -8,11 +7,10 @@ where that raises sigma_min; the engine decides when to offer one.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
-every call. ``step_weights`` integrates that law one step with the
-generated ``kernels._euler``; the engine runs that kernel, bound per
-episode, and calls ``step_weights`` only for the zeroing on a diverged
-step. The law's gains Gamma, k_c and k_e, like dt, are ``SimConfig`` fields
-and checked there.
+every call. The engine integrates that law with the generated
+``kernels._euler``, bound per episode, and zeroes the non-finite entries
+of a diverged step itself. The law's gains Gamma, k_c and k_e, like dt,
+are ``SimConfig`` fields and checked there.
 """
 
 import math
@@ -93,14 +91,3 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, RankReport
     buf._summarise()
     return True, buf.report()
 
-
-def step_weights(w, wdot, dt: float) -> tuple[list, bool]:
-    """Explicit Euler step of the weight ODE: (w + dt*wdot as a list, finite).
-
-    A non-finite entry means the critic has diverged: it comes back zeroed,
-    so the logged weights stay finite, and ``finite`` is False.
-    """
-    out, finite = kernels._euler(len(w))(w, wdot, dt)
-    if finite:
-        return out, True
-    return [v if math.isfinite(v) else 0.0 for v in out], False

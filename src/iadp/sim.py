@@ -16,9 +16,9 @@ import numpy as np
 
 from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
-from .critic import BasisSet
+from .critic import DEFAULT_EXPONENTS, BasisSet
 from .kernels import disturbance_value
-from .learner import ExperienceBuffer, step_weights, try_insert
+from .learner import ExperienceBuffer, try_insert
 from .plant import (ConfigurationError, ControlAffinePlant, NoiseState, World,
                     add_measurement_noise, apply_event_schedule)
 
@@ -100,8 +100,7 @@ class SimConfig:
     buffer_every: int = 10
     buffer_until: float = 2.0
     rank_deadline: float = 5.0
-    basis_exponents: np.ndarray = field(
-        default_factory=lambda: BasisSet.default().exponents.copy())
+    basis_exponents: np.ndarray = field(default_factory=DEFAULT_EXPONENTS.copy)
     gamma: float = 1.0
     rho: float = 0.1
 
@@ -248,7 +247,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     partials = cfg.basis.partials
     N, n = cfg.basis.N, cfg.basis.n
-    dot_n, dot_N = kernels._dot(n), kernels._dot(N)
+    dot_N = kernels._dot(N)
     difference, tde_error = tde.backward_difference, tde.tde_error
     euler = kernels._euler(N)
     g_bar_pinv = cfg.g_bar_pinv
@@ -294,7 +293,8 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     enriching = False  # offered a candidate while full and rank-short
     E_u = E_x = 0.0
     u_sq = 0.0
-    x_sq = dot_n(x, x)
+    x0, x1 = x
+    x_sq = 0.0 + x0 * x0 + x1 * x1
     ground_truth = cfg.xdot_source == "ground_truth"
     buffer_every = cfg.buffer_every
     buffer_until, rank_deadline = cfg.buffer_until, cfg.rank_deadline
@@ -367,8 +367,9 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                     w, Y, theta_tilde, buf.M, buf.b, gamma, k_c, k_e)
                 w_next, finite = euler(w, wdot, dt)
                 if not finite:
-                    # step_weights zeroes the non-finite entries
-                    w_next, _ = step_weights(w, wdot, dt)
+                    # the critic has diverged: zero the non-finite entries,
+                    # so the logged weights stay finite
+                    w_next = [v if math.isfinite(v) else 0.0 for v in w_next]
                     log.diverged = True
                     log.diverged_step = i
                     log.stop_cause = "nonfinite_weights"
@@ -405,7 +406,8 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         # --- integrate
         if i < steps:
             x = kernels.pendulum_rk4(x, u, coeffs, dist, t, dt)
-            prev_x_sq, x_sq = x_sq, dot_n(x, x)
+            x0, x1 = x
+            prev_x_sq, x_sq = x_sq, 0.0 + x0 * x0 + x1 * x1
             # the norm is nan or inf when x is not finite
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
                 log.diverged = True

@@ -36,7 +36,7 @@ def monomials(x, exponents=DEFAULT_EXPONENTS):
     return np.prod(np.asarray(x, dtype=float) ** exponents, axis=1)
 
 
-def gphi_t(x, basis=BasisSet.default()):
+def gphi_t(x, basis=BasisSet(DEFAULT_EXPONENTS)):
     """grad_phi^T at x as the engine forms it (``kernels.monomial_grad``), as
     an (n, N) array."""
     return np.array(kernels.monomial_grad(basis.partials, x))

@@ -15,22 +15,25 @@ error, IADP's regressor input, running mean square and noise add, against
 the per-element loops they replaced, on floats and numpy scalars. The
 bodies written out for the plant's two states are checked at n = 2, where
 they are inlined through ``IadpLaw.pair``, ``NoiseState.update`` and
-``add_measurement_noise``.
+``add_measurement_noise``; so are the laws' written-out products (x^T Q x,
+g . v, k . v, h . v and ||x||^2), through ``_cost``, the ``control``s and
+``TadpLaw.pair``, against the loop forms of a matrix-vector product and a
+sum.
 """
 
 import functools
 import math
 import struct
 from operator import add, mul, sub
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from iadp import kernels
-from iadp.controllers import IadpLaw
+from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
 from iadp.critic import DEFAULT_EXPONENTS
-from iadp.learner import step_weights
 from iadp.plant import (DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise,
                         pendulum_nominal, pendulum_reset_inverted, pendulum_reset_mild)
 from iadp.sim import SimConfig
@@ -108,7 +111,7 @@ def test_saturated_control_parity(x, w, g):
     ref = control_reference(g, gphi_t, w, beta)
     scale = 0.5 * np.abs(g) @ (np.abs(gphi_t) @ np.abs(w))
     got = kernels.saturated_control(
-        kernels.dot(g, kernels.matvec(kernels.monomial_grad(PARTIALS, x), w)), beta)
+        kernels.dot(g, matvec_loop(kernels.monomial_grad(PARTIALS, x), w)), beta)
     assert close(got, ref, scale)
 
 
@@ -208,7 +211,7 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
     x = (1e200, -1e200)
     gphi_t = kernels.monomial_grad(PARTIALS, x)
     assert not np.all(np.isfinite(gphi_t))
-    u = kernels.saturated_control(kernels.dot((0.0, 0.1), kernels.matvec(gphi_t, w)), 2.0)
+    u = kernels.saturated_control(kernels.dot((0.0, 0.1), matvec_loop(gphi_t, w)), 2.0)
     assert np.isnan(u)  # inf - inf inside grad_phi^T w
     Y = [1e4] * 6
     M, b = gram([Y] * 8, [1.0] * 8)
@@ -227,7 +230,7 @@ def test_saturation_clamped_off_boundary():
     # huge weights drive tanh to 1 in float64; the clamp keeps |u| < beta
     gphi_t = kernels.monomial_grad(PARTIALS, (2.0, -2.0))
     u = kernels.saturated_control(
-        kernels.dot((0.0, 0.1), kernels.matvec(gphi_t, [1e9] * 6)), 2.0)
+        kernels.dot((0.0, 0.1), matvec_loop(gphi_t, [1e9] * 6)), 2.0)
     assert np.all(np.abs(u) <= 2.0 - 1e-12)
     assert np.all(np.abs(u) > 1.99)
 
@@ -318,12 +321,14 @@ def matrices(rows, cols):
 
 @given(st.data())
 def test_matvec_vecmat_bitwise(data):
-    R, C = data.draw(SIZES), data.draw(SIZES)
-    rows = data.draw(matrices(R, C))
-    v, u = data.draw(vectors(C)), data.draw(vectors(R))
-    assert bits(kernels.matvec(rows, v)) == bits(matvec_loop(rows, v))
-    assert bits(kernels.vecmat(u, rows)) == bits(vecmat_loop(u, rows))
-    assert bits([kernels.dot(rows[0], v)]) == bits([seqsum(map(mul, rows[0], v))])
+    # grad_phi^T w as the laws form it, one dot per row, and the laws'
+    # a^T grad_phi^T
+    N = data.draw(SIZES)
+    rows = data.draw(matrices(2, N))
+    v, u = data.draw(vectors(N)), data.draw(vectors(2))
+    assert bits([kernels.dot(rows[0], v), kernels.dot(rows[1], v)]) == \
+        bits(matvec_loop(rows, v))
+    assert bits(kernels._vecmat(2, N)(u, rows)) == bits(vecmat_loop(u, rows))
 
 
 def test_dot_sums_in_index_order():
@@ -448,10 +453,7 @@ def test_euler_bitwise(data):
     with np.errstate(all="ignore"):
         out, finite = kernels._euler(N)(w, d, dt)
         ref, ref_finite = euler_loop(w, d, dt)
-        stepped, step_finite = step_weights(w, d, dt)
-    assert bits(out) == bits(ref) and finite is ref_finite is step_finite
-    # step_weights zeroes exactly the non-finite entries
-    assert bits(stepped) == bits(v if math.isfinite(v) else 0.0 for v in ref)
+    assert bits(out) == bits(ref) and finite is ref_finite
 
 
 @given(st.data())
@@ -504,3 +506,73 @@ def test_noise_kernels_bitwise(data):
         state.update(x)
         mean_square_loop(ref, x, c)
     assert state.count == c and bits(state.msq) == bits(ref)
+
+
+# The laws' two-state products, written out in ``controllers``, against the
+# loop forms above: x^T Q x as (x^T Q) x, g . v with v = grad_phi^T w, the
+# baselines' k . v and h . v, and TADP's ||x||^2. The laws are built once,
+# and each example sets the floats they store. The defaults Q = I and
+# g_bar = (0, 0.1) zero the cross terms; drawn values, and an asymmetric Q,
+# make a swapped index show.
+
+LAW_CFG = SimConfig()
+IADP = IadpLaw(LAW_CFG)
+ZSADP = ZsadpLaw(LAW_CFG, (0.0, 1.0), (1.0, 1.0))
+TADP = TadpLaw(LAW_CFG, (0.0, 1.0), (1.0, 1.0))
+# two -0.0 products: their sum from 0.0 is 0.0, from the first product -0.0
+ZERO_SUM = dict(g=[-0.0, -0.0], w=[1.0] * 6, gphi_t=[[1.0] * 6] * 2)
+
+
+def unsaturated(law, gphi_t, w):
+    """law.control with the identity for ``kernels.saturated_control``, which
+    it looks up through the module, so u is g . v itself: tanh would map
+    most drawn values to +-beta and hide a wrong one."""
+    with mock.patch.object(kernels, "saturated_control", lambda gv, beta: gv):
+        return law.control(gphi_t, w)
+
+
+@given(Q=vectors(4), x=scalar_vectors(2), u=SCALARS)
+def test_cost_bitwise(Q, x, u):
+    q00, q01, q10, q11 = IADP.Q = tuple(Q)
+    with np.errstate(all="ignore"):
+        got = IADP._cost(x, u)
+        xQ = matvec_loop([[q00, q10], [q01, q11]], x)
+        ref = seqsum(map(mul, xQ, x)) + kernels.penalty_sat(u, IADP.beta)
+    assert bits([got]) == bits([ref])
+
+
+@given(g=vectors(2), w=vectors(6), gphi_t=matrices(2, 6))
+@example(**ZERO_SUM)
+def test_iadp_control_bitwise(g, w, gphi_t):
+    IADP.g_bar = tuple(g)
+    with np.errstate(all="ignore"):
+        gv, aux = unsaturated(IADP, gphi_t, w)
+        ref = seqsum(map(mul, g, matvec_loop(gphi_t, w)))
+    assert aux is None and bits([gv]) == bits([ref])
+
+
+@given(g=vectors(2), k=vectors(2), h=vectors(2), w=vectors(6), gphi_t=matrices(2, 6))
+@example(k=[-0.0, -0.0], h=[-0.0, -0.0], **ZERO_SUM)
+def test_baseline_controls_bitwise(g, k, h, w, gphi_t):
+    # the true g, ZSADP's k and TADP's h; aux is d_hat and v_hat
+    ZSADP.g, ZSADP.k, TADP.g, TADP.h = tuple(g), tuple(k), tuple(g), tuple(h)
+    with np.errstate(all="ignore"):
+        zsadp, tadp = unsaturated(ZSADP, gphi_t, w), unsaturated(TADP, gphi_t, w)
+        v = matvec_loop(gphi_t, w)
+        gv = seqsum(map(mul, g, v))
+        d_hat = seqsum(map(mul, k, v)) / ZSADP.d_scale
+        v_hat = -seqsum(map(mul, h, v)) / TADP.v_scale
+    assert bits(zsadp) == bits([gv, d_hat]) and bits(tadp) == bits([gv, v_hat])
+
+
+@given(Q=vectors(4), x=scalar_vectors(2), xdot=scalar_vectors(2), u=SCALARS,
+       v_hat=SCALARS, gphi_t=matrices(2, 6))
+def test_tadp_pair_bitwise(Q, x, xdot, u, v_hat, gphi_t):
+    # Theta = x^T Q x + W(u) + rho v_hat^2 + bound2 ||x||^2, Y = xdot^T grad_phi^T
+    TADP.Q = tuple(Q)
+    with np.errstate(all="ignore"):
+        Y, theta = TADP.pair(x, u, xdot, 0.0, None, gphi_t, v_hat)
+        ref = (TADP._cost(x, u) + TADP.rho * (v_hat * v_hat)
+               + TADP.bound2 * seqsum(map(mul, x, x)))
+        Y_ref = vecmat_loop(xdot, gphi_t)
+    assert bits(Y) == bits(Y_ref) and bits([theta]) == bits([ref])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iadp import checks, kernels
-from iadp.learner import ExperienceBuffer, step_weights, try_insert
+from iadp.learner import ExperienceBuffer, try_insert
 from iadp.plant import ConfigurationError
 from iadp.sim import SimConfig
 
@@ -162,15 +162,3 @@ class TestUpdateLaw:
             try_insert(buf, Y, float(-w @ Y))
         Yc = rng.uniform(-2, 2, 3)
         assert np.allclose(wdot(w, Yc, float(-w @ Yc), buf, Gamma), 0.0, atol=1e-15)
-
-
-class TestStep:
-    def test_euler(self):
-        out, finite = step_weights(np.array([1.0, 2.0]), np.array([10.0, -10.0]), 0.1)
-        assert finite
-        assert np.allclose(out, [2.0, 1.0], atol=1e-15)
-
-    def test_nonfinite_zeroed_and_flagged(self):
-        out, finite = step_weights(np.array([1.0, 2.0]), np.array([np.inf, 1.0]), 0.1)
-        assert not finite
-        assert np.array_equal(out, [0.0, 2.1])

@@ -306,6 +306,17 @@ class TestStopCause:
         assert log.stop_cause == "nonfinite_weights"
         assert np.all(log.w == 0.0)
 
+    def test_diverged_step_zeroes_only_nonfinite_weights(self, monkeypatch):
+        cfg = SimConfig(t_end=1.0)
+        N = cfg.basis.N
+        monkeypatch.setattr(kernels, "weight_derivative_kernel",
+                            lambda w, *args: [math.inf] + [1.0] * (N - 1))
+        log = run_scenario(cfg)
+        assert log.diverged_step == 2 and log.stop_cause == "nonfinite_weights"
+        # the Euler step from w = 0 is [inf, dt, ...]: the inf is zeroed and
+        # the finite entries are logged as they are
+        assert log.w[-1].tolist() == [0.0] + [cfg.dt] * (N - 1)
+
     def test_s3_baselines_stop_on_weights(self):
         # the s3 baselines keep their pre-swap model: after the reset at 20 s
         # their critic weights overflow while the saturated loop keeps the
