@@ -144,22 +144,27 @@ def config_dict(cfg: SimConfig) -> dict:
     return {key: getattr(cfg, name) for key, name in CONFIG_KEYS.items()}
 
 
-def csv_header(n: int, N: int) -> str:
-    """The column names; the one input's columns keep schema v1's _1 suffix."""
-    states = [f"x_{kind}_{i+1}" for kind in ("true", "meas") for i in range(n)]
-    return ",".join(["t", *states, "u_1", "du_1", *(f"w_{k+1}" for k in range(N)),
+def csv_header(N: int) -> str:
+    """The column names for N critic weights; the plant's one input keeps
+    schema v1's _1 suffix."""
+    return ",".join(["t", "x_true_1", "x_true_2", "x_meas_1", "x_meas_2", "u_1", "du_1",
+                     *(f"w_{k+1}" for k in range(N)),
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows the CSV writer reads and formats at a time; each chunk's rows live as
-# Python floats and strings (~1.5 KB a row) until written, so a larger chunk
-# raises peak RSS
+# rows the CSV writer's child reads and formats at a time; each chunk's rows
+# live as Python floats and strings (~1.5 KB a row) until written, so a
+# larger chunk raises the child's peak RSS
 CSV_CHUNK_ROWS = 1024
-# the CSV writer's pipe holds several of its child's reads (1,024 rows are
-# 155 KB at N = 6), so neither side waits for the other to fill or drain
-# one: over an 80 s s1 run the caller's pipe writes blocked for 1.1-1.4 s in
-# all at Linux's 64 KiB default and for 0.01 s at 1 MiB (2 vCPUs)
-CSV_PIPE_BYTES = 1 << 20
+# rows the CSV writer's caller packs or formats at a time: each block (39 KB
+# packed, under 100 KB as text at N = 6) stays under glibc's 128 KiB mmap
+# threshold, which a freed larger block raises, and later log arrays then
+# come from the heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
+CSV_BLOCK_ROWS = 256
+# the CSV writer's pipe: what its child still owns when the episode ends,
+# which the final split weighs; at Linux's 64 KiB default the child waited
+# for rows while the caller formatted its share (2 vCPUs)
+CSV_PIPE_BYTES = 1 << 18
 
 
 def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
@@ -169,42 +174,39 @@ def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
                    for row, rank in zip(values.tolist(), ranks.tolist()))
 
 
-def _write_all(pipe, data: bytes) -> None:
-    """Write all of ``data`` to ``pipe``: a signal can cut a pipe write short."""
-    view = memoryview(data)
-    while view:
-        view = view[pipe.write(view):]
-
-
 @contextlib.contextmanager
-def csv_writer(path, n: int, N: int):
-    """Write a trajectory CSV at ``path`` on a forked child while the caller
-    produces its rows; n and N are the state and basis sizes.
+def csv_writer(path, N: int):
+    """Write a trajectory CSV at ``path``, with N critic weights, while the
+    caller produces its rows; a forked child formats most of them.
 
     Yields ``send(log, start, stop)``, which hands rows start..stop of a
-    ``TrajectoryLog`` to the child; the caller sends [0, rows) in order,
-    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature, so
-    the rows are formatted while the episode runs and ``iadp run`` takes
-    about max(episode, CSV) rather than their sum: formatting the floats,
-    one ``repr`` each, is the CSV's cost.
+    ``TrajectoryLog`` to the writer; the caller sends [0, rows) in order,
+    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature and
+    never blocks: it packs rows, floats as float64 and the rank as int64,
+    and writes them to a non-blocking pipe only while the pipe has room. The
+    child writes the schema line and the header, then formats CSV_CHUNK_ROWS
+    rows at a time into a temporary file beside ``path``: formatting the
+    floats, one ``repr`` each, is the CSV's cost.
 
-    A row goes down a pipe as its floats, packed as float64, and its rank
-    as int64. The child writes the schema line and the header, then formats
-    CSV_CHUNK_ROWS rows at a time into a temporary file beside ``path``;
-    each row's text depends only on the row. Only after the with-block
-    has ended and the child has exited 0 is that file moved onto ``path``,
-    so a CSV at ``path`` is whole. On every other path the child is reaped
-    (killed first unless it has already stopped reading), the temporary
-    file is removed and the exception goes on: an OSError that names the
-    child's exit status if the child failed. The child runs no BLAS and
-    leaves only through ``os._exit``, so it flushes none of this process's
-    buffers and runs none of its exit handlers.
+    When the with-block ends, the unsent rows are split so that both sides
+    finish together: the child goes on from the front, and this process
+    formats the back part into a second temporary file, sending the child
+    the rest of its part between blocks. Each row's text depends only on
+    the row. Only after the child has exited 0 is the second file appended
+    to the first and the result moved onto ``path``, so a CSV at ``path``
+    is whole. On every other path the child is reaped (killed first unless
+    it has already stopped reading), both temporary files are removed and
+    the exception goes on: an OSError that names the child's exit status if
+    the child failed. The child runs no BLAS and leaves only through
+    ``os._exit``, so it flushes none of this process's buffers and runs none
+    of its exit handlers.
     """
     path = Path(path)
-    header = csv_header(n, N)
+    header = csv_header(N)
     # every column but the last, rank, is a float
     record = np.dtype([("values", np.float64, header.count(",")), ("rank", np.int64)])
     part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    tail = part.with_suffix(".tail.part")
     read_end, write_end = os.pipe()
     pid = None
     try:
@@ -224,17 +226,47 @@ def csv_writer(path, n: int, N: int):
                         code = 0
                     finally:
                         os._exit(code)
+            os.set_blocking(write_end, False)
+            # rows [0, made) exist, [0, sent) are packed, and ``pending``
+            # holds the packed bytes the pipe has not yet taken
+            source, made, sent, pending = None, 0, 0, b""
 
-            def send(log, start, stop):
+            def pack(start, stop):
                 rows = np.empty(stop - start, record)
-                rows["values"] = np.column_stack([getattr(log, name)[start:stop]
+                rows["values"] = np.column_stack([getattr(source, name)[start:stop]
                                                   for name in TrajectoryLog.ARRAYS
                                                   if name != "rank"])
-                rows["rank"] = log.rank[start:stop]
-                _write_all(pipe, rows.tobytes())
+                rows["rank"] = source.rank[start:stop]
+                return rows
+
+            def pump(limit):  # write rows up to limit while the pipe takes them
+                nonlocal sent, pending
+                while pending or sent < limit:
+                    if not pending:
+                        stop = min(sent + CSV_BLOCK_ROWS, limit)
+                        pending, sent = memoryview(pack(sent, stop).tobytes()), stop
+                    try:
+                        pending = pending[os.write(write_end, pending):]
+                    except BlockingIOError:
+                        return
+
+            def send(log, start, stop):
+                nonlocal source, made
+                source, made = log, stop
+                pump(made)
 
             try:
                 yield send
+                # the child still owns the pipe's contents: weigh them
+                # against the unsent rows, and take the back part
+                split = sent + max(0, made - sent - CSV_PIPE_BYTES // record.itemsize) // 2
+                with open(tail, "w") as g:
+                    for start in range(split, made, CSV_BLOCK_ROWS):
+                        pump(split)
+                        rows = pack(start, min(start + CSV_BLOCK_ROWS, made))
+                        g.write(_csv_lines(rows["values"], rows["rank"]))
+                os.set_blocking(write_end, True)
+                pump(split)
             except BrokenPipeError:
                 # the child stopped reading, so it has exited: say why
                 status, pid = os.waitpid(pid, 0)[1], None
@@ -243,6 +275,10 @@ def csv_writer(path, n: int, N: int):
         status, pid = os.waitpid(pid, 0)[1], None
         if code := os.waitstatus_to_exitcode(status):
             raise OSError(f"{path}: the CSV writer process exited with status {code}")
+        with open(tail, "rb") as g, open(part, "r+b") as f:
+            f.seek(0, os.SEEK_END)
+            while os.copy_file_range(g.fileno(), f.fileno(), 1 << 30):
+                pass
         os.replace(part, path)
     except BaseException:
         if pid is not None:
@@ -250,20 +286,20 @@ def csv_writer(path, n: int, N: int):
             os.waitpid(pid, 0)
         part.unlink(missing_ok=True)
         raise
+    finally:
+        tail.unlink(missing_ok=True)
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
     """Trajectory CSV of a finished log, floats as shortest round-trip
     decimals.
 
-    The rows go CSV_CHUNK_ROWS at a time through ``csv_writer``, which
-    ``iadp run`` and ``compare`` stream their episodes into, so a log gives
-    the same bytes either way; the writer's child formats them.
+    The log goes in one ``send`` through ``csv_writer``, which ``iadp run``
+    and ``compare`` stream their episodes into, so a log gives the same
+    bytes either way.
     """
-    rows = log.rows()
-    with csv_writer(path, log.x_true.shape[1], log.w.shape[1]) as send:
-        for start in range(0, rows, CSV_CHUNK_ROWS):
-            send(log, start, min(start + CSV_CHUNK_ROWS, rows))
+    with csv_writer(path, log.w.shape[1]) as send:
+        send(log, 0, log.rows())
 
 
 def read_csv(path):
@@ -315,7 +351,7 @@ def run_to_csv(cfg: SimConfig, out: Path):
     """Run cfg's episode, its trajectory CSV written into ``out`` while it
     runs; returns (log, CSV path)."""
     csv_path = out / f"{cfg.scenario}_{cfg.controller}_seed{cfg.seed}.csv"
-    with csv_writer(csv_path, cfg.basis.n, cfg.basis.N) as on_rows:
+    with csv_writer(csv_path, cfg.basis.N) as on_rows:
         log = run_scenario(cfg, on_rows)
     return log, csv_path
 

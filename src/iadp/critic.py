@@ -25,6 +25,7 @@ DEFAULT_EXPONENTS = np.array([
     [1, 2],
     [2, 1],
 ], dtype=np.int64)
+DEFAULT_EXPONENTS.setflags(write=False)  # a BasisSet holds it uncopied
 
 
 @dataclass

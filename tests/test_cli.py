@@ -1,8 +1,11 @@
 import dataclasses
 import errno
+import functools
 import hashlib
+import itertools
 import os
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -11,12 +14,13 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import cached_run
 import iadp
 from iadp import cli, kernels
-from iadp.cli import (CONFIG_KEYS, CSV_CHUNK_ROWS, CSV_SCHEMA_VERSION, FIGURES,
+from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_CHUNK_ROWS, CSV_PIPE_BYTES,
+                      CSV_SCHEMA_VERSION, FIGURES,
                       _format_value, _parse_value, _resolved_cfg, build_parser, config_dict,
                       csv_header, emit_plots, main, parse_config, read_config_file, read_csv,
                       write_csv, write_manifest)
@@ -152,7 +156,7 @@ class TestCsv:
         assert np.array_equal(cols["rank"], log.rank.astype(float))
 
     def test_header_order(self):
-        hdr = csv_header(2, 6).split(",")
+        hdr = csv_header(6).split(",")
         assert hdr[0] == "t"
         assert hdr[1:3] == ["x_true_1", "x_true_2"]
         assert hdr[3:5] == ["x_meas_1", "x_meas_2"]
@@ -175,7 +179,7 @@ def write_csv_row_loop(log, path):
         log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
     ])
     lines = [f"# iadp csv schema v{CSV_SCHEMA_VERSION}",
-             csv_header(log.x_true.shape[1], log.w.shape[1])]
+             csv_header(log.w.shape[1])]
     for i in range(block.shape[0]):
         row = ",".join(repr(float(v)) for v in block[i])
         lines.append(f"{row},{int(log.rank[i])}")
@@ -194,6 +198,87 @@ def cut_log(log, rows):
         if isinstance(getattr(log, f.name), np.ndarray)})
 
 
+def record_bytes(log):
+    """The bytes a row takes down the CSV writer's pipe: 8 a column."""
+    return 8 * len(csv_header(log.w.shape[1]).split(","))
+
+
+def stop_writer_child(monkeypatch):
+    """Stop each CSV writer's child with SIGSTOP right after its fork;
+    returns the list their pids are appended to, for SIGCONT."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            os.kill(pid, signal.SIGSTOP)
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def stop_writer_child_for_episode(monkeypatch):
+    """Stop the CSV writer's child from its fork until the episode's last
+    ``on_rows`` has returned."""
+    children, run = stop_writer_child(monkeypatch), cli.run_scenario
+
+    def run_then_resume(cfg, on_rows):
+        try:
+            return run(cfg, on_rows)
+        finally:
+            os.kill(children[0], signal.SIGCONT)
+
+    monkeypatch.setattr(cli, "run_scenario", run_then_resume)
+
+
+def record_shares(monkeypatch):
+    """Record what the CSV writer's caller puts down its pipe (bytes a
+    write) and what it formats itself (rows a block)."""
+    piped, formatted, parent = [], [], os.getpid()
+    write, lines = os.write, cli._csv_lines
+
+    def piping(fd, data):
+        n = write(fd, data)
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            piped.append(n)
+        return n
+
+    def formatting(values, ranks):
+        if os.getpid() == parent:
+            formatted.append(len(ranks))
+        return lines(values, ranks)
+
+    monkeypatch.setattr(os, "write", piping)
+    monkeypatch.setattr(cli, "_csv_lines", formatting)
+    return piped, formatted
+
+
+def split_write(path, log, lengths, pipe_bytes, stopped):
+    """Write ``log`` at ``path`` through ``csv_writer``, in send ranges of
+    the given lengths (cycled) and with CSV_PIPE_BYTES = ``pipe_bytes``; if
+    ``stopped``, the child is stopped until the last send has returned.
+    Returns the bytes piped before the with-block's end and in all, and the
+    rows this process formatted."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_PIPE_BYTES", pipe_bytes)
+        piped, formatted = record_shares(mp)
+        children = stop_writer_child(mp) if stopped else []
+        with cli.csv_writer(path, log.w.shape[1]) as send:
+            start = 0
+            for n in itertools.cycle(lengths):
+                stop = min(start + n, log.rows())
+                send(log, start, stop)
+                if stop == log.rows():
+                    break
+                start = stop
+            during = sum(piped)
+            for pid in children:
+                os.kill(pid, signal.SIGCONT)
+    return during, sum(piped), sum(formatted)
+
+
 @pytest.fixture(scope="module")
 def io_logs():
     """A log longer than one write chunk, a diverged s3 zsadp log (cut
@@ -206,6 +291,18 @@ def io_logs():
     assert not np.all(np.isfinite(diverged.theta_tilde))
     return {"long": long_log, "diverged": diverged,
             **{f"rows{k}": cut_log(long_log, k) for k in CUT_ROWS}}
+
+
+@pytest.fixture(scope="module")
+def row_loop_bytes(io_logs, tmp_path_factory):
+    """The row loop's CSV bytes of each log of ``io_logs``, made once."""
+    out = tmp_path_factory.mktemp("row_loop")
+
+    @functools.cache
+    def csv_bytes(name):
+        write_csv_row_loop(io_logs[name], out / f"{name}.csv")
+        return (out / f"{name}.csv").read_bytes()
+    return csv_bytes
 
 
 class TestStreamedIo:
@@ -223,13 +320,19 @@ class TestStreamedIo:
         assert hashlib.sha256((tmp_path / "s1.csv").read_bytes()).hexdigest() == \
             "784cea91a0d6ed737290a58dc201571580416a271df859ff3af643ee31a1c9fa"
 
-    def test_csv_bytes_survive_signals(self, tmp_path, capsys, monkeypatch, io_logs):
+    def test_csv_bytes_survive_signals(self, tmp_path, capsys, monkeypatch,
+                                       row_loop_bytes):
         # a signal handler that returns cuts a pipe write or read short; the
         # streamed CSV must still hold every byte. The timer runs in the
         # episode's process and, restarted after the fork, in the writer's
-        # child; with a 0.1 ms period and a one-page pipe, on which every
-        # row block's write blocks, both are interrupted many times
+        # child, with a 0.1 ms period. A one-page pipe is full at nearly
+        # every send, so rows are left when the episode ends: this process
+        # formats its share between non-blocking writes and then finishes
+        # the child's with blocking ones, each of which waits for the child
+        # to read a page. The pipe writes and reads and both processes' file
+        # writes are interrupted many times
         monkeypatch.setattr(cli, "CSV_PIPE_BYTES", 4096)
+        piped, formatted = record_shares(monkeypatch)
         period = (signal.ITIMER_REAL, 1e-4, 1e-4)
         real_fork = os.fork
 
@@ -248,7 +351,64 @@ class TestStreamedIo:
         finally:
             signal.setitimer(signal.ITIMER_REAL, *old_timer)
             signal.signal(signal.SIGALRM, old_handler)
-        write_csv_row_loop(io_logs["long"], tmp_path / "rows.csv")
+        assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == row_loop_bytes("long")
+        # both processes formatted rows, and the pipe carried the child's
+        assert 0 < sum(formatted) < 5001
+        assert sum(piped) == (5001 - sum(formatted)) * record_bytes(cached_run(t_end=5.0))
+
+    @settings(max_examples=10, deadline=None)
+    @given(name=st.sampled_from(["long", "diverged", *(f"rows{k}" for k in CUT_ROWS)]),
+           lengths=st.lists(st.integers(1, 2000), min_size=1, max_size=6),
+           pipe_bytes=st.integers(4096, 1 << 20), stopped=st.booleans())
+    def test_split_bytes_match_row_loop(self, tmp_path_factory, io_logs, row_loop_bytes,
+                                        name, lengths, pipe_bytes, stopped):
+        # however the sends, the pipe's size and the child's pace divide the
+        # rows, the CSV is the row loop's, and the child receives exactly
+        # the rows this process does not format
+        log = io_logs[name]
+        path = tmp_path_factory.mktemp("split") / "split.csv"
+        _, piped, formatted = split_write(path, log, lengths, pipe_bytes, stopped)
+        assert path.read_bytes() == row_loop_bytes(name)
+        assert piped == (log.rows() - formatted) * record_bytes(log)
+
+    @pytest.mark.parametrize("pipe_bytes", [1 << 20, 1 << 18],
+                             ids=["share_empty", "share_every_unsent_row"])
+    def test_split_extremes(self, tmp_path, io_logs, row_loop_bytes, pipe_bytes):
+        # 2,049 rows in one send, the child stopped: a 1 MiB pipe takes them
+        # all, so this process formats none. A 256 KiB pipe takes 1,724
+        # rows, and the rows not yet packed are fewer than that, so this
+        # process formats all of them, and after the episode the child gets
+        # only the rest of the block the pipe cut short
+        log = io_logs["rows2049"]
+        during, piped, formatted = split_write(tmp_path / "split.csv", log, [2049],
+                                               pipe_bytes, stopped=True)
+        assert (tmp_path / "split.csv").read_bytes() == row_loop_bytes("rows2049")
+        assert piped == (2049 - formatted) * record_bytes(log)
+        if pipe_bytes == 1 << 20:
+            assert formatted == 0 and during == piped
+        else:
+            block = CSV_BLOCK_ROWS * record_bytes(log)
+            assert formatted > 0 and 0 < piped - during == -during % block
+
+    def test_send_never_blocks(self, tmp_path, monkeypatch):
+        # the writer's child is stopped from its fork until the episode's
+        # last on_rows has returned, so the pipe is soon full: an episode
+        # whose sends waited for the child would wait forever, and the
+        # alarm ends it
+        def timeout(signum, frame):
+            raise TimeoutError("the episode waited on the stopped CSV writer")
+
+        stop_writer_child_for_episode(monkeypatch)
+        old_handler = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            rc = main(["run", "--scenario", "s1", "--t-end", "10",
+                       "--out-dir", str(tmp_path)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old_handler)
+        assert rc == 0
+        write_csv_row_loop(cached_run(t_end=10.0), tmp_path / "rows.csv")
         assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
@@ -372,8 +532,9 @@ class TestMain:
             os.waitpid(-1, os.WNOHANG)
 
     def test_fault_mid_stream_leaves_nothing(self, tmp_path, capsys, monkeypatch):
-        # the fault comes at t = 2.001 s, after the episode has sent its
-        # first 1,792 rows to the writer's child
+        # the fault comes at t = 2.001 s, after the episode has handed its
+        # first 1,792 rows to the writer in 7 blocks, and the writer has put
+        # as many of them down the pipe to its child as the pipe would take
         from iadp.controllers import IadpLaw
         control, calls = IadpLaw.control, []
 
@@ -381,13 +542,16 @@ class TestMain:
             calls.append(None)
             return (3.0, None) if len(calls) == 2000 else control(self, gphi_t, w)
 
-        sent, write_all = [], cli._write_all
+        handed, run = [], cli.run_scenario
         monkeypatch.setattr(IadpLaw, "control", faulting)
-        monkeypatch.setattr(cli, "_write_all",
-                            lambda pipe, data: sent.append(len(data)) or write_all(pipe, data))
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, on_rows: run(
+            cfg, lambda log, start, stop: handed.append(stop) or on_rows(log, start, stop)))
+        piped, _ = record_shares(monkeypatch)
         rc = main(["run", "--scenario", "s1", "--t-end", "5",
                    "--out-dir", str(tmp_path)])
-        assert rc == 4 and len(sent) == 7
+        size = 1792 * record_bytes(cached_run(t_end=5.0))
+        assert rc == 4 and handed == list(range(256, 1793, 256))
+        assert min(size, CSV_PIPE_BYTES) <= sum(piped) <= size
         assert capsys.readouterr().err.startswith(
             "error: saturation invariant violated at t=2.001")
         assert list(tmp_path.iterdir()) == []
@@ -494,25 +658,39 @@ class TestMain:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("side, message", [
-        ("child", "exited with status 1"), ("parent", "No space left on device")])
+        ("child", "exited with status 1"), ("parent", "No space left on device"),
+        ("share", "No space left on device")])
     def test_csv_writer_failure_exit_one(self, tmp_path, capsys, monkeypatch,
                                          side, message):
-        # the child's formatting or this process's pipe write fails partway:
-        # one stderr line, the child reaped and nothing left in the out dir
+        # the child's formatting, this process's pipe write or this
+        # process's formatting of its own share fails partway: one stderr
+        # line, the child reaped and nothing, neither temporary file
+        # included, left in the out dir
         def fail(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+        parent, lines, write = os.getpid(), cli._csv_lines, os.write
         if side == "child":
-            # only the writer's child formats rows
-            monkeypatch.setattr(cli, "_csv_lines", fail)
-        else:
-            # this process's third block of rows fails to go down the pipe
-            real, calls = cli._write_all, []
+            # this process formats its rows as before
+            monkeypatch.setattr(cli, "_csv_lines", lambda *args: (
+                lines if os.getpid() == parent else fail)(*args))
+        elif side == "parent":
+            # this process's third write of rows fails to go down the pipe
+            calls = []
 
-            def failing(pipe, data):
-                calls.append(None)
-                (fail if len(calls) == 3 else real)(pipe, data)
-            monkeypatch.setattr(cli, "_write_all", failing)
+            def failing(fd, data):
+                if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                    calls.append(None)
+                    if len(calls) == 3:
+                        fail()
+                return write(fd, data)
+            monkeypatch.setattr(os, "write", failing)
+        else:
+            # the child is stopped through the episode, so the pipe fills
+            # and this process has rows of its own to format at its end
+            stop_writer_child_for_episode(monkeypatch)
+            monkeypatch.setattr(cli, "_csv_lines", lambda *args: (
+                fail if os.getpid() == parent else lines)(*args))
         rc = main(["run", "--scenario", "s1", "--t-end", "3",
                    "--out-dir", str(tmp_path)])
         out, err = capsys.readouterr()

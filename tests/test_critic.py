@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from helpers import gphi_t, law_pair, monomials
 from iadp import checks, kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import BasisSet
+from iadp.critic import DEFAULT_EXPONENTS, BasisSet
 from iadp.plant import ConfigurationError
 from iadp.sim import SimConfig
 
@@ -16,6 +17,19 @@ def iadp_law(cfg=None):
 
 
 class TestBasis:
+    def test_a_basis_cannot_change_the_default_exponents(self):
+        # checks.grad_phi_fd_error and helpers.gphi_t hold this basis; a
+        # write through it must raise or leave later configs' basis alone
+        exponents = BasisSet(DEFAULT_EXPONENTS).exponents
+        default = SimConfig().basis_exponents
+        with contextlib.suppress(ValueError):
+            exponents[0, 0] = 9
+        try:
+            assert np.array_equal(SimConfig().basis_exponents, default)
+        finally:
+            if exponents.flags.writeable:
+                exponents[...] = default
+
     def test_phi_frozen_point(self):
         # [x1^2, x1 x2, x2^2, x2^3, x1 x2^2, x1^2 x2] at (2, -2)
         assert np.array_equal(monomials([2.0, -2.0]),
