@@ -17,7 +17,6 @@ import contextlib
 import dataclasses
 import fcntl
 import itertools
-import operator
 import os
 import signal
 import sys
@@ -156,10 +155,11 @@ def csv_header(N: int) -> str:
 # live as Python floats and strings (~1.5 KB a row) until written, so a
 # larger chunk raises the child's peak RSS
 CSV_CHUNK_ROWS = 1024
-# rows the CSV writer's caller packs or formats at a time: each block (39 KB
-# packed, under 100 KB as text at N = 6) stays under glibc's 128 KiB mmap
-# threshold, which a freed larger block raises, and later log arrays then
-# come from the heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
+# rows the CSV writer's caller packs or formats, and lines `iadp plots`
+# copies, at a time: each block (39 KB packed, at most 121 KB as text at N = 6,
+# as the tests check) stays under glibc's 128 KiB mmap threshold, which a freed
+# larger block raises, and later log arrays then come from the heap
+# (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
 CSV_BLOCK_ROWS = 256
 # the CSV writer's pipe: what its child still owns when the episode ends,
 # which the final split weighs; at Linux's 64 KiB default the child waited
@@ -168,10 +168,17 @@ CSV_PIPE_BYTES = 1 << 18
 
 
 def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
-    """CSV lines of rows of floats and their ranks; ``repr`` of a Python
-    float is its shortest round-trip decimal."""
-    return "".join(f"{','.join(map(repr, row))},{rank}\n"
-                   for row, rank in zip(values.tolist(), ranks.tolist()))
+    """CSV lines of rows of floats and their ranks, a column at a time;
+    ``repr`` of a Python float is its shortest round-trip decimal. A block
+    whose x_meas holds x_true's bits, as wherever noise is off, reuses
+    x_true's text: the bits decide, so -0.0 never takes 0.0's text."""
+    cols = values.T.tolist()
+    same = np.array_equal(values[:, 1:3].view(np.int64), values[:, 3:5].view(np.int64))
+    text = [list(map(repr, col)) for col in (cols[:3] + cols[5:] if same else cols)]
+    if same:
+        text[3:3] = text[1:3]
+    text.append(list(map(str, ranks.tolist())))
+    return "\n".join([*map(",".join, zip(*text)), ""])
 
 
 @contextlib.contextmanager
@@ -186,20 +193,21 @@ def csv_writer(path, N: int):
     and writes them to a non-blocking pipe only while the pipe has room. The
     child writes the schema line and the header, then formats CSV_CHUNK_ROWS
     rows at a time into a temporary file beside ``path``: formatting the
-    floats, one ``repr`` each, is the CSV's cost.
+    floats, at most one ``repr`` each, is the CSV's cost.
 
     When the with-block ends, the unsent rows are split so that both sides
     finish together: the child goes on from the front, and this process
     formats the back part into a second temporary file, sending the child
-    the rest of its part between blocks. Each row's text depends only on
-    the row. Only after the child has exited 0 is the second file appended
-    to the first and the result moved onto ``path``, so a CSV at ``path``
-    is whole. On every other path the child is reaped (killed first unless
-    it has already stopped reading), both temporary files are removed and
-    the exception goes on: an OSError that names the child's exit status if
-    the child failed. The child runs no BLAS and leaves only through
-    ``os._exit``, so it flushes none of this process's buffers and runs none
-    of its exit handlers.
+    the rest of its part between blocks and closing the pipe once it is
+    sent, so that the child's last short read returns. Each row's text
+    depends only on the row. Only after the child has exited 0 is the
+    second file appended to the first and the result moved onto ``path``,
+    so a CSV at ``path`` is whole. On every other path the child is reaped
+    (killed first unless it has already stopped reading), both temporary
+    files are removed and the exception goes on: an OSError that names the
+    child's exit status if the child failed. The child runs no BLAS and
+    leaves only through ``os._exit``, so it flushes none of this process's
+    buffers and runs none of its exit handlers.
     """
     path = Path(path)
     header = csv_header(N)
@@ -263,10 +271,13 @@ def csv_writer(path, N: int):
                 with open(tail, "w") as g:
                     for start in range(split, made, CSV_BLOCK_ROWS):
                         pump(split)
+                        if sent == split and not pending:
+                            pipe.close()  # the child's last read returns now
                         rows = pack(start, min(start + CSV_BLOCK_ROWS, made))
                         g.write(_csv_lines(rows["values"], rows["rank"]))
-                os.set_blocking(write_end, True)
-                pump(split)
+                if not pipe.closed:
+                    os.set_blocking(write_end, True)
+                    pump(split)
             except BrokenPipeError:
                 # the child stopped reading, so it has exited: say why
                 status, pid = os.waitpid(pid, 0)[1], None
@@ -439,25 +450,34 @@ def _figure_columns(path, names) -> dict:
 def _write_figure_data(path, out: Path, stem: str) -> dict:
     """Copy each figure's columns of a trajectory CSV into its .dat file.
 
-    The fields pass through as the CSV's text, CSV_CHUNK_ROWS lines at a
-    time, so each value keeps its shortest round-trip decimal. Returns
-    {figure: column names after t}.
+    The fields pass through as the CSV's text, so each value keeps its
+    shortest round-trip decimal. CSV_BLOCK_ROWS lines at a time become one
+    flat list of fields, and each figure takes its columns from it as
+    slices. A row whose field count is not the header's is a configuration
+    error. Returns {figure: column names after t}.
     """
     with open(path) as src:
         names = next((ln for ln in src if ln != "\n" and ln[0] != "#"),
                      "").rstrip("\n").split(",")
         cols = _figure_columns(path, names)
+        k = len(names)
         with contextlib.ExitStack() as stack:
             sinks = []
             for fig, idx in cols.items():
                 f = stack.enter_context(open(out / f"{stem}_{fig}.dat", "w"))
                 f.write("# " + " ".join(names[j] for j in idx) + "\n")
-                sinks.append((f, operator.itemgetter(*idx)))
-            while lines := list(itertools.islice(src, CSV_CHUNK_ROWS)):
-                rows = [ln.rstrip("\n").split(",") for ln in lines
-                        if ln != "\n" and ln[0] != "#"]
-                for f, pick in sinks:
-                    f.write("".join(" ".join(pick(r)) + "\n" for r in rows))
+                sinks.append((f, idx))
+            while block := list(itertools.islice(src, CSV_BLOCK_ROWS)):
+                block[-1] = block[-1].rstrip("\n") + "\n"  # the file may end without it
+                lines = [ln for ln in block if ln != "\n" and ln[0] != "#"]
+                fields = ",".join(lines).split(",") if lines else []
+                ends = fields[k - 1::k]  # where k fields to a row put every newline
+                if len(fields) != k * len(lines) or "".join(ends).count("\n") != len(lines):
+                    raise ConfigurationError(
+                        f"{path}: a row does not have the header's {k} fields")
+                fields[k - 1::k] = map(str.rstrip, ends, itertools.repeat("\n"))
+                for f, idx in sinks:
+                    f.write("\n".join([*map(" ".join, zip(*[fields[j::k] for j in idx])), ""]))
     return {fig: [names[j] for j in idx[1:]] for fig, idx in cols.items()}
 
 

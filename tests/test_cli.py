@@ -1,20 +1,24 @@
 import dataclasses
 import errno
+import fcntl
 import functools
 import hashlib
 import itertools
+import math
 import os
 import signal
 import stat
 import struct
 import subprocess
 import sys
+import termios
+import time
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from helpers import cached_run
 import iadp
@@ -171,19 +175,21 @@ class TestCsv:
         assert path.read_text().splitlines()[0].startswith("# iadp csv schema v")
 
 
+def row_loop_lines(values, ranks):
+    """The per-row formatting: each float through repr(float(v)), one line
+    per row."""
+    return "".join(",".join(repr(float(v)) for v in values[i]) + f",{int(ranks[i])}\n"
+                   for i in range(values.shape[0]))
+
+
 def write_csv_row_loop(log, path):
-    """The per-row writer: each float through repr(float(v)), one line per row.
-    The streamed writer must give the same bytes."""
+    """The per-row writer. The streamed writer must give the same bytes."""
     block = np.column_stack([
         log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
         log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
     ])
-    lines = [f"# iadp csv schema v{CSV_SCHEMA_VERSION}",
-             csv_header(log.w.shape[1])]
-    for i in range(block.shape[0]):
-        row = ",".join(repr(float(v)) for v in block[i])
-        lines.append(f"{row},{int(log.rank[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n"
+                          f"{csv_header(log.w.shape[1])}\n" + row_loop_lines(block, log.rank))
 
 
 # row counts around the chunk size, where the writer's child ends a read
@@ -282,14 +288,19 @@ def split_write(path, log, lengths, pipe_bytes, stopped):
 @pytest.fixture(scope="module")
 def io_logs():
     """A log longer than one write chunk, a diverged s3 zsadp log (cut
-    short, with non-finite theta_tilde entries), and the long log cut to
+    short, with non-finite theta_tilde entries), an s3 iadp log whose
+    measurement noise starts in its last second, and the long log cut to
     each of CUT_ROWS."""
     long_log = cached_run(t_end=5.0)
     diverged = cached_run(scenario="s3", controller="zsadp")
+    noisy = cached_run(scenario="s3", t_end=21.0)
     assert long_log.rows() > CSV_CHUNK_ROWS
     assert diverged.diverged and diverged.rows() < 80001
     assert not np.all(np.isfinite(diverged.theta_tilde))
-    return {"long": long_log, "diverged": diverged,
+    # x_meas is x_true's bits up to t = 20 s and noisy after
+    same = np.all(noisy.x_meas.view(np.int64) == noisy.x_true.view(np.int64), axis=1)
+    assert same[:20000].all() and not same[20000:].any()
+    return {"long": long_log, "diverged": diverged, "noisy": noisy,
             **{f"rows{k}": cut_log(long_log, k) for k in CUT_ROWS}}
 
 
@@ -305,8 +316,63 @@ def row_loop_bytes(io_logs, tmp_path_factory):
     return csv_bytes
 
 
+# the floats a CSV block holds, with the cases of the x_meas reuse test
+# weighted up: 0.0 and -0.0 (equal, but not the same text), nan, +-inf and
+# subnormals
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                     -2.2250738585072014e-308, 1e-05]),
+    st.floats())
+
+
+@st.composite
+def csv_blocks(draw):
+    """A block of floats and ranks as the CSV writer packs it, at N = 6: its
+    x_meas columns copy x_true on all, some or none of its rows, and on some
+    rows x_true is 0.0 and x_meas -0.0."""
+    n = draw(st.integers(0, 300))
+    values = draw(hnp.arrays(np.float64, (n, csv_header(6).count(",")),
+                             elements=CSV_FLOATS))
+    copied = draw(st.sampled_from([np.ones(n, bool), np.zeros(n, bool),
+                                   draw(hnp.arrays(bool, n))]))
+    values[copied, 3:5] = values[copied, 1:3]
+    zeros = draw(hnp.arrays(bool, n))
+    values[zeros, 1:3], values[zeros, 3:5] = 0.0, -0.0
+    rows = np.empty(n, [("values", np.float64, values.shape[1]), ("rank", np.int64)])
+    rows["values"], rows["rank"] = values, draw(hnp.arrays(np.int64, n))
+    return rows
+
+
 class TestStreamedIo:
-    @pytest.mark.parametrize("name", ["long", "diverged",
+    # no shrink phase: shrinking a failing block of up to 300 x 18 floats
+    # took over 8 minutes, and the failing line shows in the diff as drawn
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(csv_blocks())
+    def test_csv_lines_match_row_loop(self, rows):
+        # the columnar formatting, x_meas's reuse of x_true's text included,
+        # gives the row loop's text
+        assert cli._csv_lines(rows["values"], rows["rank"]) == \
+            row_loop_lines(rows["values"], rows["rank"])
+
+    def test_blocks_stay_under_the_mmap_threshold(self, tmp_path):
+        # a block of CSV text at N = 6, every float at the widest repr (24
+        # characters) and every rank at the widest int64, is under 128 KiB;
+        # what iadp plots joins from one block of such lines is that text
+        # and 255 commas, and the .dat text it copies is under 128 KiB too
+        header = csv_header(6)
+        values = np.full((CSV_BLOCK_ROWS, header.count(",")), -2.2250738585072014e-308)
+        text = cli._csv_lines(values, np.full(CSV_BLOCK_ROWS, np.iinfo(np.int64).min))
+        assert len(text.encode()) == CSV_BLOCK_ROWS * (18 * 25 + 21) < 1 << 17
+        csv = tmp_path / "widest.csv"
+        csv.write_text(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n{text}")
+        emit_plots([csv], tmp_path / "figs")
+        for fig in FIGURES:
+            dat = (tmp_path / "figs" / f"widest_{fig}.dat").read_bytes()
+            body = dat.split(b"\n", 1)[1]
+            assert body.count(b"\n") == CSV_BLOCK_ROWS and len(body) < 1 << 17
+
+    @pytest.mark.parametrize("name", ["long", "diverged", "noisy",
                                       *(f"rows{k}" for k in CUT_ROWS)])
     def test_csv_bytes_match_row_loop(self, tmp_path, io_logs, name):
         write_csv(io_logs[name], tmp_path / "streamed.csv")
@@ -412,12 +478,58 @@ class TestStreamedIo:
         assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
-    @pytest.mark.parametrize("name", ["long", "diverged"])
+    def test_child_exits_while_this_process_formats(self, tmp_path, monkeypatch, io_logs,
+                                                     row_loop_bytes):
+        # once the child has been sent all of its rows the pipe is closed,
+        # so its last short read returns and it exits while this process
+        # still formats its own share. The child is stopped through the one
+        # send of 5,001 rows, which leaves this process 10 blocks. Each
+        # block but the last waits until the child has emptied the pipe;
+        # the last waits for the child's exit, which comes only after the
+        # close
+        log = io_logs["long"]
+        children = stop_writer_child(monkeypatch)
+        pipes, set_blocking = [], os.set_blocking
+        monkeypatch.setattr(os, "set_blocking",
+                            lambda fd, flag: pipes.append(fd) or set_blocking(fd, flag))
+        parent, lines, exited = os.getpid(), cli._csv_lines, []
+
+        def child_exited():
+            return os.waitid(os.P_PID, children[0],
+                             os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+        def unread():  # the pipe's unread bytes; 0 once this process closed it
+            try:
+                return struct.unpack("i", fcntl.ioctl(pipes[0], termios.FIONREAD, b"\0" * 4))[0]
+            except OSError:
+                return 0
+
+        def formatting(values, ranks):
+            if os.getpid() == parent:
+                last, deadline = values[-1, 0] == log.t[-1], time.monotonic() + 5
+                while not (child_exited() or not last and unread() == 0) \
+                        and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                if last:
+                    exited.append(child_exited())
+            return lines(values, ranks)
+
+        monkeypatch.setattr(cli, "_csv_lines", formatting)
+        with cli.csv_writer(tmp_path / "long.csv", 6) as send:
+            send(log, 0, log.rows())
+            os.kill(children[0], signal.SIGCONT)
+        assert exited == [True]
+        assert (tmp_path / "long.csv").read_bytes() == row_loop_bytes("long")
+
+    @pytest.mark.parametrize("name", ["long", "diverged", "noisy"])
     def test_plot_data_equals_csv_columns(self, tmp_path, io_logs, name):
+        # each .dat line is the picked CSV fields, as text, joined by spaces
         csv = tmp_path / f"{name}.csv"
         write_csv(io_logs[name], csv)
         emit_plots([csv], tmp_path / "figs")
-        cols = read_csv(csv)
+        header, *rows = [ln.split(",") for ln in csv.read_text().splitlines()
+                         if not ln.startswith("#")]
+        assert len(rows) == io_logs[name].rows()
         expected = {
             "weights": [f"w_{k}" for k in range(1, 7)],
             "states": ["x_true_1", "x_true_2", "x_meas_1", "x_meas_2"],
@@ -426,12 +538,43 @@ class TestStreamedIo:
         }
         assert set(expected) == set(FIGURES)
         for fig, names in expected.items():
-            dat = tmp_path / "figs" / f"{name}_{fig}.dat"
-            assert dat.read_text().splitlines()[0] == "# t " + " ".join(names)
-            data = np.loadtxt(dat, ndmin=2)
-            assert data.shape == (io_logs[name].rows(), len(names) + 1)
-            for j, c in enumerate(["t"] + names):
-                assert np.array_equal(data[:, j], cols[c], equal_nan=True), (fig, c)
+            idx = [header.index(c) for c in ["t", *names]]
+            dat = (tmp_path / "figs" / f"{name}_{fig}.dat").read_text().splitlines()
+            assert dat[0] == "# t " + " ".join(names)
+            assert dat[1:] == [" ".join(row[j] for j in idx) for row in rows], fig
+
+    @pytest.mark.parametrize("rows", [["0.0,1.0,1.0"], ["1.0," * 19 + "0", "1.0," * 17 + "0"]],
+                             ids=["short", "long_then_short"])
+    def test_plots_refuses_a_ragged_row(self, tmp_path, capsys, rows):
+        # a row with more or fewer fields than the header, even where a
+        # longer and a shorter row hold as many fields as two whole ones
+        csv = tmp_path / "ragged.csv"
+        csv.write_text(f"# iadp csv schema v1\n{csv_header(6)}\n" + "\n".join(rows) + "\n")
+        assert main(["plots", str(csv), "--out-dir", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {csv}: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("edit", ["no_last_newline", "blank_and_comment_lines"])
+    def test_plots_reads_an_edited_csv(self, tmp_path, io_logs, edit):
+        # a last line without its newline, and blank and # lines among the
+        # rows (at a block boundary and inside a block), give the same .dat
+        # files as the CSV as written
+        write_csv(io_logs["rows1025"], tmp_path / "rows.csv")
+        text = (tmp_path / "rows.csv").read_text()
+        if edit == "no_last_newline":
+            text = text[:-1]
+        else:
+            lines = text.splitlines(keepends=True)
+            lines[2 + CSV_BLOCK_ROWS:2 + CSV_BLOCK_ROWS] = ["\n", "# a note\n"]
+            lines[600:600] = ["# another note\n", "\n"]
+            text = "".join(lines)
+        (tmp_path / "edited" / "rows.csv").parent.mkdir()
+        (tmp_path / "edited" / "rows.csv").write_text(text)
+        for d in ("", "edited"):
+            emit_plots([tmp_path / d / "rows.csv"], tmp_path / d / "figs")
+        for fig in FIGURES:
+            assert (tmp_path / "edited" / "figs" / f"rows_{fig}.dat").read_bytes() == \
+                (tmp_path / "figs" / f"rows_{fig}.dat").read_bytes(), fig
 
     def test_plots_without_weight_columns_rejected(self, tmp_path, capsys):
         csv = tmp_path / "now.csv"
