@@ -151,15 +151,12 @@ def csv_header(N: int) -> str:
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows the CSV writer's child reads and formats at a time; each chunk's rows
-# live as Python floats and strings (~1.5 KB a row) until written, so a
-# larger chunk raises the child's peak RSS
-CSV_CHUNK_ROWS = 1024
-# rows the CSV writer's caller packs or formats, and lines `iadp plots`
-# copies, at a time: each block (39 KB packed, at most 121 KB as text at N = 6,
-# as the tests check) stays under glibc's 128 KiB mmap threshold, which a freed
-# larger block raises, and later log arrays then come from the heap
-# (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
+# rows the CSV writer's child reads and formats, its caller packs or
+# formats, and lines `iadp plots` copies, at a time: each block (39 KB
+# packed, at most 121 KB as text at N = 6, as the tests check) stays under
+# glibc's 128 KiB mmap threshold, which a freed larger block raises, and
+# later log arrays then come from the heap (compare-s3's peak RSS read
+# 97-104 MB, not 80-81 MB)
 CSV_BLOCK_ROWS = 256
 # the CSV writer's pipe: what its child still owns when the episode ends,
 # which the final split weighs; at Linux's 64 KiB default the child waited
@@ -191,30 +188,29 @@ def csv_writer(path, N: int):
     each row once. ``send`` has ``run_episode``'s ``on_rows`` signature and
     never blocks: it packs rows, floats as float64 and the rank as int64,
     and writes them to a non-blocking pipe only while the pipe has room. The
-    child writes the schema line and the header, then formats CSV_CHUNK_ROWS
+    child writes the schema line and the header, then formats CSV_BLOCK_ROWS
     rows at a time into a temporary file beside ``path``: formatting the
     floats, at most one ``repr`` each, is the CSV's cost.
 
     When the with-block ends, the unsent rows are split so that both sides
     finish together: the child goes on from the front, and this process
-    formats the back part into a second temporary file, sending the child
-    the rest of its part between blocks and closing the pipe once it is
-    sent, so that the child's last short read returns. Each row's text
-    depends only on the row. Only after the child has exited 0 is the
-    second file appended to the first and the result moved onto ``path``,
-    so a CSV at ``path`` is whole. On every other path the child is reaped
-    (killed first unless it has already stopped reading), both temporary
-    files are removed and the exception goes on: an OSError that names the
-    child's exit status if the child failed. The child runs no BLAS and
-    leaves only through ``os._exit``, so it flushes none of this process's
-    buffers and runs none of its exit handlers.
+    formats the back part, a list of text blocks of CSV_BLOCK_ROWS rows,
+    sending the child the rest of its part between blocks and closing the
+    pipe once it is sent, so that the child's last short read returns. Each
+    row's text depends only on the row. Only after the child has exited 0
+    are the blocks appended to the child's file and the result moved onto
+    ``path``, so a CSV at ``path`` is whole. On every other path the child
+    is reaped (killed first unless it has already stopped reading), the
+    temporary file is removed and the exception goes on: an OSError that
+    names the child's exit status if the child failed. The child runs no
+    BLAS and leaves only through ``os._exit``, so it flushes none of this
+    process's buffers and runs none of its exit handlers.
     """
     path = Path(path)
     header = csv_header(N)
     # every column but the last, rank, is a float
     record = np.dtype([("values", np.float64, header.count(",")), ("rank", np.int64)])
     part = path.with_name(f".{path.name}.{os.getpid()}.part")
-    tail = part.with_suffix(".tail.part")
     read_end, write_end = os.pipe()
     pid = None
     try:
@@ -227,7 +223,7 @@ def csv_writer(path, N: int):
                     try:
                         pipe.close()
                         f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n")
-                        while data := src.read(CSV_CHUNK_ROWS * record.itemsize):
+                        while data := src.read(CSV_BLOCK_ROWS * record.itemsize):
                             rows = np.frombuffer(data, record)
                             f.write(_csv_lines(rows["values"], rows["rank"]))
                         f.close()
@@ -268,13 +264,13 @@ def csv_writer(path, N: int):
                 # the child still owns the pipe's contents: weigh them
                 # against the unsent rows, and take the back part
                 split = sent + max(0, made - sent - CSV_PIPE_BYTES // record.itemsize) // 2
-                with open(tail, "w") as g:
-                    for start in range(split, made, CSV_BLOCK_ROWS):
-                        pump(split)
-                        if sent == split and not pending:
-                            pipe.close()  # the child's last read returns now
-                        rows = pack(start, min(start + CSV_BLOCK_ROWS, made))
-                        g.write(_csv_lines(rows["values"], rows["rank"]))
+                share = []
+                for start in range(split, made, CSV_BLOCK_ROWS):
+                    pump(split)
+                    if sent == split and not pending:
+                        pipe.close()  # the child's last read returns now
+                    rows = pack(start, min(start + CSV_BLOCK_ROWS, made))
+                    share.append(_csv_lines(rows["values"], rows["rank"]))
                 if not pipe.closed:
                     os.set_blocking(write_end, True)
                     pump(split)
@@ -286,10 +282,8 @@ def csv_writer(path, N: int):
         status, pid = os.waitpid(pid, 0)[1], None
         if code := os.waitstatus_to_exitcode(status):
             raise OSError(f"{path}: the CSV writer process exited with status {code}")
-        with open(tail, "rb") as g, open(part, "r+b") as f:
-            f.seek(0, os.SEEK_END)
-            while os.copy_file_range(g.fileno(), f.fileno(), 1 << 30):
-                pass
+        with open(part, "a") as f:
+            f.writelines(share)  # each block under 128 KiB, never joined
         os.replace(part, path)
     except BaseException:
         if pid is not None:
@@ -297,8 +291,6 @@ def csv_writer(path, N: int):
             os.waitpid(pid, 0)
         part.unlink(missing_ok=True)
         raise
-    finally:
-        tail.unlink(missing_ok=True)
 
 
 def write_csv(log: TrajectoryLog, path) -> None:

@@ -2,10 +2,12 @@
 
 The critic is V(x) ~ w^T Phi(x) with Phi a fixed monomial basis; the loop
 only ever needs its Jacobian, which ``kernels.monomial_grad`` evaluates with
-``BasisSet.partials``. The saturation penalty W(u) is ``kernels.penalty_sat``,
-and the regression pairs (Y, Theta) the critic learns from are formed by the
-control laws in ``controllers``. The running-cost weights Q, beta and c_bar
-are ``SimConfig`` fields and checked there.
+``BasisSet.partials``, each partial compiled as one product. A basis may
+have any number n of variables; ``SimConfig`` asks for the plant's 2. The
+saturation penalty W(u) is ``kernels.penalty_sat``, and the regression
+pairs (Y, Theta) the critic learns from are formed by the control laws in
+``controllers``. The running-cost weights Q, beta and c_bar are
+``SimConfig`` fields and checked there.
 """
 
 from dataclasses import dataclass
@@ -26,11 +28,16 @@ DEFAULT_EXPONENTS = np.array([
     [2, 1],
 ], dtype=np.int64)
 DEFAULT_EXPONENTS.setflags(write=False)  # a BasisSet holds it uncopied
+# the highest total degree of a feature: a partial's product nests one
+# multiplication per degree, and CPython 3.11 fails to compile one nested
+# about 3,000 deep (how deep depends on the caller's stack)
+MAX_DEGREE = 1000
 
 
 @dataclass
 class BasisSet:
-    """Monomial basis defined by an (N, n) integer exponent matrix.
+    """Monomial basis defined by an (N, n) integer exponent matrix whose
+    features have total degree at most MAX_DEGREE.
 
     ``partials`` is the basis gradient compiled for this basis's exponents,
     which ``kernels.monomial_grad`` calls.
@@ -44,6 +51,8 @@ class BasisSet:
             raise ConfigurationError("basis exponents must be an (N, n) matrix")
         if np.any(self.exponents < 0):
             raise ConfigurationError("basis exponents must be >= 0")
+        if (degree := max(map(sum, self.exponents.tolist()))) > MAX_DEGREE:
+            raise ConfigurationError(f"basis degree must be <= {MAX_DEGREE}, got {degree}")
         self.partials = kernels.monomial_partials(self.exponents)
 
     @property

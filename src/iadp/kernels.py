@@ -12,12 +12,13 @@ right-hand side and its RK4 step, the one plant model the engine runs.
 at every RK4 stage, and the engine calls it, as a ``sim`` module global,
 for the log's ``d`` column.
 
-``dot``, ``_vecmat``, ``weight_derivative_kernel``, ``_euler`` (the
-critic's Euler step w + dt*d and whether every entry is finite) and the
-basis gradient run straight-line code generated once per shape: the
-basis's N features (by the plant's two states for ``_vecmat``), and for
-the gradient the basis's exponents. The source holds only names and
-integer indices, and matrices and gains are arguments.
+``dot``, ``_vecmat``, ``weight_derivative_kernel`` and ``_euler`` (the
+critic's Euler step w + dt*d and whether every entry is finite) run
+straight-line code generated once per basis size N (by the plant's two
+states for ``_vecmat``); the source holds only names, and matrices and
+gains are arguments. The basis gradient is generated once per basis, from
+its exponents: each partial is one product, its exponent times the
+variables in index order.
 Sums run in index order from 0.0, ((0.0 + p0) + p1) + ..., on every Python:
 this equals the built-in ``sum`` on 3.11, and no kernel calls ``sum``, which
 is compensated from 3.12. The step's arithmetic on the plant's two states
@@ -45,7 +46,6 @@ checks and the tests.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -119,45 +119,26 @@ def _weight_derivative(N):
         f"return [{', '.join(_sum(g, a) for g in G)}]"])
 
 
-@functools.lru_cache(maxsize=None)
-def _grad_factory(n, steps, columns):
-    """bind(*nonzero coefficients) -> grad(x), for ``monomial_partials``."""
-    x, used = _names("x", n), itertools.count()
-    # an absent variable's partial is 0.0 * t_0 = 0.0
-    rows = ["[" + ", ".join("0.0" if t < 0 else f"c{next(used)} * t{t}" for t in column)
-            + "]" for column in columns]
-    return _compile("bind", ", ".join(_names("c", next(used))), [
-        "def monomial_grad(x):", f"    {_pack(x)} = x", "    t0 = 1.0",
-        *(f"    t{k} = t{s} * {x[i]}" for k, (s, i) in enumerate(steps, 1)),
-        f"    return [{', '.join(rows)}]", "return monomial_grad"])
-
-
 def monomial_partials(exponents):
     """The compiled basis gradient x -> grad_phi^T, for ``monomial_grad``.
 
-    Each partial is a constant times a monomial of lower degree. The
-    monomials are built as t_k = t_s * x_i from t_0 = 1.0, each from a
-    smaller one times one variable, and d phi_k/d x_j = c * t_t with c the
-    exponent of x_j in feature k; columns[j][k] is that t, or -1 where x_j
-    does not appear in feature k.
+    d phi_k/d x_j is written as one product, c * (x_i * ...): c is the
+    exponent of x_j in feature k, and the factors are the variables of the
+    monomial of one lower degree in x_j, in index order. A partial with no
+    factor is c alone, and one of a variable absent from feature k is 0.0.
     """
-    E = np.asarray(exponents, dtype=np.int64)
-    n = E.shape[1]
-    index = {(0,) * n: 0}
-    steps = []
+    rows = np.asarray(exponents, dtype=np.int64).tolist()
+    x = _names("x", len(rows[0]))
 
-    def monomial(powers):
-        if powers not in index:
-            i = max(j for j, p in enumerate(powers) if p > 0)
-            steps.append((monomial(tuple(p - (j == i) for j, p in enumerate(powers))), i))
-            index[powers] = len(steps)
-        return index[powers]
+    def partial(row, j):
+        if not row[j]:
+            return "0.0"
+        c = repr(float(row[j]))
+        factors = " * ".join(x[i] for i, e in enumerate(row) for _ in range(e - (i == j)))
+        return f"{c} * ({factors})" if factors else c
 
-    rows = E.tolist()
-    columns = tuple(tuple(monomial(tuple(e - (i == j) for i, e in enumerate(row)))
-                          if row[j] else -1 for row in rows) for j in range(n))
-    coefficients = [float(row[j]) for j in range(n) for row in rows if row[j]]
-    return _grad_factory(n, tuple(steps), columns)(*coefficients)
+    grad = (f"[{', '.join(partial(row, j) for row in rows)}]" for j in range(len(x)))
+    return _compile("monomial_grad", "x", [f"{_pack(x)} = x", f"return [{', '.join(grad)}]"])
 
 
 def monomial_grad(partials, x):

@@ -35,8 +35,6 @@ class ControlAffinePlant:
     ``kernels.pendulum_rk4`` integrates them.
     """
 
-    n, m = 2, 1
-
     a: float
     b: float
     c: float

@@ -19,8 +19,8 @@ from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import DEFAULT_EXPONENTS, BasisSet
 from .kernels import disturbance_value
 from .learner import ExperienceBuffer, try_insert
-from .plant import (ConfigurationError, ControlAffinePlant, NoiseState, World,
-                    add_measurement_noise, apply_event_schedule)
+from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
+                    apply_event_schedule)
 
 DIVERGENCE_NORM = 1e6
 # log rows are staged as tuples and written into the log arrays this many at
@@ -71,15 +71,17 @@ class SimConfig:
     Each value is first converted by its field's type: no field takes a
     bool, and every number must be finite (integral in an int field and in
     ``basis_exponents``). ``x0`` is read flat, a flat ``basis_exponents`` as
-    one row, and ``Q``, ``Gamma`` and ``g_bar`` with neither 0 nor 2
-    dimensions as a column (``g_bar`` may also come as a row); a scalar c
-    for ``Q`` or ``Gamma`` is c times the identity of size n or N.
+    one row, and ``Gamma`` and ``g_bar`` with neither 0 nor 2 dimensions as
+    a column; a scalar c for ``Q`` or ``Gamma`` is c times the identity of
+    size 2 or N. The plant has 2 states and one input, so the basis must
+    have 2 columns, ``x0`` hold 2 values, ``Q`` be 2x2 and ``g_bar`` hold 2
+    values, as a column or a row.
 
     Construction also resolves what the loop reads, as plain attributes that
     are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
-    ``g_bar_col``, the one input's surrogate column g_bar as n floats; and
+    ``g_bar_col``, the one input's surrogate column g_bar as 2 floats; and
     ``g_bar_pinv``, its left pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1),
-    n floats.
+    2 floats.
     """
 
     scenario: str = "s1"
@@ -118,7 +120,7 @@ class SimConfig:
                 raise ConfigurationError(f"bad value for {f.name}: {exc}") from exc
             setattr(self, f.name, value)
         self.x0 = self.x0.ravel()
-        for name in ("Q", "Gamma", "g_bar"):
+        for name in ("Gamma", "g_bar"):
             if getattr(self, name).ndim not in (0, 2):
                 setattr(self, name, getattr(self, name).reshape(-1, 1))
         if not (self.dt > 0 and self.t_end > 0):
@@ -140,13 +142,14 @@ class SimConfig:
         if not 2.0 * (self.gamma * self.gamma) > 0:
             raise ConfigurationError(f"zsadp.gamma = {self.gamma!r}: 2 gamma^2 underflows to 0")
         basis = self.basis = BasisSet(self.basis_exponents)
-        n = basis.n
+        if basis.n != 2:
+            raise ConfigurationError(f"basis exponents must have 2 columns, got {basis.n}")
         if self.Q.ndim == 0:
-            self.Q = self.Q * np.eye(n)
+            self.Q = self.Q * np.eye(2)
         if self.Gamma.ndim == 0:
             self.Gamma = self.Gamma * np.eye(basis.N)
-        if self.Q.shape != (n, n):
-            raise ConfigurationError(f"Q must be {n}x{n}")
+        if self.Q.shape != (2, 2):
+            raise ConfigurationError("Q must be 2x2")
         if not np.allclose(self.Q, self.Q.T):
             raise ConfigurationError("Q must be symmetric")
         if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
@@ -162,15 +165,11 @@ class SimConfig:
             raise ConfigurationError("Gamma must be symmetric positive definite")
         if not (self.k_c > 0 and self.k_e > 0):
             raise ConfigurationError("k_c and k_e must be > 0")
-        if self.x0.shape != (n,):
-            raise ConfigurationError(f"x0 must be {n} values, got {self.x0.tolist()}")
-        # g_bar is n x m; a single row is read as a column
-        rows, m = sorted(np.shape(np.atleast_2d(self.g_bar)), reverse=True)
-        if rows != n:
-            raise ConfigurationError(f"g_bar must have {n} rows")
-        if (n, m) != (ControlAffinePlant.n, ControlAffinePlant.m):
-            raise ConfigurationError(f"(n, m) = ({n}, {m}) from the basis and g_bar, but the "
-                                     f"plant has ({ControlAffinePlant.n}, {ControlAffinePlant.m})")
+        if self.x0.shape != (2,):
+            raise ConfigurationError(f"x0 must be 2 values, got {self.x0.tolist()}")
+        # the plant's one input column; a single row is read as a column
+        if self.g_bar.size != 2:
+            raise ConfigurationError(f"g_bar must hold 2 values, got {self.g_bar.tolist()}")
         g = self.g_bar.reshape(-1, 1)
         if np.linalg.matrix_rank(g) < 1:
             raise ConfigurationError("g_bar must have full column rank")
@@ -186,7 +185,7 @@ class SimConfig:
 @dataclass
 class TrajectoryLog:
     """The per-step record of one episode, one C-contiguous array per signal:
-    (S, n) for the states, (S, N) for the weights, and (S,) for the rest.
+    (S, 2) for the states, (S, N) for the weights, and (S,) for the rest.
 
     ``stop_cause`` says why a diverged episode stopped: "state_norm" (the
     state left the DIVERGENCE_NORM ball while finite), "nonfinite_dynamics"
@@ -246,7 +245,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     t_start = time.perf_counter()
 
     partials = cfg.basis.partials
-    N, n = cfg.basis.N, cfg.basis.n
+    N = cfg.basis.N
     dot_N = kernels._dot(N)
     difference, tde_error = tde.backward_difference, tde.tde_error
     euler = kernels._euler(N)
@@ -271,7 +270,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     log = TrajectoryLog(
         t=np.arange(S) * dt,
-        x_true=np.zeros((S, n)), x_meas=np.zeros((S, n)),
+        x_true=np.zeros((S, 2)), x_meas=np.zeros((S, 2)),
         u=np.zeros(S), du=np.zeros(S), w=np.zeros((S, N)),
         theta_tilde=np.zeros(S), xi=np.zeros(S), d=np.zeros(S),
         E_u=np.zeros(S), E_x=np.zeros(S), rank=np.zeros(S, dtype=np.int64),
@@ -279,7 +278,6 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     x = tuple(np.asarray(cfg.x0, dtype=float).tolist())
     w = [0.0] * N
-    zero_n = (0.0,) * n
     noise, events = world.noise, world.events
     noise_state = NoiseState(np.random.default_rng(cfg.seed))
     # the SNR reference is a running mean from t = 0, so it is tracked on
@@ -351,7 +349,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         elif i:
             xdot = difference(xm_prev, xm, dt)
         else:
-            xdot = zero_n
+            xdot = (0.0, 0.0)
 
         theta_tilde = 0.0
         if warm:

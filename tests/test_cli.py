@@ -23,11 +23,11 @@ from hypothesis import Phase, given, settings, strategies as st
 from helpers import cached_run
 import iadp
 from iadp import cli, kernels
-from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_CHUNK_ROWS, CSV_PIPE_BYTES,
-                      CSV_SCHEMA_VERSION, FIGURES,
-                      _format_value, _parse_value, _resolved_cfg, build_parser, config_dict,
-                      csv_header, emit_plots, main, parse_config, read_config_file, read_csv,
-                      write_csv, write_manifest)
+from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_PIPE_BYTES, CSV_SCHEMA_VERSION,
+                      FIGURES, _format_value, _parse_value, _resolved_cfg, build_parser,
+                      config_dict, csv_header, emit_plots, main, parse_config,
+                      read_config_file, read_csv, write_csv, write_manifest)
+from iadp.critic import MAX_DEGREE
 from iadp.plant import ConfigurationError
 from iadp.scenarios import SCENARIO_IDS, run_scenario
 from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig
@@ -192,9 +192,9 @@ def write_csv_row_loop(log, path):
                           f"{csv_header(log.w.shape[1])}\n" + row_loop_lines(block, log.rank))
 
 
-# row counts around the chunk size, where the writer's child ends a read
-# with a whole chunk, one row more or one row short
-CUT_ROWS = (1, 1023, 1024, 1025, 2047, 2048, 2049)
+# row counts around multiples of the block size, where the writer's child
+# ends a read with a whole block, one row more or one row short
+CUT_ROWS = (1, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049)
 
 
 def cut_log(log, rows):
@@ -287,14 +287,14 @@ def split_write(path, log, lengths, pipe_bytes, stopped):
 
 @pytest.fixture(scope="module")
 def io_logs():
-    """A log longer than one write chunk, a diverged s3 zsadp log (cut
+    """A log longer than one write block, a diverged s3 zsadp log (cut
     short, with non-finite theta_tilde entries), an s3 iadp log whose
     measurement noise starts in its last second, and the long log cut to
     each of CUT_ROWS."""
     long_log = cached_run(t_end=5.0)
     diverged = cached_run(scenario="s3", controller="zsadp")
     noisy = cached_run(scenario="s3", t_end=21.0)
-    assert long_log.rows() > CSV_CHUNK_ROWS
+    assert long_log.rows() > CSV_BLOCK_ROWS
     assert diverged.diverged and diverged.rows() < 80001
     assert not np.all(np.isfinite(diverged.theta_tilde))
     # x_meas is x_true's bits up to t = 20 s and noisy after
@@ -642,6 +642,8 @@ class TestMain:
         ("cost.beta=0", []),
         ("cost.c_bar=0", []),
         ("tde.g_bar=[[0],[0]]", []),
+        ("basis.exponents=[[1001,0],[1,1],[0,2],[0,3],[1,2],[2,1]]", []),
+        ("basis.exponents=[[1000000000,0],[1,1],[0,2],[0,3],[1,2],[2,1]]", []),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
@@ -657,8 +659,16 @@ class TestMain:
                    "--override", "init.x0=[2,-2,0]", "--override", "tde.g_bar=[[0],[0.1],[0]]",
                    "--override", "cost.Q=1", "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert "config error: (n, m) = (3, 1) from the basis and g_bar, but the plant " \
-            "has (2, 1)" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "config error: basis exponents must have 2 columns, got 3\n"
+
+    def test_basis_of_the_highest_degree_runs(self, tmp_path, capsys):
+        # a feature of degree 985 and up ended in a RecursionError traceback
+        # from the CLI; one of the bound's degree runs (its critic diverges)
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.01", "--override",
+                   f"basis.exponents=[[{MAX_DEGREE},0],[1,1],[0,2],[0,3],[1,2],[2,1]]",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2 and capsys.readouterr().err == ""
 
     def test_saturation_fault_exit_four(self, tmp_path, capsys, monkeypatch):
         from iadp.controllers import IadpLaw
@@ -807,8 +817,8 @@ class TestMain:
                                          side, message):
         # the child's formatting, this process's pipe write or this
         # process's formatting of its own share fails partway: one stderr
-        # line, the child reaped and nothing, neither temporary file
-        # included, left in the out dir
+        # line, the child reaped and nothing, the temporary file included,
+        # left in the out dir
         def fail(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 

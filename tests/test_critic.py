@@ -7,7 +7,7 @@ import pytest
 from helpers import gphi_t, law_pair, monomials
 from iadp import checks, kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
-from iadp.critic import DEFAULT_EXPONENTS, BasisSet
+from iadp.critic import DEFAULT_EXPONENTS, MAX_DEGREE, BasisSet
 from iadp.plant import ConfigurationError
 from iadp.sim import SimConfig
 
@@ -57,6 +57,18 @@ class TestBasis:
         basis = BasisSet([[1, 0, 0], [0, 2, 1]])
         assert basis.N == 2 and basis.n == 3
         assert np.array_equal(monomials([2.0, 3.0, 4.0], basis.exponents), [2.0, 36.0])
+
+    def test_degree_bound(self, monkeypatch):
+        # a feature of the bound's degree compiles through SimConfig, its
+        # partial 1000 * x0^999; one degree more is refused, and so is
+        # degree 1e9, before any factor list or code is generated
+        cfg = SimConfig(basis_exponents=[[MAX_DEGREE, 0], [1, 1]], Gamma=1e-4)
+        assert cfg.basis.partials((-1.0, 2.0)) == [[-1000.0, 2.0], [0.0, -1.0]]
+        monkeypatch.setattr(kernels, "monomial_partials", lambda E: pytest.fail("generated"))
+        for degree in (MAX_DEGREE + 1, 10**9):
+            with pytest.raises(ConfigurationError,
+                               match=f"^basis degree must be <= 1000, got {degree}$"):
+                BasisSet([[degree, 0], [1, 1]])
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):

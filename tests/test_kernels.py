@@ -390,15 +390,26 @@ def test_weight_derivative_bitwise(data):
     assert bits(kernels.weight_derivative_kernel(*args)) == bits(weight_derivative_loop(*args))
 
 
-@given(st.data())
-def test_monomial_grad_bitwise(data):
-    n, N = data.draw(SIZES), data.draw(SIZES)
-    E = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
-                           min_size=N, max_size=N))
-    x = data.draw(vectors(n))
+@st.composite
+def bases_and_points(draw):
+    """An exponent matrix of up to 8 features in up to 8 variables, as
+    lists, and a point x."""
+    n, N = draw(SIZES), draw(SIZES)
+    E = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                      min_size=N, max_size=N))
+    return E, draw(vectors(n))
+
+
+@given(case=bases_and_points())
+# a linear feature's partial is its exponent alone, and a product keeps
+# -0.0's sign and a nan
+@example(case=([[1, 0], [1, 1], [2, 0], [0, 1]], [-0.0, math.nan]))
+def test_monomial_grad_bitwise(case):
+    # each partial as one product against the chain of monomials from 1.0
+    E, x = case
     got = kernels.monomial_grad(kernels.monomial_partials(np.array(E)), x)
     ref = grad_loop(partials_loop(E), x)
-    assert len(got) == n and all(len(row) == N for row in got)
+    assert len(got) == len(x) and all(len(row) == len(E) for row in got)
     assert bits(sum(got, [])) == bits(sum(ref, []))
 
 

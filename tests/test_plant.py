@@ -34,14 +34,16 @@ class TestEvalDynamics:
 
     def test_dimension_mismatch(self):
         # consistent set-ups with 3 states, or with 2 inputs, against the
-        # plant's (n, m) = (2, 1) are refused by the config
+        # plant's 2 states and one input are refused by the config
         three_states = dict(
             basis_exponents=np.array([[2, 0, 0], [1, 1, 0], [0, 2, 0],
                                       [0, 0, 2], [1, 0, 1], [0, 1, 1]]),
             x0=np.array([2.0, -2.0, 0.0]), g_bar=[[0.0], [0.1], [0.0]], Q=1.0, t_end=1.0)
         two_inputs = dict(g_bar=[[1.0, 0.0], [0.0, 0.1]], t_end=1.0)
-        for kwargs, sizes in ((three_states, r"\(3, 1\)"), (two_inputs, r"\(2, 2\)")):
-            with pytest.raises(ConfigurationError, match=sizes):
+        for kwargs, message in (
+                (three_states, "basis exponents must have 2 columns, got 3"),
+                (two_inputs, r"g_bar must hold 2 values, got \[\[1.0, 0.0\], \[0.0, 0.1\]\]")):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 SimConfig(**kwargs)
 
     def test_affine_in_u(self, rng):
