@@ -17,9 +17,8 @@ import numpy as np
 from . import kernels
 from .critic import DEFAULT_EXPONENTS, BasisSet
 from .learner import ExperienceBuffer, try_insert
-from .plant import DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise, \
-    pendulum_nominal
-from .scenarios import run_scenario
+from .plant import DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise
+from .scenarios import WORLDS, run_scenario
 from .sim import SimConfig, TrajectoryLog
 
 # the least positive float: a defect below it is exactly 0
@@ -28,10 +27,10 @@ EXACT = math.ulp(0.0)
 
 def plant_affine_defect(rng, count=100):
     """Largest |f(x, a u1 + (1 - a) u2) - a f(x, u1) - (1 - a) f(x, u2)| of the
-    pendulum's dynamics over count draws of x in [-3, 3]^2, u1, u2 in [-2, 2]
-    and a in [0, 1), each without a disturbance and with a square wave
-    d = 0.3."""
-    p = pendulum_nominal().params
+    nominal pendulum's dynamics (s1's plant) over count draws of x in
+    [-3, 3]^2, u1, u2 in [-2, 2] and a in [0, 1), each without a disturbance
+    and with a square wave d = 0.3."""
+    p = WORLDS["s1"].plant.params
     dists = (DisturbanceSignal().packed(),
              DisturbanceSignal(amplitude=0.3, period=2.0, t_on=0.0, t_off=10.0).packed())
     defects = []
@@ -48,9 +47,10 @@ plant_affine_defect.tol = 1e-12
 
 
 def vanishing_bound_defect(rng, count=300):
-    """Largest |d| - |w1||x1| of the vanishing disturbance w1 x1 sin(w2 x2) over
-    count draws of x in [-6, 6]^2; it is at most 0 where |d| <= |w1||x1|."""
-    sig = DisturbanceSignal(w1=-0.3906, w2=1.0051)
+    """Largest |d| - |w1||x1| of s1's disturbance, the vanishing term
+    w1 x1 sin(w2 x2) alone, over count draws of x in [-6, 6]^2; it is at most
+    0 where |d| <= |w1||x1|."""
+    sig = WORLDS["s1"].disturbance
     return float(np.max([abs(kernels.disturbance_value(*x, sig.packed(), 0.0)) - abs(sig.w1 * x[0])
                          for x in rng.uniform(-6, 6, (count, 2)).tolist()]))
 vanishing_bound_defect.tol = 1e-15

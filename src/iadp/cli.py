@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .plant import ConfigurationError
-from .scenarios import SCENARIO_IDS, run_scenario
+from .scenarios import WORLDS, run_scenario
 from .sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 CSV_SCHEMA_VERSION = 1
@@ -105,10 +105,7 @@ def _format_value(v) -> str:
         return repr(float(v))
     if isinstance(v, str):
         return v
-    arr = np.asarray(v)
-    if arr.ndim == 1:
-        return "[" + ", ".join(_format_value(e) for e in arr) + "]"
-    return "[" + ", ".join(_format_value(row) for row in arr) + "]"
+    return "[" + ", ".join(_format_value(e) for e in np.asarray(v)) + "]"
 
 
 def read_config_file(path) -> dict:
@@ -334,7 +331,7 @@ def _resolved_cfg(args) -> SimConfig:
         overrides[k.strip()] = v.strip()
     # dedicated flags win over file values; --override wins over both
     flag_map = {
-        "scenario": args.scenario, "controller": args.controller,
+        "scenario": args.scenario, "controller": getattr(args, "controller", None),
         "sim.seed": args.seed, "sim.dt": args.dt, "sim.t_end": args.t_end,
         "sim.xdot_source": args.xdot_source,
     }
@@ -536,6 +533,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    # argparse refuses a subcommand's unknown arguments in the top parser,
+    # whose message names no command; each parser refuses its own instead
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="iadp", description=__doc__.splitlines()[0])
@@ -543,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--scenario", choices=SCENARIO_IDS)
-        sp.add_argument("--controller", choices=CONTROLLERS)
+        sp.add_argument("--scenario", choices=WORLDS)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--dt", type=float)
         sp.add_argument("--t-end", type=float)
@@ -555,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one episode")
     add_common(sp)
+    sp.add_argument("--controller", choices=CONTROLLERS)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compare", help="run all three controllers on one scenario")

@@ -1,5 +1,6 @@
 """The ground-truth plant, disturbance signals, measurement noise, plant swaps,
-and the World that holds one scenario's set of them.
+and the World that holds one scenario's set of them. The three scenarios'
+values, the plants' coefficients among them, are ``scenarios.WORLDS``.
 
 The plant is the pendulum family, given by its six coefficients, and the
 disturbance is given by its six numbers; the float kernels in ``kernels``
@@ -41,27 +42,11 @@ class ControlAffinePlant:
     g2: float
     k1: float
     k2: float
-    name: str = "pendulum"
 
     @property
     def params(self) -> tuple:
         """(a, b, c, g2, k1, k2) as floats, as the pendulum kernels take them."""
         return tuple(map(float, (self.a, self.b, self.c, self.g2, self.k1, self.k2)))
-
-
-def pendulum_nominal() -> ControlAffinePlant:
-    """The benchmark pendulum: f = [x2, -4.9 sin x1 - 0.2 x2], g = [0, 0.25]."""
-    return ControlAffinePlant(1.0, -4.9, -0.2, 0.25, 1.0, -0.2, name="pendulum_nominal")
-
-
-def pendulum_reset_mild() -> ControlAffinePlant:
-    """Post-reset pendulum with softened parameters (t = 20 s event, scenario s2)."""
-    return ControlAffinePlant(1.0, -2.0, -0.1, 0.1, 1.0, -0.1, name="pendulum_reset_mild")
-
-
-def pendulum_reset_inverted() -> ControlAffinePlant:
-    """Post-reset pendulum with sign-inverted parameters (scenario s3)."""
-    return ControlAffinePlant(-1.0, 4.9, -0.2, -0.25, 1.0, -0.2, name="pendulum_reset_inverted")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .kernels import disturbance_value
 from .learner import ExperienceBuffer, try_insert
 from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
                     apply_event_schedule)
+from .scenarios import WORLDS
 
 DIVERGENCE_NORM = 1e6
 # log rows are staged as tuples and written into the log arrays this many at
@@ -70,12 +71,14 @@ class SimConfig:
 
     Each value is first converted by its field's type: no field takes a
     bool, and every number must be finite (integral in an int field and in
-    ``basis_exponents``). ``x0`` is read flat, a flat ``basis_exponents`` as
-    one row, and ``Gamma`` and ``g_bar`` with neither 0 nor 2 dimensions as
-    a column; a scalar c for ``Q`` or ``Gamma`` is c times the identity of
-    size 2 or N. The plant has 2 states and one input, so the basis must
-    have 2 columns, ``x0`` hold 2 values, ``Q`` be 2x2 and ``g_bar`` hold 2
-    values, as a column or a row.
+    ``basis_exponents``), and ``scenario`` must be a key of
+    ``scenarios.WORLDS``. ``x0`` is read flat, a flat ``basis_exponents`` as
+    one row, and a ``g_bar`` with neither 0 nor 2 dimensions as a column; a
+    scalar c for ``Q`` or ``Gamma`` is c times the identity of size 2 or N,
+    and any other ``Q`` or ``Gamma`` must have that shape as given. The
+    plant has 2 states and one input, so the basis must have 2 columns,
+    ``x0`` hold 2 values, ``Q`` be 2x2 and ``g_bar`` hold 2 values, as a
+    column or a row.
 
     Construction also resolves what the loop reads, as plain attributes that
     are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
@@ -120,9 +123,8 @@ class SimConfig:
                 raise ConfigurationError(f"bad value for {f.name}: {exc}") from exc
             setattr(self, f.name, value)
         self.x0 = self.x0.ravel()
-        for name in ("Gamma", "g_bar"):
-            if getattr(self, name).ndim not in (0, 2):
-                setattr(self, name, getattr(self, name).reshape(-1, 1))
+        if self.g_bar.ndim not in (0, 2):
+            self.g_bar = self.g_bar.reshape(-1, 1)
         if not (self.dt > 0 and self.t_end > 0):
             raise ConfigurationError("dt and t_end must be > 0")
         steps = self.t_end / self.dt
@@ -130,6 +132,8 @@ class SimConfig:
             raise ConfigurationError("t_end must be a multiple of dt")
         if self.seed < 0:
             raise ConfigurationError("sim.seed must be >= 0")
+        if self.scenario not in WORLDS:
+            raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.controller not in CONTROLLERS:
             raise ConfigurationError(f"unknown controller {self.controller!r}")
         if self.xdot_source not in XDOT_SOURCES:

@@ -13,7 +13,8 @@ import pytest
 from helpers import cached_run
 from iadp import checks, kernels
 from iadp.cli import main
-from iadp.plant import DisturbanceSignal, pendulum_nominal
+from iadp.plant import DisturbanceSignal
+from iadp.scenarios import WORLDS
 
 CONTROLLERS = ("iadp", "zsadp", "tadp")
 SCENARIOS = ("s1", "s2", "s3")
@@ -149,7 +150,7 @@ def test_c10_tde_first_order_scaling():
 
 
 def test_c11_integrator_order():
-    p = pendulum_nominal().params
+    p = WORLDS["s1"].plant.params
     dist = DisturbanceSignal().packed()
     x0 = (2.0, -2.0)
 

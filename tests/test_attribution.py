@@ -9,11 +9,12 @@ noise's start at 20 s.
   weights within 0.4 s of the noise's start.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import cached_run
-from iadp.plant import DisturbanceSignal, World, pendulum_nominal
-from iadp.scenarios import VANISH_W1, VANISH_W2, build_world
+from iadp.scenarios import WORLDS
 from iadp.sim import SimConfig, run_episode
 
 BASELINES = ("zsadp", "tadp")
@@ -30,10 +31,9 @@ def test_true_xdot_runs_through_the_noise(controller):
 @pytest.mark.parametrize("controller", BASELINES)
 def test_noise_alone_stops_the_baselines(controller):
     cfg = SimConfig(scenario="s3", controller=controller, t_end=21.0)
-    noise = build_world(cfg).noise
+    noise = WORLDS["s3"].noise
     assert (noise.kind, noise.snr_db, noise.t_on) == ("gaussian", 10.0, 20.0)
-    world = World(pendulum_nominal(), DisturbanceSignal(w1=VANISH_W1, w2=VANISH_W2), noise)
-    log = run_episode(cfg, world)
+    log = run_episode(cfg, replace(WORLDS["s1"], noise=noise))
     # seed 0 stops at 20.135 s (zsadp) and 20.138 s (tadp)
     assert log.stop_cause == "nonfinite_weights"
     assert noise.t_on < log.t[-1] < 20.4

@@ -29,7 +29,7 @@ from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_PIPE_BYTES, CSV_SCHEMA_VE
                       read_config_file, read_csv, write_csv, write_manifest)
 from iadp.critic import MAX_DEGREE
 from iadp.plant import ConfigurationError
-from iadp.scenarios import SCENARIO_IDS, run_scenario
+from iadp.scenarios import WORLDS, run_scenario
 from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
@@ -644,6 +644,9 @@ class TestMain:
         ("tde.g_bar=[[0],[0]]", []),
         ("basis.exponents=[[1001,0],[1,1],[0,2],[0,3],[1,2],[2,1]]", []),
         ("basis.exponents=[[1000000000,0],[1,1],[0,2],[0,3],[1,2],[2,1]]", []),
+        # a one-feature basis takes a scalar or a 1x1 Gamma, not a flat or 3-D one
+        ("learner.Gamma=[1e-4]", ["--override", "basis.exponents=[[2,0]]"]),
+        ("learner.Gamma=[[[1e-4]]]", ["--override", "basis.exponents=[[2,0]]"]),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, capsys, override, extra):
         rc = main(["run", "--scenario", "s1", "--t-end", "0.5", *extra,
@@ -755,6 +758,7 @@ class TestMain:
         # x0 is read flat and a flat exponent list as one row
         ("init.x0=[[2],[-2]]", False), ("init.x0=[[1,2],[3,4]]", True),
         ("basis.exponents=[2,0] learner.Gamma=1e-4", False),
+        ("basis.exponents=[[2,0]] learner.Gamma=[[1e-4]]", False),
         # t_end / dt overflows to inf; an empty basis leaves Q 0x0
         ("sim.dt=5e-324", True), ("cost.Q=1 basis.exponents=[]", True),
     ])
@@ -785,8 +789,10 @@ class TestMain:
         (["plots", "missing.csv"], None),
         (["check", "--seed", "-1"], None),
         (["plots"], "error: iadp plots: the following arguments are required: logs"),
+        (["compare", "--controller", "zero"],
+         "error: iadp compare: unrecognized arguments: --controller zero"),
     ], ids=["bad_choice", "bad_type", "unknown_flag", "no_command", "missing_config",
-            "missing_csv", "negative_check_seed", "no_csv"])
+            "missing_csv", "negative_check_seed", "no_csv", "compare_controller"])
     def test_input_error_exit_one(self, tmp_path, capsys, monkeypatch, argv, line):
         # argparse's own usage exit, 2, is the divergence code; these and
         # missing files end on one stderr line instead of a traceback, and a
@@ -797,6 +803,17 @@ class TestMain:
         assert out == "" and len(err.splitlines()) == 1
         if line is not None:
             assert err == line + "\n"
+
+    def test_unknown_scenario_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # the config refuses the name before the out dir or the CSV writer's
+        # child exists
+        def no_fork():
+            raise AssertionError("os.fork called")
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        assert main(["run", "--override", "scenario=s9", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: unknown scenario 's9'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, files", [
         (["run"], ["s1_iadp_seed0.csv", "s1_iadp_seed0.manifest"]),
@@ -859,7 +876,7 @@ class TestMain:
         assert exc.value.code == 0
 
     @pytest.mark.parametrize("flag, key, name", [
-        *(("--scenario", "scenario", s) for s in SCENARIO_IDS),
+        *(("--scenario", "scenario", s) for s in WORLDS),
         *(("--controller", "controller", c) for c in CONTROLLERS),
         *(("--xdot-source", "sim.xdot_source", x) for x in XDOT_SOURCES),
     ])

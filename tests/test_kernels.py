@@ -34,8 +34,8 @@ from hypothesis import example, given, strategies as st
 from iadp import kernels
 from iadp.controllers import IadpLaw, TadpLaw, ZsadpLaw
 from iadp.critic import DEFAULT_EXPONENTS
-from iadp.plant import (DisturbanceSignal, NoiseSpec, NoiseState, add_measurement_noise,
-                        pendulum_nominal, pendulum_reset_inverted, pendulum_reset_mild)
+from iadp.plant import NoiseSpec, NoiseState, add_measurement_noise
+from iadp.scenarios import WORLDS
 from iadp.sim import SimConfig
 from iadp.tde import backward_difference, tde_error
 
@@ -139,9 +139,10 @@ def test_weight_derivative_parity(w, Y, theta, Yb, thetab):
     assert close(got, ref, scale)
 
 
-SIG = DisturbanceSignal(w1=-0.3906, w2=1.0051, amplitude=0.5, period=1.0,
-                        t_on=20.0, t_off=60.0)
-PLANTS = (pendulum_nominal(), pendulum_reset_mild(), pendulum_reset_inverted())
+# s3's disturbance: the vanishing term, and a square wave on [20, 60)
+SIG = WORLDS["s3"].disturbance
+# the nominal pendulum, then s2's and s3's plants after their swap
+PLANTS = (WORLDS["s1"].plant, WORLDS["s2"].events[0].plant, WORLDS["s3"].events[0].plant)
 
 
 def d_reference(x, t):
@@ -200,7 +201,7 @@ def test_pendulum_rk4_edges(rng):
             x, u0, t = rng.uniform(-3, 3, 2), rng.uniform(-2, 2), edge - 0.5 * dt
             got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
             assert np.allclose(got, rk4_reference(plant, x, u0, t, dt),
-                               rtol=RTOL, atol=1e-15), (plant.name, t)
+                               rtol=RTOL, atol=1e-15), (plant, t)
 
 
 @pytest.mark.parametrize("big", [1e300, math.inf])

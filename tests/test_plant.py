@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from iadp import checks, kernels
 from iadp.plant import (NOISE_BLOCK_ROWS, ConfigurationError, DisturbanceSignal, Event,
                         NoiseSpec, NoiseState, World, add_measurement_noise,
-                        apply_event_schedule, pendulum_nominal, pendulum_reset_mild)
+                        apply_event_schedule)
+from iadp.scenarios import WORLDS
 from iadp.sim import SimConfig
 
-NOMINAL = pendulum_nominal().params
+NOMINAL_PLANT = WORLDS["s1"].plant
+NOMINAL = NOMINAL_PLANT.params
 NO_D = DisturbanceSignal().packed()
 
 
@@ -167,7 +169,7 @@ class TestNoise:
 
 
 class TestEvents:
-    SWAP = Event(20.0, pendulum_reset_mild())
+    SWAP = WORLDS["s2"].events[0]
 
     def test_not_yet_due(self):
         assert apply_event_schedule((self.SWAP,), 19.998, 19.999) == []
@@ -175,7 +177,7 @@ class TestEvents:
     def test_fires_exactly_once(self):
         # the engine's step windows: (i dt, (i + 1) dt], unbounded below on
         # step 0; each event fires on the first step landing on or past it
-        early = Event(0.0005, pendulum_nominal())
+        early = Event(0.0005, NOMINAL_PLANT)
         events, dt = (early, self.SWAP), 1e-3
         fired = {i: apply_event_schedule(events, i * dt if i else -math.inf, (i + 1) * dt)
                  for i in range(20010)}
@@ -186,5 +188,5 @@ class TestEvents:
 
     def test_monotone_times_required(self):
         with pytest.raises(ConfigurationError, match="strictly increasing"):
-            World(pendulum_nominal(), DisturbanceSignal(), NoiseSpec(),
-                  (Event(5.0, pendulum_nominal()), Event(5.0, pendulum_reset_mild())))
+            World(NOMINAL_PLANT, DisturbanceSignal(), NoiseSpec(),
+                  (Event(5.0, NOMINAL_PLANT), Event(5.0, self.SWAP.plant)))

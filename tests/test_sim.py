@@ -12,8 +12,8 @@ from helpers import cached_run, law_pair
 from iadp import checks, kernels, sim
 from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
-                        NoiseSpec, NoiseState, World, pendulum_nominal)
-from iadp.scenarios import build_world, run_scenario
+                        NoiseSpec, NoiseState, World)
+from iadp.scenarios import WORLDS, build_world, run_scenario
 from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, run_episode
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -56,7 +56,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(seed=-1)
         with pytest.raises(ConfigurationError):
-            SimConfig(scenario="s9") and run_scenario(SimConfig(scenario="s9"))
+            SimConfig(scenario="s9")
 
     @pytest.mark.parametrize("bad", [
         dict(seed=1.5), dict(buffer_size=2.5), dict(buffer_until=math.nan),
@@ -75,10 +75,11 @@ class TestConfig:
                 SimConfig(**bad)
 
     def test_unknown_scenario_at_build(self):
-        cfg = SimConfig()
-        cfg.scenario = "s9"
-        with pytest.raises(ConfigurationError):
-            build_world(cfg)
+        # the config refuses the name, so build_world only ever looks up a known one
+        for build in (lambda: SimConfig(scenario="s9"),
+                      lambda: replace(SimConfig(), scenario="s9")):
+            with pytest.raises(ConfigurationError, match="^unknown scenario 's9'$"):
+                build()
 
     def test_resolved_attributes_follow_replace(self):
         # compare builds its configs with replace: the basis, g_bar, g_bar^+
@@ -104,7 +105,7 @@ class TestRk4:
         # undisturbed pendulum linearized about origin behaves like the
         # matrix exponential for small steps
         x = np.array([1e-4, 0.0])
-        got = kernels.pendulum_rk4(tuple(x), 0.0, pendulum_nominal().params,
+        got = kernels.pendulum_rk4(tuple(x), 0.0, WORLDS["s1"].plant.params,
                                    DisturbanceSignal().packed(), 0.0, 1e-3)
         A = np.array([[0.0, 1.0], [-4.9 * np.cos(0.0), -0.2]])
         import scipy.linalg
@@ -113,7 +114,7 @@ class TestRk4:
 
     def test_stage_times_see_disturbance(self):
         # time-varying d must be sampled inside the step, not held at t
-        p = pendulum_nominal().params
+        p = WORLDS["s1"].plant.params
         sig = DisturbanceSignal(amplitude=0.5, period=1.0, t_on=0.0, t_off=10.0)
         # the same wave held at its value at t = 0.499: its sign flips at 1.0
         held = DisturbanceSignal(amplitude=0.5, period=2.0, t_on=0.0, t_off=10.0)
