@@ -49,12 +49,7 @@ CONFIG_KEYS = {
     "learner.k_c": "k_c",
     "learner.k_e": "k_e",
     "learner.P": "buffer_size",
-    "learner.buffer_every": "buffer_every",
-    "learner.buffer_until": "buffer_until",
-    "learner.rank_deadline": "rank_deadline",
     "basis.exponents": "basis_exponents",
-    "zsadp.gamma": "gamma",
-    "tadp.rho": "rho",
 }
 
 
@@ -370,7 +365,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolved_cfg(args)
+    # compare sets each controller itself; its manifest records the default
+    cfg = dataclasses.replace(_resolved_cfg(args), controller=SimConfig.controller)
     out = _out_dir(args)
     t0 = time.perf_counter()
     results = {}

@@ -15,7 +15,9 @@ weight the running cost. IADP is model-free: it reads only the constant
 surrogate g_bar (``cfg.g_bar_col``) and is never handed the plant. ZSADP and
 TADP are the model-based baselines; they are handed the true plant's g and k
 at construction and keep using them when the simulated plant is swapped
-mid-run (the robustness stress of the benchmark).
+mid-run (the robustness stress of the benchmark). Their game weights are
+fixed by the comparison: ZSADP's gamma = 1 and TADP's rho = 0.1 are class
+constants, like TADP's bound coefficients, and no config key sets them.
 
 A law binds ``kernels._dot(N)`` and ``kernels._vecmat(2, N)`` once, at
 construction: v = grad_phi^T w is one bound dot per row, and Y is a^T
@@ -115,10 +117,8 @@ class ZsadpLaw(_BaselineLaw):
     Theta = x^T Q x + W(u) - gamma d_hat^2.
     """
 
-    def __init__(self, cfg, g, k):
-        self.gamma = cfg.gamma
-        self.d_scale = 2.0 * (self.gamma * self.gamma)
-        super().__init__(cfg, g, k)
+    gamma = 1.0
+    d_scale = 2.0 * (gamma * gamma)
 
     def aux(self, v0, v1):
         k0, k1 = self.k
@@ -139,13 +139,13 @@ class TadpLaw(_BaselineLaw):
     Theta = x^T Q x + W(u) + rho v_hat^2 + (l_M^2 + d_M^2) ||x||^2.
     """
 
+    rho = 0.1
     d_M_coeff = math.sqrt(2.0) / 2.0
     l_M_coeff = 0.4 * math.sqrt(2.0)
+    v_scale = 2.0 * rho
+    bound2 = l_M_coeff ** 2 + d_M_coeff ** 2
 
     def __init__(self, cfg, g, k):
-        self.rho = cfg.rho
-        self.v_scale = 2.0 * self.rho
-        self.bound2 = self.l_M_coeff ** 2 + self.d_M_coeff ** 2
         super().__init__(cfg, g, k)
         g, k = np.reshape(self.g, (-1, 1)), np.reshape(self.k, (-1, 1))
         self.h = tuple(((np.eye(len(g)) - g @ np.linalg.pinv(g)) @ k)[:, 0].tolist())

@@ -3,7 +3,8 @@
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
 ``try_insert`` appends until the buffer is full, then replaces a point only
-where that raises sigma_min; the engine decides when to offer one.
+where that raises sigma_min; the engine offers one on the fixed schedule
+``sim.BUFFER_EVERY``, ``sim.BUFFER_UNTIL`` and ``sim.RANK_DEADLINE``.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on

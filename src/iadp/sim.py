@@ -24,6 +24,10 @@ from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise
 from .scenarios import WORLDS
 
 DIVERGENCE_NORM = 1e6
+# the replay schedule (steps, s, s); see the buffer collection in run_episode
+BUFFER_EVERY = 10
+BUFFER_UNTIL = 2.0
+RANK_DEADLINE = 5.0
 # log rows are staged as tuples and written into the log arrays this many at
 # a time; a larger chunk holds more Python objects alive (~660 B per row)
 LOG_CHUNK_ROWS = 256
@@ -80,6 +84,10 @@ class SimConfig:
     ``x0`` hold 2 values, ``Q`` be 2x2 and ``g_bar`` hold 2 values, as a
     column or a row.
 
+    The replay schedule and the baselines' gamma and rho are not fields:
+    they are constants of this module (``BUFFER_EVERY``, ``BUFFER_UNTIL``,
+    ``RANK_DEADLINE``) and of the laws in ``controllers``.
+
     Construction also resolves what the loop reads, as plain attributes that
     are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
     ``g_bar_col``, the one input's surrogate column g_bar as 2 floats; and
@@ -102,12 +110,7 @@ class SimConfig:
     k_c: float = 5.0
     k_e: float = 3.0
     buffer_size: int = 8
-    buffer_every: int = 10
-    buffer_until: float = 2.0
-    rank_deadline: float = 5.0
     basis_exponents: np.ndarray = field(default_factory=DEFAULT_EXPONENTS.copy)
-    gamma: float = 1.0
-    rho: float = 0.1
 
     def __post_init__(self):
         for f in fields(self):
@@ -138,13 +141,8 @@ class SimConfig:
             raise ConfigurationError(f"unknown controller {self.controller!r}")
         if self.xdot_source not in XDOT_SOURCES:
             raise ConfigurationError(f"unknown xdot source {self.xdot_source!r}")
-        if self.buffer_size < 1 or self.buffer_every < 1:
-            raise ConfigurationError("learner.P and learner.buffer_every must be >= 1")
-        # aux divides by 2 gamma^2 and 2 rho; a negative gamma flips the game
-        if not (self.gamma > 0 and self.rho > 0):
-            raise ConfigurationError("zsadp.gamma and tadp.rho must be > 0")
-        if not 2.0 * (self.gamma * self.gamma) > 0:
-            raise ConfigurationError(f"zsadp.gamma = {self.gamma!r}: 2 gamma^2 underflows to 0")
+        if self.buffer_size < 1:
+            raise ConfigurationError("learner.P must be >= 1")
         basis = self.basis = BasisSet(self.basis_exponents)
         if basis.n != 2:
             raise ConfigurationError(f"basis exponents must have 2 columns, got {basis.n}")
@@ -195,7 +193,8 @@ class TrajectoryLog:
     state left the DIVERGENCE_NORM ball while finite), "nonfinite_dynamics"
     (the integrated state came back inf or nan) or "nonfinite_weights" (the
     critic's Euler step came back inf or nan); it is "" when the episode ran
-    to its end.
+    to its end. ``insufficient_excitation`` is set when the buffer's rank is
+    still short of N at RANK_DEADLINE seconds of a learning law's episode.
     """
 
     t: np.ndarray
@@ -298,8 +297,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     x0, x1 = x
     x_sq = 0.0 + x0 * x0 + x1 * x1
     ground_truth = cfg.xdot_source == "ground_truth"
-    buffer_every = cfg.buffer_every
-    buffer_until, rank_deadline = cfg.buffer_until, cfg.rank_deadline
+    buffer_every, buffer_until, rank_deadline = BUFFER_EVERY, BUFFER_UNTIL, RANK_DEADLINE
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()

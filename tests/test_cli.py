@@ -606,6 +606,10 @@ class TestMain:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    # the cases on learner.buffer_every, learner.buffer_until,
+    # learner.rank_deadline, zsadp.gamma and tadp.rho name keys that do not
+    # exist and are refused as unknown; pytest names these cases by list
+    # position, so each keeps its place
     @pytest.mark.parametrize("override, extra", [
         ("init.x0=[1,2,3]", []),
         ("init.x0=[nan,0]", ["--xdot-source", "ground_truth"]),
@@ -742,13 +746,11 @@ class TestMain:
     @pytest.mark.parametrize("override, refused", [
         # the clamp beta - 1e-12 is <= 0, so u is 0 or breaks the invariant
         ("cost.beta=1e-13", True), ("cost.beta=1e-12", True),
-        # 2 gamma^2 underflows to 0, and ZSADP's aux divides by it
+        # zsadp.gamma is not a config key: any value of it is refused
         ("zsadp.gamma=1e-163", True), ("zsadp.gamma=-1", True),
         # g_bar^+ overflows to (nan, inf)
         ("tde.g_bar=[[0],[1e-320]]", True),
         ("cost.beta=2e-12", False), ("cost.beta=1e300", False),
-        ("zsadp.gamma=1e-160", False), ("zsadp.gamma=1e300", False),
-        ("tadp.rho=5e-324", False), ("tadp.rho=1e300", False),
         ("cost.c_bar=5e-324", False), ("cost.c_bar=1e300", False),
         ("learner.k_c=5e-324", False), ("learner.k_c=1e300", False),
         ("learner.k_e=1e300", False),
@@ -803,6 +805,37 @@ class TestMain:
         assert out == "" and len(err.splitlines()) == 1
         if line is not None:
             assert err == line + "\n"
+
+    @pytest.mark.parametrize("via", ["override", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("learner.buffer_every", "10"), ("learner.buffer_until", "2.0"),
+        ("learner.rank_deadline", "5.0"), ("zsadp.gamma", "1.0"), ("tadp.rho", "0.1"),
+        ("learner.policy", "sigma_min_enrich"), ("baselines.track_swap", "false"),
+        ("noise.absolute_power", "false")])
+    def test_removed_key_refused(self, tmp_path, capsys, key, value, via):
+        # a removed key, even at its old default, is an unknown key whether
+        # it comes from --override or from a config file (an old manifest)
+        if via == "override":
+            args = ["--override", f"{key}={value}"]
+        else:
+            (tmp_path / "old.manifest").write_text(f"scenario = s1\n{key} = {value}\n")
+            args = ["--config", str(tmp_path / "old.manifest")]
+        out = tmp_path / "out"
+        assert main(["run", "--t-end", "0.05", *args, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+        assert not out.exists()
+
+    def test_compare_manifest_records_the_default_controller(self, tmp_path, capsys):
+        # compare runs all three controllers, so a controller key given to it
+        # is not what its manifest records, and the manifest reruns iadp
+        assert main(["compare", "--scenario", "s1", "--t-end", "0.05",
+                     "--override", "controller=zero", "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "s1_compare_seed0.manifest"
+        assert "controller = iadp" in manifest.read_text().splitlines()
+        rerun = tmp_path / "rerun"
+        assert main(["run", "--config", str(manifest), "--out-dir", str(rerun)]) == 0
+        assert sorted(p.name for p in rerun.iterdir()) == \
+            ["s1_iadp_seed0.csv", "s1_iadp_seed0.manifest"]
 
     def test_unknown_scenario_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         # the config refuses the name before the out dir or the CSV writer's

@@ -14,7 +14,7 @@ G_TRUE = (0.0, 0.25)
 K_TRUE = (1.0, -0.2)
 
 
-CFG = SimConfig(Q=np.eye(2), beta=2.0, c_bar=2.0, g_bar=[[0.0], [0.1]], gamma=1.0, rho=0.1)
+CFG = SimConfig(Q=np.eye(2), beta=2.0, c_bar=2.0, g_bar=[[0.0], [0.1]])
 
 
 def control(law, w, x):
@@ -177,11 +177,11 @@ def test_s3_baseline_stop_is_the_aux_term(controller):
     for i in range(S - 7, S - 1):
         v = gphi_t(log.x_meas[i]) @ log.w[i - 1]
         if controller == "zsadp":
-            d_hat = k @ v / (2.0 * cfg.gamma ** 2)
-            term = -cfg.gamma * d_hat ** 2
+            d_hat = k @ v / (2.0 * ZsadpLaw.gamma ** 2)
+            term = -ZsadpLaw.gamma * d_hat ** 2
         else:
             h = (np.eye(2) - g @ np.linalg.pinv(g)) @ k
-            v_hat = -h @ v / (2.0 * cfg.rho)
-            term = cfg.rho * v_hat ** 2
+            v_hat = -h @ v / (2.0 * TadpLaw.rho)
+            term = TadpLaw.rho * v_hat ** 2
         assert log.theta_tilde[i] / term == pytest.approx(1.0, abs=0.1), i
         assert np.linalg.norm(log.x_true[i]) < 1.0, i

@@ -146,7 +146,7 @@ class TestRegressor:
         assert np.allclose(got, gphi @ (g_bar * du + x0dot), atol=0)
 
     def test_baseline_form(self, rng):
-        cfg = SimConfig(Q=np.eye(2), gamma=1.0, rho=0.1)
+        cfg = SimConfig(Q=np.eye(2))
         g, k = (0.0, 0.25), (1.0, -0.2)
         x = rng.uniform(-2, 2, 2)
         xdot = rng.uniform(-5, 5, 2)

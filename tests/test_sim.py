@@ -59,8 +59,7 @@ class TestConfig:
             SimConfig(scenario="s9")
 
     @pytest.mark.parametrize("bad", [
-        dict(seed=1.5), dict(buffer_size=2.5), dict(buffer_until=math.nan),
-        dict(rank_deadline=math.nan), dict(beta=math.inf), dict(k_c=math.inf),
+        dict(seed=1.5), dict(buffer_size=2.5), dict(beta=math.inf), dict(k_c=math.inf),
         dict(basis_exponents=[[2.5, 0], [1, 1], [0, 2], [0, 3], [1, 2], [2, 1]]),
         dict(x0=[True, -2.0]), dict(Q=True), dict(seed=True), dict(t_end=True),
     ], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))}")
@@ -222,7 +221,7 @@ class TestEpisode:
 
     def test_enrichment_continues_through_excitation_phase(self, monkeypatch):
         # 6 points fill short of rank 6 and replacements complete it; offers
-        # then go on at every cadence step while t < buffer_until = 2 s
+        # then go on at every cadence step while t < sim.BUFFER_UNTIL = 2 s
         results = self.offers(monkeypatch)
         log = run_scenario(SimConfig(t_end=3.0, buffer_size=6))
         assert log.rank[-1] == 6
