@@ -180,13 +180,16 @@ def saturated_control(gv, beta):
 
 
 def penalty_sat(u, beta):
-    """Saturation penalty 2*b*u*atanh(u/b) + b^2*log(1 - u^2/b^2) of the input u."""
+    """Saturation penalty 2*b*u*atanh(u/b) + b^2*log(1 - u^2/b^2) = b^2*q of the
+    input u, formed as b*(b*q) where b^2 overflows (b > 1.34e154): W(0) = 0."""
     s = u / beta
     if s > 1.0 - ATANH_MARGIN:
         s = 1.0 - ATANH_MARGIN
     elif s < -1.0 + ATANH_MARGIN:
         s = -1.0 + ATANH_MARGIN
-    return beta * beta * (2.0 * s * math.atanh(s) + math.log1p(-s * s))
+    q = 2.0 * s * math.atanh(s) + math.log1p(-s * s)
+    bb = beta * beta
+    return bb * q if bb < math.inf else beta * (beta * q)
 
 
 def weight_derivative_kernel(w, Y, resid, M, b, gamma, k_c, k_e):

@@ -289,7 +289,6 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     clamp = cfg.beta - kernels.SATURATION_MARGIN
 
     rank_val = 0
-    sigma_min = 0.0
     rank_complete = False
     enriching = False  # offered a candidate while full and rank-short
     E_u = E_x = 0.0
@@ -382,10 +381,8 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                     if not rank_complete or t < buffer_until and (
                             len(buf) < capacity or enriching):
                         enriching = enriching or len(buf) >= capacity
-                        ins, rep = try_insert(buf, Y, theta)
-                        if ins:
-                            rank_val, sigma_min = rep.rank, rep.sigma_min
-                            rank_complete = rank_val >= N
+                        rank_val = try_insert(buf, Y, theta)[1]
+                        rank_complete = rank_val >= N
                 if not rank_complete and t >= rank_deadline:
                     log.insufficient_excitation = True
 
@@ -436,6 +433,6 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         # copies, so the truncated log does not keep all S rows alive
         for name in TrajectoryLog.ARRAYS:
             setattr(log, name, getattr(log, name)[:rows].copy())
-    log.buffer_sigma_min = sigma_min
+    log.buffer_sigma_min = buf.sigma_min
     log.wall_time = time.perf_counter() - t_start
     return log

@@ -739,6 +739,14 @@ class TestMain:
         assert f"s1_iadp_seed0: diverged (nonfinite_weights), rows={rows}," \
             in capsys.readouterr().out
 
+    def test_huge_beta_runs(self, tmp_path, capsys):
+        # beta * beta overflows above 1.34e154; W(0) was then inf * 0 = nan,
+        # and the run stopped on nonfinite_weights at row 3
+        rc = main(["run", "--scenario", "s1", "--t-end", "0.05", "--override",
+                   "cost.beta=1e300", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "s1_iadp_seed0: completed, rows=51," in capsys.readouterr().out
+
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -746,8 +754,6 @@ class TestMain:
     @pytest.mark.parametrize("override, refused", [
         # the clamp beta - 1e-12 is <= 0, so u is 0 or breaks the invariant
         ("cost.beta=1e-13", True), ("cost.beta=1e-12", True),
-        # zsadp.gamma is not a config key: any value of it is refused
-        ("zsadp.gamma=1e-163", True), ("zsadp.gamma=-1", True),
         # g_bar^+ overflows to (nan, inf)
         ("tde.g_bar=[[0],[1e-320]]", True),
         ("cost.beta=2e-12", False), ("cost.beta=1e300", False),
@@ -852,7 +858,7 @@ class TestMain:
         (["run"], ["s1_iadp_seed0.csv", "s1_iadp_seed0.manifest"]),
         (["compare"], ["s1_compare_seed0.csv", "s1_compare_seed0.manifest",
                        "s1_iadp_seed0.csv", "s1_tadp_seed0.csv", "s1_zsadp_seed0.csv"]),
-    ])
+    ], ids=["run", "compare"])
     def test_csv_writer_leaves_no_part_or_child(self, tmp_path, capsys, argv, files):
         assert main([*argv, "--scenario", "s1", "--t-end", "3",
                      "--out-dir", str(tmp_path)]) == 0

@@ -240,6 +240,13 @@ def test_penalty_finite_at_boundary():
     assert np.isfinite(kernels.penalty_sat(2.0, 2.0))
 
 
+def test_penalty_of_a_huge_beta():
+    # beta * beta overflows above beta = 1.34e154: W(0) stays 0 and not
+    # inf * 0 = nan, and W(u) keeps its beta^2 scale (u^2 for small u/beta)
+    assert kernels.penalty_sat(0.0, 1e300) == 0.0
+    assert kernels.penalty_sat(1e150, 1e300) == pytest.approx(1e300, rel=1e-12)
+
+
 # Loop forms of the generated kernels: the same products and sums, in the
 # same order, written as comprehensions.
 
@@ -374,7 +381,8 @@ def test_scalar_input_kernels_bitwise(data):
     n = data.draw(SIZES)
     g, v = data.draw(vectors(n)), data.draw(vectors(n))
     u = data.draw(ENTRIES)
-    beta = data.draw(st.one_of(st.just(2.0), st.floats(1e-3, 1e3)))
+    # 1e154 is near the largest beta whose square is finite
+    beta = data.draw(st.one_of(st.just(2.0), st.floats(1e-3, 1e3), st.just(1e154)))
     column = [[gi] for gi in g]
     assert bits([kernels.saturated_control(kernels.dot(g, v), beta)]) == \
         bits(saturated_control_loop(column, v, beta))

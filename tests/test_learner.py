@@ -39,7 +39,7 @@ class TestBuffer:
         # appended in order until full; later candidates can only replace
         buf = ExperienceBuffer(3, 6)
         for i in range(5):
-            ok, _ = try_insert(buf, rng.uniform(-1, 1, 6), float(i))
+            ok = try_insert(buf, rng.uniform(-1, 1, 6), float(i))[0]
             assert ok or i >= 3
             assert len(buf) == min(i + 1, 3)
             if i == 2:
@@ -47,50 +47,97 @@ class TestBuffer:
 
     def test_rejects_nonfinite(self):
         buf = ExperienceBuffer(3, 2)
-        ok, _ = try_insert(buf, [np.nan, 0.0], 1.0)
-        assert not ok and len(buf) == 0
-        ok, _ = try_insert(buf, [1.0, 0.0], np.inf)
-        assert not ok and len(buf) == 0
+        assert try_insert(buf, [np.nan, 0.0], 1.0) == (False, 0, 0.0)
+        assert len(buf) == 0
+        assert try_insert(buf, [1.0, 0.0], np.inf) == (False, 0, 0.0)
+        assert len(buf) == 0
 
     def test_rank_report_growth(self):
         buf = ExperienceBuffer(4, 3)
-        assert buf.report().rank == 0
-        try_insert(buf, [1.0, 0.0, 0.0], 0.0)
-        assert buf.report().rank == 1
-        try_insert(buf, [2.0, 0.0, 0.0], 0.0)  # colinear, rank stays 1
-        assert buf.report().rank == 1
+        assert (buf.rank, buf.sigma_min) == (0, 0.0)
+        assert try_insert(buf, [1.0, 0.0, 0.0], 0.0)[1] == buf.rank == 1
+        # colinear, rank stays 1
+        assert try_insert(buf, [2.0, 0.0, 0.0], 0.0)[1] == buf.rank == 1
         try_insert(buf, [0.0, 1.0, 0.0], 0.0)
-        try_insert(buf, [0.0, 0.0, 1.0], 0.0)
-        rep = buf.report()
-        assert rep.rank == 3
-        assert rep.sigma_min > 0.0
+        _, rank, sigma_min = try_insert(buf, [0.0, 0.0, 1.0], 0.0)
+        assert rank == buf.rank == 3
+        assert sigma_min == buf.sigma_min > 0.0
 
     def test_sigma_min_zero_when_short(self):
         buf = ExperienceBuffer(4, 3)
         try_insert(buf, [1.0, 0.0, 0.0], 0.0)
-        assert buf.report().sigma_min == 0.0
+        assert buf.sigma_min == 0.0
 
     def test_enrich_replaces_redundant_point(self):
         buf = ExperienceBuffer(3, 3)
         try_insert(buf, [1.0, 0.0, 0.0], 1.0)
         try_insert(buf, [0.0, 1.0, 0.0], 2.0)
         try_insert(buf, [1.0, 1.0, 0.0], 3.0)  # dependent on the first two
-        assert buf.report().rank == 2
-        ok, rep = try_insert(buf, [0.0, 0.0, 1.0], 4.0)
+        assert buf.rank == 2
+        ok, rank, sigma_min = try_insert(buf, [0.0, 0.0, 1.0], 4.0)
         assert ok
-        assert rep.rank == 3
-        assert rep.sigma_min > 0.0
+        assert rank == buf.rank == 3
+        assert sigma_min == buf.sigma_min > 0.0
         assert 4.0 in buf.Theta
 
     def test_enrich_rejects_non_improving(self):
         buf = ExperienceBuffer(3, 3)
         for row, th in zip(np.eye(3), (1.0, 2.0, 3.0)):
             try_insert(buf, row, th)
-        base = buf.report().sigma_min
-        ok, rep = try_insert(buf, 1e-6 * np.ones(3), 9.0)
+        base = buf.sigma_min
+        ok, rank, sigma_min = try_insert(buf, 1e-6 * np.ones(3), 9.0)
         assert not ok
-        assert rep.sigma_min == pytest.approx(base)
+        assert (rank, sigma_min) == (3, base) == (buf.rank, buf.sigma_min)
         assert 9.0 not in buf.Theta
+
+    def test_one_svd_call_per_finite_offer(self, rng, monkeypatch):
+        # appends and full-buffer offers (accepted or not) make one call
+        # each, the full buffer's over the stored stack and its P swaps at
+        # once; a refused non-finite candidate makes none
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: calls.append(np.shape(a)) or svd(a, **kw))
+        buf = ExperienceBuffer(4, 3)
+        for k in range(12):
+            try_insert(buf, rng.uniform(-1, 1, 3), float(k))
+            assert len(calls) == k + 1
+        assert calls[:4] == [(3, 1), (3, 2), (3, 3), (3, 4)]
+        assert set(calls[4:]) == {(5, 3, 4)}
+        try_insert(buf, [math.inf, 0.0, 0.0], 1.0)
+        assert len(calls) == 12
+
+    @given(capacity=st.integers(1, 6), data=st.data())
+    def test_replacement_matches_the_per_swap_scan(self, capacity, data):
+        # the batched choice is the per-swap loop's: the first strictly
+        # largest positive gain in the smallest singular value, and rank and
+        # sigma_min are those of the stored stack's own SVD, bit for bit
+        N = data.draw(st.integers(1, 5))
+        row = st.lists(st.floats(-4.0, 4.0).map(lambda v: round(v, 1)),
+                       min_size=N, max_size=N)
+        buf = ExperienceBuffer(capacity, N)
+        for Y in data.draw(st.lists(row, min_size=capacity, max_size=capacity + 6)):
+            best, expect = -1, 0.0
+            if len(buf) == capacity:
+                stored = np.array(buf.Y)
+                base = np.linalg.svd(stored.T, compute_uv=False)[-1]
+                for i in range(capacity):
+                    trial = stored.copy()
+                    trial[i] = Y
+                    s = np.linalg.svd(trial.T, compute_uv=False)[-1]
+                    if s - base > expect:
+                        best, expect = i, s - base
+            before = [list(r) for r in buf.Y]
+            ok, rank, sigma_min = try_insert(buf, Y, 0.0)
+            if len(before) < capacity:
+                assert ok and buf.Y == before + [Y]
+            elif best < 0:
+                assert not ok and buf.Y == before
+            else:
+                assert ok and buf.Y == before[:best] + [Y] + before[best + 1:]
+            sv = np.linalg.svd(np.array(buf.Y).T, compute_uv=False)
+            tol = 1e-8 * sv[0] if sv[0] > 0 else 0.0
+            assert rank == buf.rank == int(np.sum(sv > tol))
+            assert sigma_min == buf.sigma_min == (sv[-1] if len(sv) == N else 0.0)
 
     def test_empty_gram_summary_is_zero(self):
         buf = ExperienceBuffer(3, 4)
@@ -117,7 +164,7 @@ class TestBuffer:
                 else:
                     theta = bad
             stored = list(buf.Y)
-            ok, _ = try_insert(buf, Y, theta)
+            ok = try_insert(buf, Y, theta)[0]
             assert ok or buf.Y == stored
             assert bad is None or not ok
         Yb, Tb = np.array(buf.Y).reshape(len(buf), N), np.array(buf.Theta)

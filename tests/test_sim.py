@@ -196,9 +196,9 @@ class TestEpisode:
         original = sim.try_insert
 
         def counted(buf, Y, theta):
-            ins, rep = original(buf, Y, theta)
-            results.append(ins)
-            return ins, rep
+            result = original(buf, Y, theta)
+            results.append(result[0])
+            return result
 
         monkeypatch.setattr(sim, "try_insert", counted)
         return results
@@ -555,3 +555,44 @@ class TestOnRows:
         log = run_scenario(SimConfig(scenario=scenario, controller=controller), rec)
         assert fingerprint(log) == fingerprint(cached_run(scenario, controller))
         rec.check(log)
+
+
+# A non-default config with cross terms in Q, both g_bar entries non-zero,
+# a non-uniform Gamma and an off-default x0
+SKEWED = dict(Q=[[2.0, 0.3], [0.3, 0.5]], g_bar=[[0.05], [0.1]],
+              Gamma=np.diag([1e-4, 3e-4, 5e-5, 2e-4, 1e-4, 4e-4]), x0=[1.5, -0.7])
+
+
+class TestMirror:
+    """The closed loop is odd in x: started from -x0, with the disturbance's
+    w1 negated, s1 logs every state, u, du, xi and d negated and the odd
+    weights negated, bit for bit. s1 has no noise and its square wave has
+    amplitude 0, so nothing else breaks the symmetry.
+
+    Odd and even parts are only told apart here, so an error that keeps
+    parity goes unseen: a Q01<->Q10 swap, or a Gamma applied transposed
+    (Gamma must not couple even- and odd-degree weights for the relation to
+    hold, and here it is diagonal)."""
+
+    @pytest.mark.parametrize("skewed", [False, True], ids=["default", "skewed"])
+    @pytest.mark.parametrize("xdot_source", ["backward_difference", "ground_truth"])
+    @pytest.mark.parametrize("controller", ["iadp", "zsadp", "tadp", "zero"])
+    def test_mirror_run_is_negated(self, controller, xdot_source, skewed):
+        cfg = SimConfig(controller=controller, xdot_source=xdot_source, t_end=2.0,
+                        **(SKEWED if skewed else {}))
+        world = WORLDS["s1"]
+        d = world.disturbance
+        a = run_episode(cfg, world)
+        b = run_episode(replace(cfg, x0=-cfg.x0),
+                        replace(world, disturbance=replace(d, w1=-d.w1)))
+        for name in ("x_true", "x_meas", "u", "du", "xi", "d"):
+            assert np.array_equal(getattr(b, name), -getattr(a, name)), name
+        for name in ("t", "theta_tilde", "E_u", "E_x", "rank"):
+            assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        odd = cfg.basis_exponents.sum(axis=1) % 2 == 1
+        assert list(odd) == [False] * 3 + [True] * 3
+        assert np.array_equal(b.w[:, ~odd], a.w[:, ~odd])
+        assert np.array_equal(b.w[:, odd], -a.w[:, odd])
+        for name in ("diverged", "diverged_step", "stop_cause",
+                     "insufficient_excitation", "fired_events"):
+            assert getattr(b, name) == getattr(a, name), name
