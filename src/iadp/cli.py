@@ -55,8 +55,6 @@ CONFIG_KEYS = {
 
 def _parse_scalar(text: str):
     t = text.strip()
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
     for number in (int, float):
         with contextlib.suppress(ValueError):
             return number(t)
@@ -92,8 +90,6 @@ def _parse_value(text: str):
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):

@@ -157,8 +157,9 @@ class SimConfig:
         if np.linalg.eigvalsh(self.Q)[0] <= 0.0:
             raise ConfigurationError("Q must be positive definite")
         # the control is clamped to |u| <= beta - SATURATION_MARGIN
-        if not self.beta > kernels.SATURATION_MARGIN:
-            raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r}")
+        if not kernels.SATURATION_MARGIN < self.beta <= kernels.BETA_MAX:
+            raise ConfigurationError(f"beta must be > {kernels.SATURATION_MARGIN!r} "
+                                     f"and <= {kernels.BETA_MAX!r}")
         if not self.c_bar > 0.0:
             raise ConfigurationError("c_bar must be > 0")
         if self.Gamma.shape != (basis.N, basis.N):
@@ -188,13 +189,18 @@ class SimConfig:
 class TrajectoryLog:
     """The per-step record of one episode, one C-contiguous array per signal:
     (S, 2) for the states, (S, N) for the weights, and (S,) for the rest.
+    ``insufficient_excitation`` is set when the buffer's rank is still short
+    of N at RANK_DEADLINE seconds of a learning law's episode.
 
-    ``stop_cause`` says why a diverged episode stopped: "state_norm" (the
-    state left the DIVERGENCE_NORM ball while finite), "nonfinite_dynamics"
-    (the integrated state came back inf or nan) or "nonfinite_weights" (the
-    critic's Euler step came back inf or nan); it is "" when the episode ran
-    to its end. ``insufficient_excitation`` is set when the buffer's rank is
-    still short of N at RANK_DEADLINE seconds of a learning law's episode.
+    The divergence contract: a log has all S rows, ``stop_cause`` "" and
+    ``diverged_step`` -1, or it ends on its stop row, row ``diverged_step``,
+    with the cause "state_norm" (the state left the DIVERGENCE_NORM ball
+    while finite), "nonfinite_dynamics" (the integrated state came back inf
+    or nan) or "nonfinite_weights" (the critic's Euler step did). |u| <=
+    beta - SATURATION_MARGIN on every row but a "nonfinite_weights" stop
+    row, on which u, du, theta_tilde, xi and E_u may be nan; any other u,
+    nan included, is an engine fault (FloatingPointError). xi is a
+    diagnostic that may overflow on any row. A rerun gives an identical log.
     """
 
     t: np.ndarray
@@ -288,6 +294,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     track_until = noise.t_off if noise.kind != "none" else -math.inf
     clamp = cfg.beta - kernels.SATURATION_MARGIN
 
+    cause = ""  # the stop cause, set once, on the stop row
     rank_val = 0
     rank_complete = False
     enriching = False  # offered a candidate while full and rank-short
@@ -332,14 +339,10 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         # carries a real xdot estimate
         warm = i < 2
         if warm:
-            u = 0.0
-            aux = None
+            u, aux = 0.0, None
         else:
             gphi_t = kernels.monomial_grad(partials, xm)
             u, aux = law.control(gphi_t, w)
-        if abs(u) > clamp:
-            raise FloatingPointError(
-                f"saturation invariant violated at t={t!r}: u={u!r}, beta={cfg.beta!r}")
 
         # --- the disturbance RK4 applies at the sample time, for the log
         d_val = disturbance_value(*x, dist, t)
@@ -352,10 +355,8 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         else:
             xdot = (0.0, 0.0)
 
-        theta_tilde = 0.0
-        if warm:
-            du = xi = 0.0
-        else:
+        du = xi = theta_tilde = 0.0
+        if not warm:
             # increments against the sample one delay L = dt back
             du = u - u_prev
             xi = tde_error(xdot, xdot_prev, du, g_bar_pinv)
@@ -369,9 +370,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                     # the critic has diverged: zero the non-finite entries,
                     # so the logged weights stay finite
                     w_next = [v if math.isfinite(v) else 0.0 for v in w_next]
-                    log.diverged = True
-                    log.diverged_step = i
-                    log.stop_cause = "nonfinite_weights"
+                    cause = "nonfinite_weights"
                 w = w_next
 
                 # buffer collection: cadence while the rank condition is
@@ -386,6 +385,11 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                 if not rank_complete and t >= rank_deadline:
                     log.insufficient_excitation = True
 
+        # --- saturation fault, which a nan u fails; a critic stop row is exempt
+        if not (cause or abs(u) <= clamp):
+            raise FloatingPointError(
+                f"saturation invariant violated at t={t!r}: u={u!r}, beta={cfg.beta!r}")
+
         # --- log row; x_sq is x's, from the integrate step before
         prev_u_sq, u_sq = u_sq, u * u
         if i > 0:
@@ -397,7 +401,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if len(staged) >= chunk:
             flush()
 
-        if log.diverged:
+        if cause:
             break
 
         # --- integrate
@@ -407,10 +411,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
             prev_x_sq, x_sq = x_sq, 0.0 + x0 * x0 + x1 * x1
             # the norm is nan or inf when x is not finite
             if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
-                log.diverged = True
-                log.diverged_step = i + 1
-                log.stop_cause = ("state_norm" if all(map(math.isfinite, x))
-                                  else "nonfinite_dynamics")
+                cause = "state_norm" if all(map(math.isfinite, x)) else "nonfinite_dynamics"
                 x = tuple(v if math.isfinite(v)
                           else (-DIVERGENCE_NORM if v == -math.inf else DIVERGENCE_NORM)
                           for v in x)
@@ -422,17 +423,18 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                 log.fired_events.extend((ev.time, "swap_plant") for ev in fired)
                 coeffs = fired[-1].plant.params
 
-            if log.diverged:
+            if cause:
                 # record the diverged state row, then stop
                 stage((x, x, 0.0, 0.0, w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
                 break
 
     flush()
-    rows = log.diverged_step + 1 if log.diverged else S
-    if log.diverged:
+    log.diverged, log.diverged_step, log.stop_cause = \
+        bool(cause), flushed - 1 if cause else -1, cause
+    if cause:
         # copies, so the truncated log does not keep all S rows alive
         for name in TrajectoryLog.ARRAYS:
-            setattr(log, name, getattr(log, name)[:rows].copy())
+            setattr(log, name, getattr(log, name)[:flushed].copy())
     log.buffer_sigma_min = buf.sigma_min
     log.wall_time = time.perf_counter() - t_start
     return log

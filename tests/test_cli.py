@@ -33,10 +33,10 @@ from iadp.scenarios import WORLDS, run_scenario
 from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
-# what a manifest holds: ints, bools, config strings, and floats, vectors and
+# what a manifest holds: ints, config strings, and floats, vectors and
 # matrices, including +-0, +-inf and subnormals
 MANIFEST_VALUES = st.one_of(
-    st.integers(), st.booleans(), st.floats(allow_nan=False),
+    st.integers(), st.floats(allow_nan=False),
     st.sampled_from(["s1", "iadp", "sigma_min_enrich"]),
     hnp.arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False)),
     hnp.arrays(np.int64, SHAPES))
@@ -46,7 +46,7 @@ class TestValueParsing:
     def test_scalars(self):
         assert _parse_value("3") == 3
         assert _parse_value("3.5") == 3.5
-        assert _parse_value("true") is True
+        assert _parse_value("true") == "true"
         assert _parse_value("s2") == "s2"
 
     def test_vector(self):
@@ -691,6 +691,20 @@ class TestMain:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_nan_control_fault_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a nan u off a stop row is a fault: a test of abs(u) > clamp would
+        # pass it, and the run would end on nonfinite_dynamics with exit 2
+        from iadp.controllers import ZeroLaw
+        monkeypatch.setattr(ZeroLaw, "control", lambda self, gphi_t, w: (math.nan, None))
+        rc = main(["run", "--scenario", "s1", "--controller", "zero", "--t-end", "0.05",
+                   "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 4 and len(err.splitlines()) == 1 and "u=nan" in err
+        assert err.startswith("error: saturation invariant violated at t=0.002")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_fault_mid_stream_leaves_nothing(self, tmp_path, capsys, monkeypatch):
         # the fault comes at t = 2.001 s, after the episode has handed its
         # first 1,792 rows to the writer in 7 blocks, and the writer has put
@@ -739,13 +753,14 @@ class TestMain:
         assert f"s1_iadp_seed0: diverged (nonfinite_weights), rows={rows}," \
             in capsys.readouterr().out
 
-    def test_huge_beta_runs(self, tmp_path, capsys):
-        # beta * beta overflows above 1.34e154; W(0) was then inf * 0 = nan,
-        # and the run stopped on nonfinite_weights at row 3
+    def test_huge_beta_refused(self, tmp_path, capsys):
+        # above 1e100 the penalty W(u) = beta^2 q loses its small-u scale u^2
+        # to underflow in q, and beyond 1.34e154 W(0) = inf * 0 is nan
         rc = main(["run", "--scenario", "s1", "--t-end", "0.05", "--override",
-                   "cost.beta=1e300", "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert "s1_iadp_seed0: completed, rows=51," in capsys.readouterr().out
+                   "cost.beta=1e300", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1 and capsys.readouterr().err == \
+            "config error: beta must be > 1e-12 and <= 1e+100\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_override_syntax(self, tmp_path, capsys):
         rc = main(["run", "--override", "nonsense", "--out-dir", str(tmp_path)])
@@ -756,7 +771,7 @@ class TestMain:
         ("cost.beta=1e-13", True), ("cost.beta=1e-12", True),
         # g_bar^+ overflows to (nan, inf)
         ("tde.g_bar=[[0],[1e-320]]", True),
-        ("cost.beta=2e-12", False), ("cost.beta=1e300", False),
+        ("cost.beta=2e-12", False), ("cost.beta=1e300", True), ("cost.beta=1e100", False),
         ("cost.c_bar=5e-324", False), ("cost.c_bar=1e300", False),
         ("learner.k_c=5e-324", False), ("learner.k_c=1e300", False),
         ("learner.k_e=1e300", False),

@@ -240,13 +240,6 @@ def test_penalty_finite_at_boundary():
     assert np.isfinite(kernels.penalty_sat(2.0, 2.0))
 
 
-def test_penalty_of_a_huge_beta():
-    # beta * beta overflows above beta = 1.34e154: W(0) stays 0 and not
-    # inf * 0 = nan, and W(u) keeps its beta^2 scale (u^2 for small u/beta)
-    assert kernels.penalty_sat(0.0, 1e300) == 0.0
-    assert kernels.penalty_sat(1e150, 1e300) == pytest.approx(1e300, rel=1e-12)
-
-
 # Loop forms of the generated kernels: the same products and sums, in the
 # same order, written as comprehensions.
 

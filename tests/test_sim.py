@@ -5,8 +5,10 @@ from dataclasses import FrozenInstanceError, dataclass, replace
 
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cached_run, law_pair
 from iadp import checks, kernels, sim
@@ -14,7 +16,8 @@ from iadp.controllers import IadpLaw
 from iadp.plant import (ConfigurationError, ControlAffinePlant, DisturbanceSignal,
                         NoiseSpec, NoiseState, World)
 from iadp.scenarios import WORLDS, build_world, run_scenario
-from iadp.sim import DIVERGENCE_NORM, SimConfig, TrajectoryLog, run_episode
+from iadp.sim import (CONTROLLERS, DIVERGENCE_NORM, XDOT_SOURCES, SimConfig, TrajectoryLog,
+                      run_episode)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workload import fingerprint  # noqa: E402
@@ -348,6 +351,91 @@ def assert_logs_identical(a, b):
             assert va.tobytes() == vb.tobytes(), name
         else:
             assert va == vb, name
+
+
+def scaled(lo, hi):
+    """+-10**e, e drawn from [lo, hi]."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from((-1.0, 1.0)), st.floats(lo, hi))
+
+
+def spd(draw, n):
+    """An n x n symmetric matrix scaled by 1e-300..1e300, positive definite by
+    Gershgorin: a diagonal in [1, 2] and off-diagonal entries under 1/(2n)."""
+    off = np.triu(draw(hnp.arrays(float, (n, n), elements=st.floats(-0.5 / n, 0.5 / n))), 1)
+    diag = np.diag(draw(hnp.arrays(float, n, elements=st.floats(1.0, 2.0))))
+    return abs(draw(scaled(-300, 300))) * (diag + off + off.T)
+
+
+@st.composite
+def short_episodes(draw):
+    """A config SimConfig accepts, from its extremes, and a 0.05-0.5 s World
+    of s1-s3 whose noise window, square wave and plant swap fall inside it."""
+    exponents = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                              .filter(lambda e: sum(e) <= 4), min_size=1, max_size=6,
+                              unique=True))
+    g_bar = [draw(scaled(-300, 2)) for _ in range(2)]
+    if (zero := draw(st.sampled_from((None, 0, 1)))) is not None:
+        g_bar[zero] = 0.0
+    # x0 inside the DIVERGENCE_NORM ball, outside it, or where RK4 overflows
+    lo, hi = draw(st.sampled_from(((-3, 1), (1, 300), (307, 308))))
+    cfg = SimConfig(
+        scenario=draw(st.sampled_from(sorted(WORLDS))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        xdot_source=draw(st.sampled_from(XDOT_SOURCES)),
+        t_end=draw(st.integers(50, 500)) / 1000, seed=draw(st.integers(0, 3)),
+        x0=[draw(scaled(lo, hi)) for _ in range(2)], g_bar=[[g] for g in g_bar],
+        Q=spd(draw, 2), Gamma=spd(draw, len(exponents)),
+        beta=draw(st.one_of(st.just(kernels.BETA_MAX), scaled(-11.999, 100).map(abs))),
+        c_bar=abs(draw(scaled(-300, 300))), k_c=abs(draw(scaled(-300, 300))),
+        k_e=abs(draw(scaled(-300, 300))), buffer_size=draw(st.integers(1, 8)),
+        basis_exponents=exponents)
+    world = WORLDS[cfg.scenario]
+    if world.events:
+        t_on = draw(st.floats(0.0, cfg.t_end))
+        t_off = draw(st.floats(t_on, cfg.t_end))
+        world = replace(world, noise=replace(world.noise, t_on=t_on, t_off=t_off),
+                        disturbance=replace(world.disturbance, t_on=t_on, t_off=t_off),
+                        events=tuple(replace(ev, time=draw(st.floats(cfg.dt, cfg.t_end)))
+                                     for ev in world.events))
+    return cfg, world
+
+
+def assert_contract(cfg, log):
+    """The divergence contract of TrajectoryLog's docstring."""
+    S = int(round(cfg.t_end / cfg.dt)) + 1
+    rows, cause = log.rows(), log.stop_cause
+    assert log.diverged == bool(cause)
+    if cause:
+        assert cause in ("state_norm", "nonfinite_dynamics", "nonfinite_weights")
+        assert rows == log.diverged_step + 1 <= S
+    else:
+        assert rows == S and log.diverged_step == -1
+    assert all(getattr(log, name).shape[0] == rows for name in TrajectoryLog.ARRAYS)
+    # every row but a nonfinite_weights stop row keeps the bound, and a nan
+    # u breaks it
+    kept = slice(rows - (cause == "nonfinite_weights"))
+    assert np.all(np.abs(log.u[kept]) <= cfg.beta - kernels.SATURATION_MARGIN)
+    for name in ("du", "theta_tilde", "E_u"):
+        assert np.all(np.isfinite(getattr(log, name)[kept])), name
+    # xi is a diagnostic that may overflow on any row; x_meas overflows only
+    # on row 0, with noise on and x0 far outside the ball
+    for name in ("t", "x_true", "w", "d", "E_x"):
+        assert np.all(np.isfinite(getattr(log, name))), name
+    outside = np.max(np.abs(cfg.x0)) > DIVERGENCE_NORM
+    assert np.all(np.isfinite(log.x_meas[int(outside):]))
+
+
+class TestContract:
+    @settings(max_examples=100, deadline=None)
+    @given(short_episodes())
+    def test_short_episodes_keep_the_contract(self, episode):
+        # the drawn extremes reach all three stop causes; no episode raises,
+        # and a rerun gives the same log
+        cfg, world = episode
+        log = run_episode(cfg, world)
+        assert_contract(cfg, log)
+        assert_logs_identical(log, run_episode(cfg, world))
 
 
 # perfbench's fingerprint of the nine seed-0 80 s reference logs, each
