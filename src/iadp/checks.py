@@ -39,7 +39,8 @@ def plant_affine_defect(rng, count=100):
         u1, u2 = rng.uniform(-2, 2, 2).tolist()
         a = rng.uniform()
         for dist in dists:
-            lhs, r1, r2 = (np.array(kernels.pendulum_rhs(*x, u, p, dist, 0.5))
+            d = kernels.disturbance_value(*x, dist, 0.5)
+            lhs, r1, r2 = (np.array(kernels.pendulum_rhs(*x, u, p, d))
                            for u in (a * u1 + (1 - a) * u2, u1, u2))
             defects.append(np.max(np.abs(lhs - (a * r1 + (1 - a) * r2))))
     return float(np.max(defects))

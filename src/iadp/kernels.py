@@ -8,9 +8,11 @@ one float.
 
 ``pendulum_rhs`` and ``pendulum_rk4`` are the plant: the pendulum family's
 right-hand side and its RK4 step, the one plant model the engine runs.
-``disturbance_value`` is the one disturbance: the right-hand side calls it
-at every RK4 stage, and the engine calls it, as a ``sim`` module global,
-for the log's ``d`` column.
+``disturbance_value`` is the one disturbance, evaluated once per state and
+time: the right-hand side takes its value d as an argument. The engine
+calls it, as a ``sim`` module global, at each row's (x, t) for the log's
+``d`` column and hands that d to RK4 as stage 1's; RK4 calls it, as this
+module's global, at stages 2-4.
 
 ``dot``, ``_vecmat``, ``weight_derivative_kernel`` and ``_euler`` (the
 critic's Euler step w + dt*d and whether every entry is finite) run
@@ -29,9 +31,12 @@ baselines' k . v and h . v, IADP's regressor input and TADP's ||x||^2 in
 noise add in ``plant``.
 
 Overflow behaves as in numpy: products overflow to inf, and no kernel
-raises on inf or nan input (powers are products, not ``**``, and ``sin`` of
-a non-finite argument is nan). A diverging run therefore ends in the
-engine's divergence checks rather than in an exception.
+raises on inf or nan input: powers are products, not ``**``, and the two
+sines, in ``disturbance_value`` and ``pendulum_rhs``, guard ``math.sin``
+inline, so +-inf gives nan (``math.sin`` would raise) and a nan argument
+passes through ``math.sin`` with its sign and payload. A diverging run
+therefore ends in the engine's divergence checks rather than in an
+exception.
 
 Five kernels are looked up through the module on every call
 (``kernels.saturated_control(...)``): ``monomial_grad``, ``saturated_control``,
@@ -149,14 +154,6 @@ def monomial_grad(partials, x):
     return partials(x)
 
 
-def sin(a):
-    """math.sin, but nan for +-inf (as numpy) instead of raising."""
-    try:
-        return math.sin(a)
-    except ValueError:
-        return math.nan
-
-
 def dot(a, b) -> float:
     """The inner product sum_i a_i * b_i of two equal-length vectors."""
     return _dot(len(a))(a, b)
@@ -215,34 +212,47 @@ def disturbance_value(x0, x1, dist, t):
     t_on <= t < t_off; an empty window (t_on = t_off) has none.
     """
     w1, w2, amp, period, t_on, t_off = dist
-    d = w1 * x0 * sin(w2 * x1)
+    a = w2 * x1
+    # math.sin raises on +-inf: nan there, as numpy; a nan a passes with its bits
+    d = w1 * x0 * (math.sin(a) if a - a == 0.0 or a != a else math.nan)
     if t_on <= t < t_off:
         phase = (t - t_on) % period
         d += amp if phase < 0.5 * period else -amp
     return d
 
 
-def pendulum_rhs(x0, x1, u, p, dist, t):
-    """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u and t.
+def pendulum_rhs(x0, x1, u, p, d):
+    """xdot = f(x) + g u + k d of the pendulum family at (x0, x1), u and the
+    disturbance value d.
 
     p = (a, b, c, g2, k1, k2) encodes f = [a*x2, b*sin(x1) + c*x2],
-    g = [0, g2], k = [k1, k2]; d is ``disturbance_value`` of
-    dist = (w1, w2, A, period, t_on, t_off).
+    g = [0, g2], k = [k1, k2]; d is ``disturbance_value`` at the same state
+    and time.
     """
     a, b, c, g2, k1, k2 = p
-    d = disturbance_value(x0, x1, dist, t)
-    return a * x1 + k1 * d, b * sin(x0) + c * x1 + g2 * u + k2 * d
+    # math.sin raises on +-inf: nan there, as numpy; a nan x0 passes with its bits
+    s = math.sin(x0) if x0 - x0 == 0.0 or x0 != x0 else math.nan
+    return a * x1 + k1 * d, b * s + c * x1 + g2 * u + k2 * d
 
 
-def pendulum_rk4(x, u, p, dist, t, dt):
+def pendulum_rk4(x, u, p, dist, t, dt, d):
     """Classical RK4 step of ``pendulum_rhs`` with u held (zero-order hold);
-    returns the new state as a tuple."""
+    returns the new state as a tuple.
+
+    d is the disturbance at (x, t), stage 1's, which the engine has already
+    evaluated for its log; stages 2-4 evaluate ``disturbance_value`` at their
+    own states and times.
+    """
     x0, x1 = x
     h = 0.5 * dt
-    a0, a1 = pendulum_rhs(x0, x1, u, p, dist, t)
-    b0, b1 = pendulum_rhs(x0 + h * a0, x1 + h * a1, u, p, dist, t + h)
-    c0, c1 = pendulum_rhs(x0 + h * b0, x1 + h * b1, u, p, dist, t + h)
-    d0, d1 = pendulum_rhs(x0 + dt * c0, x1 + dt * c1, u, p, dist, t + dt)
+    th = t + h
+    a0, a1 = pendulum_rhs(x0, x1, u, p, d)
+    y0, y1 = x0 + h * a0, x1 + h * a1
+    b0, b1 = pendulum_rhs(y0, y1, u, p, disturbance_value(y0, y1, dist, th))
+    y0, y1 = x0 + h * b0, x1 + h * b1
+    c0, c1 = pendulum_rhs(y0, y1, u, p, disturbance_value(y0, y1, dist, th))
+    y0, y1 = x0 + dt * c0, x1 + dt * c1
+    d0, d1 = pendulum_rhs(y0, y1, u, p, disturbance_value(y0, y1, dist, t + dt))
     s = dt / 6.0
     return (x0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
             x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1))

@@ -32,8 +32,9 @@ class ControlAffinePlant:
     """The pendulum-family plant xdot = f(x) + g u + k d, with n = 2 states
     and m = 1 input: f = [a*x2, b*sin(x1) + c*x2], g = [0, g2], k = [k1, k2].
     The six coefficients are all the simulator knows of it;
-    ``kernels.pendulum_rhs`` evaluates the dynamics and
-    ``kernels.pendulum_rk4`` integrates them.
+    ``kernels.pendulum_rhs`` evaluates the dynamics at a given disturbance
+    value d, and ``kernels.pendulum_rk4`` integrates them, evaluating d at
+    its stages 2-4.
     """
 
     a: float
@@ -57,7 +58,8 @@ class DisturbanceSignal:
 
     The numbers alone say which terms act: w1 = 0 has no vanishing term, and
     an empty window (t_on = t_off, the default) has no square wave.
-    ``kernels.disturbance_value`` evaluates it from ``packed()``.
+    ``kernels.disturbance_value`` evaluates it from ``packed()``, once per
+    state and time.
     """
 
     w1: float = 0.0

@@ -8,6 +8,7 @@ so episodes on one World are independent: a rerun gives the same log.
 """
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -28,8 +29,8 @@ DIVERGENCE_NORM = 1e6
 BUFFER_EVERY = 10
 BUFFER_UNTIL = 2.0
 RANK_DEADLINE = 5.0
-# log rows are staged as tuples and written into the log arrays this many at
-# a time; a larger chunk holds more Python objects alive (~660 B per row)
+# log rows are staged as flat tuples and written into the log arrays this
+# many at a time; a larger chunk holds more Python objects alive (~700 B per row)
 LOG_CHUNK_ROWS = 256
 CONTROLLERS = ("iadp", "zsadp", "tadp", "zero")
 XDOT_SOURCES = ("backward_difference", "ground_truth")
@@ -200,7 +201,11 @@ class TrajectoryLog:
     beta - SATURATION_MARGIN on every row but a "nonfinite_weights" stop
     row, on which u, du, theta_tilde, xi and E_u may be nan; any other u,
     nan included, is an engine fault (FloatingPointError). xi is a
-    diagnostic that may overflow on any row. A rerun gives an identical log.
+    diagnostic that may overflow on any row. One other cell may be
+    non-finite: x_meas on row 0, when x0 lies outside the DIVERGENCE_NORM
+    ball and a noise window is open at t = 0, as the noise's running mean
+    square x * x overflows once |x0| passes about 1.34e154. A rerun gives an
+    identical log.
     """
 
     t: np.ndarray
@@ -240,9 +245,10 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     """Run one closed-loop episode and return the complete per-step log.
 
     The per-step state (x, xm, u, w, ...) is held in Python floats and
-    tuples. Each step stages its log row as a tuple, and every
-    LOG_CHUNK_ROWS rows (and once at the end) the staged rows are written
-    into the preallocated log arrays, one slice assignment per array.
+    tuples. Each step stages its log row as one flat tuple in column order,
+    and every LOG_CHUNK_ROWS rows (and once at the end) the staged rows are
+    converted in one ``struct.pack`` and written into the preallocated log
+    arrays, one slice of the block's columns per array.
 
     ``on_rows(log, start, stop)``, if given, is called after each such
     write with the rows it just filled: the ranges cover [0, rows) in order,
@@ -307,8 +313,18 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()
-    # a staged row holds every array's value but t's, which is filled above
-    columns = [getattr(log, name) for name in TrajectoryLog.ARRAYS[1:]]
+    # a staged row is one flat tuple, in column order, of every array's
+    # values but t's, which is filled above; each array takes its columns
+    columns = []
+    width = 0
+    for name in TrajectoryLog.ARRAYS[1:]:
+        arr = getattr(log, name)
+        if arr.ndim == 2:
+            columns.append((arr, slice(width, width + arr.shape[1])))
+            width += arr.shape[1]
+        else:
+            columns.append((arr, width))
+            width += 1
     staged = []
     stage = staged.append
     chunk = LOG_CHUNK_ROWS
@@ -317,11 +333,13 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     def flush():
         nonlocal flushed
         k = len(staged)
-        for arr, col in zip(columns, zip(*staged)):
-            if arr.ndim == 2:
-                # one flat float stream converts faster than k short rows
-                col = np.fromiter(chain.from_iterable(col), float).reshape(k, -1)
-            arr[flushed:flushed + k] = col
+        # the chunk's values as one stream of native doubles, bit for bit;
+        # struct converts a float in about 14 ns, np.fromiter in 23 (2 vCPUs,
+        # Python 3.11); the rank is a small int, exact in float64
+        block = np.frombuffer(struct.pack(f"{k * width}d", *chain.from_iterable(staged)))
+        block = block.reshape(k, width)
+        for arr, cols in columns:
+            arr[flushed:flushed + k] = block[:, cols]
         flushed += k
         staged.clear()
         if on_rows is not None and k:
@@ -344,12 +362,13 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
             gphi_t = kernels.monomial_grad(partials, xm)
             u, aux = law.control(gphi_t, w)
 
-        # --- the disturbance RK4 applies at the sample time, for the log
-        d_val = disturbance_value(*x, dist, t)
+        # --- the disturbance at the sample (x, t): the log's d, and RK4's
+        # first stage
+        d_val = disturbance_value(x0, x1, dist, t)
 
         # --- xdot estimate at the newest sample
         if ground_truth:
-            xdot = kernels.pendulum_rhs(*x, u, coeffs, dist, t)
+            xdot = kernels.pendulum_rhs(x0, x1, u, coeffs, d_val)
         elif i:
             xdot = difference(xm_prev, xm, dt)
         else:
@@ -395,7 +414,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        stage((x, xm, u, du, w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
+        stage((*x, *xm, u, du, *w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
         # the next step's sample one delay L = dt back
         xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:
@@ -406,7 +425,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
         # --- integrate
         if i < steps:
-            x = kernels.pendulum_rk4(x, u, coeffs, dist, t, dt)
+            x = kernels.pendulum_rk4(x, u, coeffs, dist, t, dt, d_val)
             x0, x1 = x
             prev_x_sq, x_sq = x_sq, 0.0 + x0 * x0 + x1 * x1
             # the norm is nan or inf when x is not finite
@@ -425,7 +444,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
             if cause:
                 # record the diverged state row, then stop
-                stage((x, x, 0.0, 0.0, w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
+                stage((*x, *x, 0.0, 0.0, *w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
                 break
 
     flush()

@@ -157,7 +157,9 @@ def test_c11_integrator_order():
     def integrate(dt, t_end=0.5):
         x = x0
         for k in range(int(round(t_end / dt))):
-            x = kernels.pendulum_rk4(x, 0.0, p, dist, k * dt, dt)
+            t = k * dt
+            x = kernels.pendulum_rk4(x, 0.0, p, dist, t, dt,
+                                     kernels.disturbance_value(*x, dist, t))
         return np.array(x)
 
     ref = integrate(1e-5)

@@ -18,7 +18,9 @@ they are inlined through ``IadpLaw.pair``, ``NoiseState.update`` and
 ``add_measurement_noise``; so are the laws' written-out products (x^T Q x,
 g . v, k . v, h . v and ||x||^2), through ``_cost``, the ``control``s and
 ``TadpLaw.pair``, against the loop forms of a matrix-vector product and a
-sum.
+sum. The disturbance, the right-hand side and the RK4 step are checked bit
+for bit, a nan's sign and payload included, against the form that
+evaluated d inside the right-hand side at every stage.
 """
 
 import functools
@@ -180,7 +182,8 @@ def test_disturbance_value_parity(x, t):
 def test_pendulum_rhs_parity(x, u0, t, k):
     # on all three pendulum variants under both disturbance terms
     plant = PLANTS[k]
-    got = kernels.pendulum_rhs(*x, u0, plant.params, SIG.packed(), t)
+    got = kernels.pendulum_rhs(*x, u0, plant.params,
+                               kernels.disturbance_value(*x, SIG.packed(), t))
     assert np.allclose(got, rhs_reference(plant, x, u0, t), rtol=RTOL, atol=1e-15)
 
 
@@ -189,7 +192,8 @@ def test_pendulum_rk4_parity(x, u0, t, k):
     # the step the engine runs, on all three pendulum variants under both
     # disturbance terms
     plant, dt = PLANTS[k], 1e-3
-    got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
+    got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt,
+                               kernels.disturbance_value(*x, SIG.packed(), t))
     assert np.allclose(got, rk4_reference(plant, x, u0, t, dt), rtol=RTOL, atol=1e-15)
 
 
@@ -199,15 +203,118 @@ def test_pendulum_rk4_edges(rng):
     for plant in PLANTS:
         for edge in (20.0, 20.5, 21.0, 40.5, 59.5, 60.0):
             x, u0, t = rng.uniform(-3, 3, 2), rng.uniform(-2, 2), edge - 0.5 * dt
-            got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt)
+            got = kernels.pendulum_rk4(tuple(x), u0, plant.params, SIG.packed(), t, dt,
+                                       kernels.disturbance_value(*x, SIG.packed(), t))
             assert np.allclose(got, rk4_reference(plant, x, u0, t, dt),
                                rtol=RTOL, atol=1e-15), (plant, t)
+
+
+# The plant kernels in the form that evaluated d inside the right-hand side,
+# at every RK4 stage, with sin as a wrapper that catches math.sin's
+# ValueError on +-inf. The kernels now take stage 1's d from the caller and
+# guard sin inline; their arithmetic must stay this, bit for bit.
+
+DISTS = tuple(WORLDS[s].disturbance.packed() for s in ("s1", "s2", "s3"))
+
+
+def sin_reference(a):
+    try:
+        return math.sin(a)
+    except ValueError:
+        return math.nan
+
+
+def disturbance_reference(x0, x1, dist, t):
+    w1, w2, amp, period, t_on, t_off = dist
+    d = w1 * x0 * sin_reference(w2 * x1)
+    if t_on <= t < t_off:
+        phase = (t - t_on) % period
+        d += amp if phase < 0.5 * period else -amp
+    return d
+
+
+def rhs_in_place_reference(x0, x1, u, p, dist, t):
+    a, b, c, g2, k1, k2 = p
+    d = disturbance_reference(x0, x1, dist, t)
+    return a * x1 + k1 * d, b * sin_reference(x0) + c * x1 + g2 * u + k2 * d
+
+
+def rk4_in_place_reference(x, u, p, dist, t, dt):
+    x0, x1 = x
+    h = 0.5 * dt
+    a0, a1 = rhs_in_place_reference(x0, x1, u, p, dist, t)
+    b0, b1 = rhs_in_place_reference(x0 + h * a0, x1 + h * a1, u, p, dist, t + h)
+    c0, c1 = rhs_in_place_reference(x0 + h * b0, x1 + h * b1, u, p, dist, t + h)
+    d0, d1 = rhs_in_place_reference(x0 + dt * c0, x1 + dt * c1, u, p, dist, t + dt)
+    s = dt / 6.0
+    return (x0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+
+
+def plant_sides(warm):
+    """The kernels' disturbance, right-hand side and RK4 step, then the three
+    reference forms: copies on fresh code objects, each side calling its own
+    copies by name. CPython specialises a float add or multiply once its
+    code has warmed up, and where both operands are nan the generic op
+    returns one operand's nan and the specialised op the other's (see
+    ``bits``). Both sides are made in one state, cold or warm after the same
+    20 in-window RK4 steps, so a nan's sign and payload compare too."""
+    sides = []
+    for functions in ((kernels.disturbance_value, kernels.pendulum_rhs, kernels.pendulum_rk4),
+                      (disturbance_reference, rhs_in_place_reference, rk4_in_place_reference)):
+        scope = dict(functions[0].__globals__)
+        for f in functions:
+            scope[f.__name__] = type(f)(f.__code__.replace(), scope, f.__name__)
+        sides.append([scope[f.__name__] for f in functions])
+    (dv, _, rk4), (_, _, rk4_ref) = sides
+    p, dist = PLANTS[2].params, DISTS[2]
+    for _ in range(20 if warm else 0):
+        rk4((0.5, -0.5), 1.0, p, dist, 20.25, 1e-3, dv(0.5, -0.5, dist, 20.25))
+        rk4_ref((0.5, -0.5), 1.0, p, dist, 20.25, 1e-3)
+    return sides
+
+
+def raw_bytes(values):
+    """Each float's IEEE bytes, nan's sign and payload included."""
+    return [struct.pack("<d", v) for v in values]
+
+
+NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
+PLANT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf,
+                     math.nan, -math.nan, NEGATIVE_NAN, 2.0, -2.0]),
+    st.floats())
+# s3's square wave: its window [20, 60) and half-period edges, each approached
+# from below by less than a step, so stages 1 and 2 see different halves
+EDGES = (20.0, 20.5, 21.0, 40.5, 59.5, 60.0)
+PLANT_TIMES = st.one_of(
+    st.sampled_from([e - o for e in EDGES for o in (0.0, 2.5e-4, 5e-4, 5e-6)]),
+    st.floats(0.0, 80.0), st.floats())
+PLANT_STEPS = st.one_of(st.sampled_from([1e-3, 5e-4, 2e-2]), st.floats(1e-6, 0.1))
+
+
+@given(x0=PLANT_ENTRIES, x1=PLANT_ENTRIES, u0=PLANT_ENTRIES, t=PLANT_TIMES,
+       dt=PLANT_STEPS, k=st.sampled_from(range(3)))
+@example(x0=0.5, x1=-math.nan, u0=0.0, t=0.0, dt=1e-3, k=0)
+@example(x0=NEGATIVE_NAN, x1=0.5, u0=0.0, t=0.0, dt=1e-3, k=0)
+@example(x0=0.5, x1=-0.5, u0=1.0, t=20.5 - 2.5e-4, dt=1e-3, k=2)
+def test_plant_kernels_keep_their_arithmetic(x0, x1, u0, t, dt, k):
+    # d, the right-hand side with d passed in, and the RK4 step with stage
+    # 1's d passed in, against the forms that evaluated d at every stage
+    p, dist = PLANTS[k].params, DISTS[k]
+    for warm in (False, True):
+        (dv, rhs, rk4), (dv_ref, rhs_ref, rk4_ref) = plant_sides(warm)
+        assert raw_bytes([dv(x0, x1, dist, t)]) == raw_bytes([dv_ref(x0, x1, dist, t)])
+        assert raw_bytes(rhs(x0, x1, u0, p, dv(x0, x1, dist, t))) == \
+            raw_bytes(rhs_ref(x0, x1, u0, p, dist, t))
+        assert raw_bytes(rk4((x0, x1), u0, p, dist, t, dt, dv(x0, x1, dist, t))) == \
+            raw_bytes(rk4_ref((x0, x1), u0, p, dist, t, dt)), warm
 
 
 @pytest.mark.parametrize("big", [1e300, math.inf])
 def test_overflow_gives_inf_or_nan_without_raising(big):
     # numpy returns inf or nan here; so must the float kernels, which would
-    # raise if they used ** or math.sin on non-finite input
+    # raise if they used ** or an unguarded math.sin on non-finite input
     w = [big] * 6
     x = (1e200, -1e200)
     gphi_t = kernels.monomial_grad(PARTIALS, x)
@@ -223,7 +330,8 @@ def test_overflow_gives_inf_or_nan_without_raising(big):
                                    np.ones(8), np.eye(6), 5.0, 3.0)
     assert not np.any(np.isfinite(got)) and not np.any(np.isfinite(ref))
     x_next = kernels.pendulum_rk4((math.inf, big), 0.0, PLANTS[0].params, SIG.packed(),
-                                  0.0, 1e-3)
+                                  0.0, 1e-3,
+                                  kernels.disturbance_value(math.inf, big, SIG.packed(), 0.0))
     assert not np.all(np.isfinite(x_next))
 
 

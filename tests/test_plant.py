@@ -14,7 +14,6 @@ from iadp.sim import SimConfig
 
 NOMINAL_PLANT = WORLDS["s1"].plant
 NOMINAL = NOMINAL_PLANT.params
-NO_D = DisturbanceSignal().packed()
 
 
 class TestEvalDynamics:
@@ -22,16 +21,16 @@ class TestEvalDynamics:
 
     def test_pendulum_drift(self):
         # f entries at x=[2,-2]: [-2, -4.9*sin(2) + 0.4]
-        out = kernels.pendulum_rhs(2.0, -2.0, 0.0, NOMINAL, NO_D, 0.0)
+        out = kernels.pendulum_rhs(2.0, -2.0, 0.0, NOMINAL, 0.0)
         assert np.allclose(out, [-2.0, -4.9 * np.sin(2.0) + 0.4], atol=1e-12)
         assert np.allclose(out, [-2.0, -4.055564], atol=1e-6)
 
     def test_equilibrium(self):
-        out = kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, NO_D, 0.0)
+        out = kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, 0.0)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_input_column(self):
-        out = kernels.pendulum_rhs(0.0, 0.0, 1.0, NOMINAL, NO_D, 0.0)
+        out = kernels.pendulum_rhs(0.0, 0.0, 1.0, NOMINAL, 0.0)
         assert np.allclose(out, [0.0, 0.25], atol=1e-15)
 
     def test_dimension_mismatch(self):
@@ -51,7 +50,8 @@ class TestEvalDynamics:
     def test_affine_in_u(self, rng):
         # k d at rest, with the body's square wave d = 0.3 on [0, 1)
         dist = DisturbanceSignal(amplitude=0.3, period=2.0, t_on=0.0, t_off=10.0).packed()
-        assert np.allclose(kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, dist, 0.5),
+        d = kernels.disturbance_value(0.0, 0.0, dist, 0.5)
+        assert np.allclose(kernels.pendulum_rhs(0.0, 0.0, 0.0, NOMINAL, d),
                            [0.3, -0.06], atol=1e-15)
         assert checks.plant_affine_defect(rng) < checks.plant_affine_defect.tol
 

@@ -108,7 +108,7 @@ class TestRk4:
         # matrix exponential for small steps
         x = np.array([1e-4, 0.0])
         got = kernels.pendulum_rk4(tuple(x), 0.0, WORLDS["s1"].plant.params,
-                                   DisturbanceSignal().packed(), 0.0, 1e-3)
+                                   DisturbanceSignal().packed(), 0.0, 1e-3, 0.0)
         A = np.array([[0.0, 1.0], [-4.9 * np.cos(0.0), -0.2]])
         import scipy.linalg
         ref = scipy.linalg.expm(A * 1e-3) @ x
@@ -122,8 +122,9 @@ class TestRk4:
         held = DisturbanceSignal(amplitude=0.5, period=2.0, t_on=0.0, t_off=10.0)
         x = (0.0, 0.0)
         # step straddling the sign flip at t = 0.5
-        a = kernels.pendulum_rk4(x, 0.0, p, sig.packed(), 0.499, 2e-3)
-        b = kernels.pendulum_rk4(x, 0.0, p, held.packed(), 0.499, 2e-3)
+        a, b = (kernels.pendulum_rk4(x, 0.0, p, s.packed(), 0.499, 2e-3,
+                                     kernels.disturbance_value(*x, s.packed(), 0.499))
+                for s in (sig, held))
         assert not np.allclose(a, b, atol=1e-9)
 
     def test_sim_rk4_step_is_the_kernel(self):
@@ -252,7 +253,7 @@ class TestEpisode:
         for i in range(log.rows()):
             d = kernels.disturbance_value(*log.x_true[i], dist, log.t[i])
             assert log.d[i].tobytes() == np.float64(d).tobytes(), i
-            assert kernels.pendulum_rhs(*log.x_true[i], 0.0, k_only, dist, log.t[i]) == (d, d)
+            assert kernels.pendulum_rhs(*log.x_true[i], 0.0, k_only, d) == (d, d)
 
     def test_s1_no_events(self):
         log = cached_run(t_end=2.0)

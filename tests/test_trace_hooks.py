@@ -8,7 +8,8 @@ has noise, a plant swap and buffer insertions, and requires every per-step
 span to count exactly its calls a step. The shape kernels are bound per law
 and episode instead, so the generic ``kernels.dot``, the one generic wrapper,
 must stay off the step path: it may run only in the replay buffer's Gram
-rebuilds, N*N + N calls each.
+rebuilds, N*N + N calls each. RK4's own ``kernels.disturbance_value`` is
+hooked too: it evaluates d at stages 2-4 only, as stage 1 takes the logged d.
 """
 
 import sys
@@ -33,6 +34,7 @@ def test_every_per_step_hook_counts_calls():
     originals = {name: getattr(kernels, name) for name in workload.KERNELS}
     tracer, counts = spans.Tracer(), workload.Counts()
     generic = [(f"generic.{k}", f"iadp.kernels:{k}", None) for k in GENERIC]
+    generic.append(("rk4.disturbance_value", "iadp.kernels:disturbance_value", None))
     missing, restore = spans.install(tracer, workload.hooks(counts) + generic)
     try:
         log = run_scenario(SimConfig(scenario="s2", controller="iadp", t_end=20.5))
@@ -49,6 +51,8 @@ def test_every_per_step_hook_counts_calls():
     assert tracer.get("plant.disturbance_value").calls == rows
     # one RK4 step between rows; the law and the critic from the third row
     assert tracer.get("kernels.pendulum_rk4").calls == rows - 1
+    # RK4's stages 2-4 evaluate d; stage 1 takes the row's logged d
+    assert tracer.get("rk4.disturbance_value").calls == 3 * (rows - 1)
     for k in ("monomial_grad", "saturated_control", "penalty_sat",
               "weight_derivative_kernel"):
         assert tracer.get(f"kernels.{k}").calls == rows - 2, k
