@@ -139,17 +139,17 @@ def csv_header(N: int) -> str:
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows the CSV writer's child reads and formats, its caller packs or
-# formats, and lines `iadp plots` copies, at a time: each block (39 KB
-# packed, at most 121 KB as text at N = 6, as the tests check) stays under
-# glibc's 128 KiB mmap threshold, which a freed larger block raises, and
-# later log arrays then come from the heap (compare-s3's peak RSS read
-# 97-104 MB, not 80-81 MB)
+# rows the CSV writer packs and its child reads and formats, and lines
+# `iadp plots` copies, at a time: each block (39 KB packed, at most 121 KB
+# as text at N = 6, as the tests check) stays under glibc's 128 KiB mmap
+# threshold, which a freed larger block raises, and later log arrays then
+# come from the heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
 CSV_BLOCK_ROWS = 256
-# the CSV writer's pipe: what its child still owns when the episode ends,
-# which the final split weighs; at Linux's 64 KiB default the child waited
-# for rows while the caller formatted its share (2 vCPUs)
-CSV_PIPE_BYTES = 1 << 18
+# the CSV writer's pipe, whose rows the child still has to format when the
+# episode ends; a send waits only while it is full. 1 MiB is Linux's default
+# pipe-max-size, the most an unprivileged process may set; at 256 KiB the
+# blocking sends made the 80 s s1 episode 6-8% slower (2 vCPUs)
+CSV_PIPE_BYTES = 1 << 20
 
 
 def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
@@ -169,30 +169,26 @@ def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
 @contextlib.contextmanager
 def csv_writer(path, N: int):
     """Write a trajectory CSV at ``path``, with N critic weights, while the
-    caller produces its rows; a forked child formats most of them.
+    caller produces its rows; a forked child formats them all.
 
     Yields ``send(log, start, stop)``, which hands rows start..stop of a
     ``TrajectoryLog`` to the writer; the caller sends [0, rows) in order,
-    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature and
-    never blocks: it packs rows, floats as float64 and the rank as int64,
-    and writes them to a non-blocking pipe only while the pipe has room. The
-    child writes the schema line and the header, then formats CSV_BLOCK_ROWS
-    rows at a time into a temporary file beside ``path``: formatting the
-    floats, at most one ``repr`` each, is the CSV's cost.
+    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature: it
+    packs CSV_BLOCK_ROWS rows at a time, floats as float64 and the rank as
+    int64, and writes them to the pipe, waiting only while the pipe is full;
+    its write loop also finishes a write that a signal cut short. The child
+    writes the schema line and the header, then formats the rows a block at
+    a time into a temporary file beside ``path``: formatting the floats, at
+    most one ``repr`` each, is the CSV's cost.
 
-    When the with-block ends, the unsent rows are split so that both sides
-    finish together: the child goes on from the front, and this process
-    formats the back part, a list of text blocks of CSV_BLOCK_ROWS rows,
-    sending the child the rest of its part between blocks and closing the
-    pipe once it is sent, so that the child's last short read returns. Each
-    row's text depends only on the row. Only after the child has exited 0
-    are the blocks appended to the child's file and the result moved onto
-    ``path``, so a CSV at ``path`` is whole. On every other path the child
-    is reaped (killed first unless it has already stopped reading), the
-    temporary file is removed and the exception goes on: an OSError that
-    names the child's exit status if the child failed. The child runs no
-    BLAS and leaves only through ``os._exit``, so it flushes none of this
-    process's buffers and runs none of its exit handlers.
+    When the with-block ends, this process closes the pipe, waits for the
+    child and, once the child has exited 0, moves the file onto ``path``,
+    so a CSV at ``path`` is whole. On every other path the child is reaped
+    (killed first unless it has already stopped reading), the temporary
+    file is removed and the exception goes on: an OSError that names the
+    child's exit status if the child failed. The child runs no BLAS and
+    leaves only through ``os._exit``, so it flushes none of this process's
+    buffers and runs none of its exit handlers.
     """
     path = Path(path)
     header = csv_header(N)
@@ -218,50 +214,21 @@ def csv_writer(path, N: int):
                         code = 0
                     finally:
                         os._exit(code)
-            os.set_blocking(write_end, False)
-            # rows [0, made) exist, [0, sent) are packed, and ``pending``
-            # holds the packed bytes the pipe has not yet taken
-            source, made, sent, pending = None, 0, 0, b""
-
-            def pack(start, stop):
-                rows = np.empty(stop - start, record)
-                rows["values"] = np.column_stack([getattr(source, name)[start:stop]
-                                                  for name in TrajectoryLog.ARRAYS
-                                                  if name != "rank"])
-                rows["rank"] = source.rank[start:stop]
-                return rows
-
-            def pump(limit):  # write rows up to limit while the pipe takes them
-                nonlocal sent, pending
-                while pending or sent < limit:
-                    if not pending:
-                        stop = min(sent + CSV_BLOCK_ROWS, limit)
-                        pending, sent = memoryview(pack(sent, stop).tobytes()), stop
-                    try:
-                        pending = pending[os.write(write_end, pending):]
-                    except BlockingIOError:
-                        return
 
             def send(log, start, stop):
-                nonlocal source, made
-                source, made = log, stop
-                pump(made)
+                for first in range(start, stop, CSV_BLOCK_ROWS):
+                    last = min(first + CSV_BLOCK_ROWS, stop)
+                    rows = np.empty(last - first, record)
+                    rows["values"] = np.column_stack([getattr(log, name)[first:last]
+                                                      for name in TrajectoryLog.ARRAYS
+                                                      if name != "rank"])
+                    rows["rank"] = log.rank[first:last]
+                    data = memoryview(rows).cast("B")
+                    while data:
+                        data = data[os.write(write_end, data):]
 
             try:
                 yield send
-                # the child still owns the pipe's contents: weigh them
-                # against the unsent rows, and take the back part
-                split = sent + max(0, made - sent - CSV_PIPE_BYTES // record.itemsize) // 2
-                share = []
-                for start in range(split, made, CSV_BLOCK_ROWS):
-                    pump(split)
-                    if sent == split and not pending:
-                        pipe.close()  # the child's last read returns now
-                    rows = pack(start, min(start + CSV_BLOCK_ROWS, made))
-                    share.append(_csv_lines(rows["values"], rows["rank"]))
-                if not pipe.closed:
-                    os.set_blocking(write_end, True)
-                    pump(split)
             except BrokenPipeError:
                 # the child stopped reading, so it has exited: say why
                 status, pid = os.waitpid(pid, 0)[1], None
@@ -270,8 +237,6 @@ def csv_writer(path, N: int):
         status, pid = os.waitpid(pid, 0)[1], None
         if code := os.waitstatus_to_exitcode(status):
             raise OSError(f"{path}: the CSV writer process exited with status {code}")
-        with open(part, "a") as f:
-            f.writelines(share)  # each block under 128 KiB, never joined
         os.replace(part, path)
     except BaseException:
         if pid is not None:
@@ -287,7 +252,7 @@ def write_csv(log: TrajectoryLog, path) -> None:
 
     The log goes in one ``send`` through ``csv_writer``, which ``iadp run``
     and ``compare`` stream their episodes into, so a log gives the same
-    bytes either way.
+    bytes either way; here the child formats the whole log after the fact.
     """
     with csv_writer(path, log.w.shape[1]) as send:
         send(log, 0, log.rows())

@@ -83,7 +83,8 @@ class SimConfig:
     and any other ``Q`` or ``Gamma`` must have that shape as given. The
     plant has 2 states and one input, so the basis must have 2 columns,
     ``x0`` hold 2 values, ``Q`` be 2x2 and ``g_bar`` hold 2 values, as a
-    column or a row.
+    column or a row. ``x0`` must lie in the DIVERGENCE_NORM ball, which the
+    episode stops on leaving.
 
     The replay schedule and the baselines' gamma and rho are not fields:
     they are constants of this module (``BUFFER_EVERY``, ``BUFFER_UNTIL``,
@@ -171,6 +172,10 @@ class SimConfig:
             raise ConfigurationError("k_c and k_e must be > 0")
         if self.x0.shape != (2,):
             raise ConfigurationError(f"x0 must be 2 values, got {self.x0.tolist()}")
+        # an x0 outside the ball stopped on state_norm after its first step
+        if not math.hypot(*self.x0) <= DIVERGENCE_NORM:
+            raise ConfigurationError(f"x0 must have norm <= {DIVERGENCE_NORM:g}, "
+                                     "the divergence bound")
         # the plant's one input column; a single row is read as a column
         if self.g_bar.size != 2:
             raise ConfigurationError(f"g_bar must hold 2 values, got {self.g_bar.tolist()}")
@@ -201,11 +206,7 @@ class TrajectoryLog:
     beta - SATURATION_MARGIN on every row but a "nonfinite_weights" stop
     row, on which u, du, theta_tilde, xi and E_u may be nan; any other u,
     nan included, is an engine fault (FloatingPointError). xi is a
-    diagnostic that may overflow on any row. One other cell may be
-    non-finite: x_meas on row 0, when x0 lies outside the DIVERGENCE_NORM
-    ball and a noise window is open at t = 0, as the noise's running mean
-    square x * x overflows once |x0| passes about 1.34e154. A rerun gives an
-    identical log.
+    diagnostic that may overflow on any row. A rerun gives an identical log.
     """
 
     t: np.ndarray

@@ -16,6 +16,11 @@ E_u and E_x change no more than in their last digits.
 
 - c_bar = 1e-6 and the default c_bar = 2 give the same E_u and E_x to
   within 1e-5, relative.
+
+In scenario s3, where c09 bounds iadp's state on [20, 60] s under the
+noise, c_bar = 1e-6 gives the default's numbers too: the episode runs its
+60 s without a stop, with the same sup||x|| on [20, 60] to 1e-3 and the
+same E_u at 60 s to 2e-3, relative.
 - With g_bar = (0, 0.25), the plant's true input column, in place of the
   default (0, 0.1), zsadp's E_u is below iadp's: c07's zsadp ordering does
   not hold.
@@ -23,6 +28,7 @@ E_u and E_x change no more than in their last digits.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import cached_run
@@ -57,6 +63,22 @@ def test_tde_bound_term_is_inert_on_s1():
     for name in ("E_u", "E_x"):
         got, ref = getattr(tiny, name)[-1], getattr(default, name)[-1]
         assert abs(got - ref) <= 1e-5 * ref, name
+
+
+def test_tde_bound_term_is_inert_on_s3():
+    # c09's iadp numbers; the default's come from its cached 80 s episode,
+    # whose first 60 s are the same steps. Measured relative gaps: 9.0e-9 on
+    # sup||x|| (0.4221) and 8.3e-4 on E_u (48.411 against 48.371)
+    tiny = run_scenario(SimConfig(scenario="s3", t_end=60.0, c_bar=1e-6))
+    default = cached_run(scenario="s3")
+    assert tiny.rows() == 60001 and tiny.stop_cause == ""
+
+    def sup_x(log):
+        window = (log.t >= 20.0) & (log.t <= 60.0)
+        return np.max(np.linalg.norm(log.x_true[window], axis=1))
+
+    assert abs(sup_x(tiny) - sup_x(default)) <= 1e-3 * sup_x(default)
+    assert abs(tiny.E_u[-1] - default.E_u[60000]) <= 2e-3 * default.E_u[60000]
 
 
 def test_true_input_column_reverses_zsadp_ordering():

@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import fcntl
 import functools
 import hashlib
 import itertools
@@ -11,7 +10,7 @@ import stat
 import struct
 import subprocess
 import sys
-import termios
+import threading
 import time
 from pathlib import Path
 
@@ -209,39 +208,10 @@ def record_bytes(log):
     return 8 * len(csv_header(log.w.shape[1]).split(","))
 
 
-def stop_writer_child(monkeypatch):
-    """Stop each CSV writer's child with SIGSTOP right after its fork;
-    returns the list their pids are appended to, for SIGCONT."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            os.kill(pid, signal.SIGSTOP)
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def stop_writer_child_for_episode(monkeypatch):
-    """Stop the CSV writer's child from its fork until the episode's last
-    ``on_rows`` has returned."""
-    children, run = stop_writer_child(monkeypatch), cli.run_scenario
-
-    def run_then_resume(cfg, on_rows):
-        try:
-            return run(cfg, on_rows)
-        finally:
-            os.kill(children[0], signal.SIGCONT)
-
-    monkeypatch.setattr(cli, "run_scenario", run_then_resume)
-
-
 def record_shares(monkeypatch):
     """Record what the CSV writer's caller puts down its pipe (bytes a
-    write) and what it formats itself (rows a block)."""
+    write) and the rows it formats itself (none, as the child formats them
+    all)."""
     piped, formatted, parent = [], [], os.getpid()
     write, lines = os.write, cli._csv_lines
 
@@ -261,16 +231,13 @@ def record_shares(monkeypatch):
     return piped, formatted
 
 
-def split_write(path, log, lengths, pipe_bytes, stopped):
+def split_write(path, log, lengths, pipe_bytes):
     """Write ``log`` at ``path`` through ``csv_writer``, in send ranges of
-    the given lengths (cycled) and with CSV_PIPE_BYTES = ``pipe_bytes``; if
-    ``stopped``, the child is stopped until the last send has returned.
-    Returns the bytes piped before the with-block's end and in all, and the
-    rows this process formatted."""
+    the given lengths (cycled) and with CSV_PIPE_BYTES = ``pipe_bytes``.
+    Returns the bytes piped and the rows this process formatted."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CSV_PIPE_BYTES", pipe_bytes)
         piped, formatted = record_shares(mp)
-        children = stop_writer_child(mp) if stopped else []
         with cli.csv_writer(path, log.w.shape[1]) as send:
             start = 0
             for n in itertools.cycle(lengths):
@@ -279,10 +246,7 @@ def split_write(path, log, lengths, pipe_bytes, stopped):
                 if stop == log.rows():
                     break
                 start = stop
-            during = sum(piped)
-            for pid in children:
-                os.kill(pid, signal.SIGCONT)
-    return during, sum(piped), sum(formatted)
+    return sum(piped), sum(formatted)
 
 
 @pytest.fixture(scope="module")
@@ -392,11 +356,9 @@ class TestStreamedIo:
         # streamed CSV must still hold every byte. The timer runs in the
         # episode's process and, restarted after the fork, in the writer's
         # child, with a 0.1 ms period. A one-page pipe is full at nearly
-        # every send, so rows are left when the episode ends: this process
-        # formats its share between non-blocking writes and then finishes
-        # the child's with blocking ones, each of which waits for the child
-        # to read a page. The pipe writes and reads and both processes' file
-        # writes are interrupted many times
+        # every send, so each send waits for the child to read a page: the
+        # pipe writes and reads and the child's file writes are interrupted
+        # many times
         monkeypatch.setattr(cli, "CSV_PIPE_BYTES", 4096)
         piped, formatted = record_shares(monkeypatch)
         period = (signal.ITIMER_REAL, 1e-4, 1e-4)
@@ -418,108 +380,70 @@ class TestStreamedIo:
             signal.setitimer(signal.ITIMER_REAL, *old_timer)
             signal.signal(signal.SIGALRM, old_handler)
         assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == row_loop_bytes("long")
-        # both processes formatted rows, and the pipe carried the child's
-        assert 0 < sum(formatted) < 5001
-        assert sum(piped) == (5001 - sum(formatted)) * record_bytes(cached_run(t_end=5.0))
+        # this process formatted no row, and the pipe carried every one
+        assert formatted == []
+        assert sum(piped) == 5001 * record_bytes(cached_run(t_end=5.0))
 
     @settings(max_examples=10, deadline=None)
     @given(name=st.sampled_from(["long", "diverged", *(f"rows{k}" for k in CUT_ROWS)]),
            lengths=st.lists(st.integers(1, 2000), min_size=1, max_size=6),
-           pipe_bytes=st.integers(4096, 1 << 20), stopped=st.booleans())
+           pipe_bytes=st.integers(4096, 1 << 20))
     def test_split_bytes_match_row_loop(self, tmp_path_factory, io_logs, row_loop_bytes,
-                                        name, lengths, pipe_bytes, stopped):
-        # however the sends, the pipe's size and the child's pace divide the
-        # rows, the CSV is the row loop's, and the child receives exactly
-        # the rows this process does not format
+                                        name, lengths, pipe_bytes):
+        # however the sends and the pipe's size divide the rows, the CSV is
+        # the row loop's, this process formats none of them, and the child
+        # receives every one
         log = io_logs[name]
         path = tmp_path_factory.mktemp("split") / "split.csv"
-        _, piped, formatted = split_write(path, log, lengths, pipe_bytes, stopped)
+        piped, formatted = split_write(path, log, lengths, pipe_bytes)
         assert path.read_bytes() == row_loop_bytes(name)
-        assert piped == (log.rows() - formatted) * record_bytes(log)
+        assert formatted == 0 and piped == log.rows() * record_bytes(log)
 
-    @pytest.mark.parametrize("pipe_bytes", [1 << 20, 1 << 18],
-                             ids=["share_empty", "share_every_unsent_row"])
-    def test_split_extremes(self, tmp_path, io_logs, row_loop_bytes, pipe_bytes):
-        # 2,049 rows in one send, the child stopped: a 1 MiB pipe takes them
-        # all, so this process formats none. A 256 KiB pipe takes 1,724
-        # rows, and the rows not yet packed are fewer than that, so this
-        # process formats all of them, and after the episode the child gets
-        # only the rest of the block the pipe cut short
-        log = io_logs["rows2049"]
-        during, piped, formatted = split_write(tmp_path / "split.csv", log, [2049],
-                                               pipe_bytes, stopped=True)
-        assert (tmp_path / "split.csv").read_bytes() == row_loop_bytes("rows2049")
-        assert piped == (2049 - formatted) * record_bytes(log)
-        if pipe_bytes == 1 << 20:
-            assert formatted == 0 and during == piped
-        else:
-            block = CSV_BLOCK_ROWS * record_bytes(log)
-            assert formatted > 0 and 0 < piped - during == -during % block
+    def test_send_waits_for_a_stopped_child(self, tmp_path, monkeypatch):
+        # the writer's child is stopped with SIGSTOP right after its fork,
+        # and a timer resumes it 1 s later, whatever the episode is doing
+        # then. A 10 s episode's 10,001 rows are 1.5 MB packed, so the 1 MiB
+        # pipe fills and a send waits on the stopped child, within two
+        # blocks of a full pipe; it returns once the child reads again, and
+        # the run completes with the row loop's bytes
+        piped, _ = record_shares(monkeypatch)
+        sends, resumed, timers = [], [], []
+        real_fork, run = os.fork, cli.run_scenario
 
-    def test_send_never_blocks(self, tmp_path, monkeypatch):
-        # the writer's child is stopped from its fork until the episode's
-        # last on_rows has returned, so the pipe is soon full: an episode
-        # whose sends waited for the child would wait forever, and the
-        # alarm ends it
-        def timeout(signum, frame):
-            raise TimeoutError("the episode waited on the stopped CSV writer")
+        def resume(pid):
+            resumed.append((time.monotonic(), sum(piped)))
+            os.kill(pid, signal.SIGCONT)
 
-        stop_writer_child_for_episode(monkeypatch)
-        old_handler = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(10)
-        try:
-            rc = main(["run", "--scenario", "s1", "--t-end", "10",
-                       "--out-dir", str(tmp_path)])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old_handler)
-        assert rc == 0
-        write_csv_row_loop(cached_run(t_end=10.0), tmp_path / "rows.csv")
+        def fork():
+            pid = real_fork()
+            if pid:
+                os.kill(pid, signal.SIGSTOP)
+                timers.append(threading.Timer(1.0, resume, (pid,)))
+                timers[-1].start()
+            return pid
+
+        def timed(on_rows):
+            def on_rows_timed(log, start, stop):
+                began = time.monotonic()
+                on_rows(log, start, stop)
+                sends.append((began, time.monotonic()))
+            return on_rows_timed
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, on_rows: run(cfg, timed(on_rows)))
+        rc = main(["run", "--scenario", "s1", "--t-end", "10", "--out-dir", str(tmp_path)])
+        for timer in timers:
+            timer.join()
+        assert rc == 0 and len(resumed) == 1
+        (at, during), = resumed
+        log = cached_run(t_end=10.0)
+        block = CSV_BLOCK_ROWS * record_bytes(log)
+        assert log.rows() * record_bytes(log) > CSV_PIPE_BYTES
+        assert CSV_PIPE_BYTES - 2 * block < during <= CSV_PIPE_BYTES
+        assert any(began < at < ended for began, ended in sends)
+        write_csv_row_loop(log, tmp_path / "rows.csv")
         assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
-
-    def test_child_exits_while_this_process_formats(self, tmp_path, monkeypatch, io_logs,
-                                                     row_loop_bytes):
-        # once the child has been sent all of its rows the pipe is closed,
-        # so its last short read returns and it exits while this process
-        # still formats its own share. The child is stopped through the one
-        # send of 5,001 rows, which leaves this process 10 blocks. Each
-        # block but the last waits until the child has emptied the pipe;
-        # the last waits for the child's exit, which comes only after the
-        # close
-        log = io_logs["long"]
-        children = stop_writer_child(monkeypatch)
-        pipes, set_blocking = [], os.set_blocking
-        monkeypatch.setattr(os, "set_blocking",
-                            lambda fd, flag: pipes.append(fd) or set_blocking(fd, flag))
-        parent, lines, exited = os.getpid(), cli._csv_lines, []
-
-        def child_exited():
-            return os.waitid(os.P_PID, children[0],
-                             os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
-
-        def unread():  # the pipe's unread bytes; 0 once this process closed it
-            try:
-                return struct.unpack("i", fcntl.ioctl(pipes[0], termios.FIONREAD, b"\0" * 4))[0]
-            except OSError:
-                return 0
-
-        def formatting(values, ranks):
-            if os.getpid() == parent:
-                last, deadline = values[-1, 0] == log.t[-1], time.monotonic() + 5
-                while not (child_exited() or not last and unread() == 0) \
-                        and time.monotonic() < deadline:
-                    time.sleep(1e-3)
-                if last:
-                    exited.append(child_exited())
-            return lines(values, ranks)
-
-        monkeypatch.setattr(cli, "_csv_lines", formatting)
-        with cli.csv_writer(tmp_path / "long.csv", 6) as send:
-            send(log, 0, log.rows())
-            os.kill(children[0], signal.SIGCONT)
-        assert exited == [True]
-        assert (tmp_path / "long.csv").read_bytes() == row_loop_bytes("long")
 
     @pytest.mark.parametrize("name", ["long", "diverged", "noisy"])
     def test_plot_data_equals_csv_columns(self, tmp_path, io_logs, name):
@@ -708,7 +632,7 @@ class TestMain:
     def test_fault_mid_stream_leaves_nothing(self, tmp_path, capsys, monkeypatch):
         # the fault comes at t = 2.001 s, after the episode has handed its
         # first 1,792 rows to the writer in 7 blocks, and the writer has put
-        # as many of them down the pipe to its child as the pipe would take
+        # all of them down the pipe to its child
         from iadp.controllers import IadpLaw
         control, calls = IadpLaw.control, []
 
@@ -725,7 +649,7 @@ class TestMain:
                    "--out-dir", str(tmp_path)])
         size = 1792 * record_bytes(cached_run(t_end=5.0))
         assert rc == 4 and handed == list(range(256, 1793, 256))
-        assert min(size, CSV_PIPE_BYTES) <= sum(piped) <= size
+        assert sum(piped) == size
         assert capsys.readouterr().err.startswith(
             "error: saturation invariant violated at t=2.001")
         assert list(tmp_path.iterdir()) == []
@@ -777,13 +701,15 @@ class TestMain:
         ("learner.k_e=1e300", False),
         ("learner.Gamma=1e300", False), ("learner.Gamma=5e-324", False),
         ("cost.Q=1e300", False), ("cost.Q=5e-324", False),
-        ("init.x0=[1e300,-1e300]", False), ("tde.g_bar=[[0],[1e-300]]", False),
+        ("tde.g_bar=[[0],[1e-300]]", False),
         # x0 is read flat and a flat exponent list as one row
         ("init.x0=[[2],[-2]]", False), ("init.x0=[[1,2],[3,4]]", True),
         ("basis.exponents=[2,0] learner.Gamma=1e-4", False),
         ("basis.exponents=[[2,0]] learner.Gamma=[[1e-4]]", False),
         # t_end / dt overflows to inf; an empty basis leaves Q 0x0
         ("sim.dt=5e-324", True), ("cost.Q=1 basis.exponents=[]", True),
+        # x0 outside the divergence ball
+        ("init.x0=[1e300,-1e300]", True),
     ])
     def test_every_accepted_config_runs(self, tmp_path, capsys, override, refused):
         # a configuration (space-separated overrides) is refused at parse
@@ -882,23 +808,20 @@ class TestMain:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("side, message", [
-        ("child", "exited with status 1"), ("parent", "No space left on device"),
-        ("share", "No space left on device")])
+        ("child", "exited with status 1"), ("parent", "No space left on device")])
     def test_csv_writer_failure_exit_one(self, tmp_path, capsys, monkeypatch,
                                          side, message):
-        # the child's formatting, this process's pipe write or this
-        # process's formatting of its own share fails partway: one stderr
-        # line, the child reaped and nothing, the temporary file included,
-        # left in the out dir
+        # the child's formatting or this process's pipe write fails partway:
+        # one stderr line, the child reaped and nothing, the temporary file
+        # included, left in the out dir
         def fail(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         parent, lines, write = os.getpid(), cli._csv_lines, os.write
         if side == "child":
-            # this process formats its rows as before
             monkeypatch.setattr(cli, "_csv_lines", lambda *args: (
                 lines if os.getpid() == parent else fail)(*args))
-        elif side == "parent":
+        else:
             # this process's third write of rows fails to go down the pipe
             calls = []
 
@@ -909,12 +832,6 @@ class TestMain:
                         fail()
                 return write(fd, data)
             monkeypatch.setattr(os, "write", failing)
-        else:
-            # the child is stopped through the episode, so the pipe fills
-            # and this process has rows of its own to format at its end
-            stop_writer_child_for_episode(monkeypatch)
-            monkeypatch.setattr(cli, "_csv_lines", lambda *args: (
-                fail if os.getpid() == parent else lines)(*args))
         rc = main(["run", "--scenario", "s1", "--t-end", "3",
                    "--out-dir", str(tmp_path)])
         out, err = capsys.readouterr()
