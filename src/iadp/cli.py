@@ -7,9 +7,10 @@ file values. Every run writes the trajectory CSV plus a manifest that parses
 back to the identical resolved config.
 
 Exit codes: 0 ok, 1 input error (a bad flag, config value or file path,
-reported on one stderr line), 2 episode divergence (``run`` names the log's
-stop cause), 3 property-check failure, 4 engine fault (a broken invariant
-such as |u| > beta, reported with its time and values).
+or a log too large to allocate, reported on one stderr line), 2 episode
+divergence (``run`` names the log's stop cause), 3 property-check failure,
+4 engine fault (a broken invariant such as |u| > beta, reported with its
+time and values).
 """
 
 import argparse
@@ -139,11 +140,11 @@ def csv_header(N: int) -> str:
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows the CSV writer packs and its child reads and formats, and lines
-# `iadp plots` copies, at a time: each block (39 KB packed, at most 121 KB
-# as text at N = 6, as the tests check) stays under glibc's 128 KiB mmap
-# threshold, which a freed larger block raises, and later log arrays then
-# come from the heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
+# rows the CSV writer's child reads and formats, and lines `iadp plots`
+# copies, at a time: each block (39 KB as float64, at most 121 KB as text at
+# N = 6, as the tests check) stays under glibc's 128 KiB mmap threshold,
+# which a freed larger block raises, and later log arrays then come from the
+# heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
 CSV_BLOCK_ROWS = 256
 # the CSV writer's pipe, whose rows the child still has to format when the
 # episode ends; a send waits only while it is full. 1 MiB is Linux's default
@@ -171,15 +172,15 @@ def csv_writer(path, N: int):
     """Write a trajectory CSV at ``path``, with N critic weights, while the
     caller produces its rows; a forked child formats them all.
 
-    Yields ``send(log, start, stop)``, which hands rows start..stop of a
-    ``TrajectoryLog`` to the writer; the caller sends [0, rows) in order,
-    each row once. ``send`` has ``run_episode``'s ``on_rows`` signature: it
-    packs CSV_BLOCK_ROWS rows at a time, floats as float64 and the rank as
-    int64, and writes them to the pipe, waiting only while the pipe is full;
-    its write loop also finishes a write that a signal cut short. The child
-    writes the schema line and the header, then formats the rows a block at
-    a time into a temporary file beside ``path``: formatting the floats, at
-    most one ``repr`` each, is the CSV's cost.
+    Yields ``send(rows)``, which hands the writer a C-contiguous (k, C)
+    float64 array of rows, every ``TrajectoryLog.ARRAYS`` column in order
+    and the rank last as an exact float: ``run_episode``'s ``on_rows``
+    blocks. The caller sends every row once, in order. ``send`` writes the
+    array's bytes to the pipe, waiting only while the pipe is full; its
+    write loop also finishes a write that a signal cut short. The child
+    writes the schema line and the header, then reads CSV_BLOCK_ROWS rows at
+    a time and formats them into a temporary file beside ``path``:
+    formatting the floats, at most one ``repr`` each, is the CSV's cost.
 
     When the with-block ends, this process closes the pipe, waits for the
     child and, once the child has exited 0, moves the file onto ``path``,
@@ -192,8 +193,7 @@ def csv_writer(path, N: int):
     """
     path = Path(path)
     header = csv_header(N)
-    # every column but the last, rank, is a float
-    record = np.dtype([("values", np.float64, header.count(",")), ("rank", np.int64)])
+    columns = header.count(",") + 1
     part = path.with_name(f".{path.name}.{os.getpid()}.part")
     read_end, write_end = os.pipe()
     pid = None
@@ -207,25 +207,18 @@ def csv_writer(path, N: int):
                     try:
                         pipe.close()
                         f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n")
-                        while data := src.read(CSV_BLOCK_ROWS * record.itemsize):
-                            rows = np.frombuffer(data, record)
-                            f.write(_csv_lines(rows["values"], rows["rank"]))
+                        while data := src.read(CSV_BLOCK_ROWS * columns * 8):
+                            rows = np.frombuffer(data).reshape(-1, columns)
+                            f.write(_csv_lines(rows[:, :-1], rows[:, -1].astype(np.int64)))
                         f.close()
                         code = 0
                     finally:
                         os._exit(code)
 
-            def send(log, start, stop):
-                for first in range(start, stop, CSV_BLOCK_ROWS):
-                    last = min(first + CSV_BLOCK_ROWS, stop)
-                    rows = np.empty(last - first, record)
-                    rows["values"] = np.column_stack([getattr(log, name)[first:last]
-                                                      for name in TrajectoryLog.ARRAYS
-                                                      if name != "rank"])
-                    rows["rank"] = log.rank[first:last]
-                    data = memoryview(rows).cast("B")
-                    while data:
-                        data = data[os.write(write_end, data):]
+            def send(rows):
+                data = memoryview(rows).cast("B")
+                while data:
+                    data = data[os.write(write_end, data):]
 
             try:
                 yield send
@@ -250,12 +243,13 @@ def write_csv(log: TrajectoryLog, path) -> None:
     """Trajectory CSV of a finished log, floats as shortest round-trip
     decimals.
 
-    The log goes in one ``send`` through ``csv_writer``, which ``iadp run``
-    and ``compare`` stream their episodes into, so a log gives the same
-    bytes either way; here the child formats the whole log after the fact.
+    The log's arrays, stacked into rows, go in one ``send`` through
+    ``csv_writer``, which ``iadp run`` and ``compare`` stream their
+    episodes' blocks into, so a log gives the same bytes either way; here
+    the child formats the whole log after the fact.
     """
     with csv_writer(path, log.w.shape[1]) as send:
-        send(log, 0, log.rows())
+        send(np.column_stack([getattr(log, name) for name in TrajectoryLog.ARRAYS]))
 
 
 def read_csv(path):
@@ -541,7 +535,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (_UsageError, OSError) as exc:
+    except (_UsageError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:

@@ -246,17 +246,19 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     """Run one closed-loop episode and return the complete per-step log.
 
     The per-step state (x, xm, u, w, ...) is held in Python floats and
-    tuples. Each step stages its log row as one flat tuple in column order,
-    and every LOG_CHUNK_ROWS rows (and once at the end) the staged rows are
-    converted in one ``struct.pack`` and written into the preallocated log
-    arrays, one slice of the block's columns per array.
+    tuples. Each step stages its log row, t included, as one flat tuple of
+    every ``TrajectoryLog.ARRAYS`` column in order, the CSV's order. Every
+    LOG_CHUNK_ROWS rows (and once at the end) the staged rows are converted
+    in one ``struct.pack`` into a (k, C) float64 block, the rank last as an
+    exact float, and written into the preallocated log arrays, one slice of
+    the block's columns per array.
 
-    ``on_rows(log, start, stop)``, if given, is called after each such
-    write with the rows it just filled: the ranges cover [0, rows) in order,
-    each row once, and each is final in the log arrays when it is handed
-    over. It lets a caller consume the log while the episode runs; the
-    returned log is the same with or without it. An exception it raises
-    ends the episode.
+    ``on_rows(block)``, if given, is called after each such write with that
+    block, read-only: the blocks hold rows [0, rows) in order, each row
+    once, and each row is final in the log arrays when it is handed over.
+    It lets a caller consume the log while the episode runs; the returned
+    log is the same with or without it. An exception it raises ends the
+    episode.
     """
     t_start = time.perf_counter()
 
@@ -285,7 +287,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     S = steps + 1
 
     log = TrajectoryLog(
-        t=np.arange(S) * dt,
+        t=np.zeros(S),
         x_true=np.zeros((S, 2)), x_meas=np.zeros((S, 2)),
         u=np.zeros(S), du=np.zeros(S), w=np.zeros((S, N)),
         theta_tilde=np.zeros(S), xi=np.zeros(S), d=np.zeros(S),
@@ -314,11 +316,11 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()
-    # a staged row is one flat tuple, in column order, of every array's
-    # values but t's, which is filled above; each array takes its columns
+    # a staged row is one flat tuple of every array's values in column
+    # order; each array takes its columns of a block
     columns = []
     width = 0
-    for name in TrajectoryLog.ARRAYS[1:]:
+    for name in TrajectoryLog.ARRAYS:
         arr = getattr(log, name)
         if arr.ndim == 2:
             columns.append((arr, slice(width, width + arr.shape[1])))
@@ -344,7 +346,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         flushed += k
         staged.clear()
         if on_rows is not None and k:
-            on_rows(log, flushed - k, flushed)
+            on_rows(block)
 
     for i in range(S):
         t = i * dt
@@ -415,7 +417,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        stage((*x, *xm, u, du, *w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
+        stage((t, *x, *xm, u, du, *w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
         # the next step's sample one delay L = dt back
         xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:
@@ -437,15 +439,15 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                           for v in x)
 
             # --- plant swaps fire on the step that lands on or past them
-            fired = apply_event_schedule(events, t if i else -math.inf,
-                                         (i + 1) * dt)
+            t_next = (i + 1) * dt
+            fired = apply_event_schedule(events, t if i else -math.inf, t_next)
             if fired:
                 log.fired_events.extend((ev.time, "swap_plant") for ev in fired)
                 coeffs = fired[-1].plant.params
 
             if cause:
                 # record the diverged state row, then stop
-                stage((*x, *x, 0.0, 0.0, *w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
+                stage((t_next, *x, *x, 0.0, 0.0, *w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
                 break
 
     flush()

@@ -29,7 +29,7 @@ from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_PIPE_BYTES, CSV_SCHEMA_VE
 from iadp.critic import MAX_DEGREE
 from iadp.plant import ConfigurationError
 from iadp.scenarios import WORLDS, run_scenario
-from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig
+from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
 # what a manifest holds: ints, config strings, and floats, vectors and
@@ -232,9 +232,10 @@ def record_shares(monkeypatch):
 
 
 def split_write(path, log, lengths, pipe_bytes):
-    """Write ``log`` at ``path`` through ``csv_writer``, in send ranges of
+    """Write ``log`` at ``path`` through ``csv_writer``, its rows in sends of
     the given lengths (cycled) and with CSV_PIPE_BYTES = ``pipe_bytes``.
     Returns the bytes piped and the rows this process formatted."""
+    rows = np.column_stack([getattr(log, name) for name in TrajectoryLog.ARRAYS])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CSV_PIPE_BYTES", pipe_bytes)
         piped, formatted = record_shares(mp)
@@ -242,7 +243,7 @@ def split_write(path, log, lengths, pipe_bytes):
             start = 0
             for n in itertools.cycle(lengths):
                 stop = min(start + n, log.rows())
-                send(log, start, stop)
+                send(rows[start:stop])
                 if stop == log.rows():
                     break
                 start = stop
@@ -291,9 +292,9 @@ CSV_FLOATS = st.one_of(
 
 @st.composite
 def csv_blocks(draw):
-    """A block of floats and ranks as the CSV writer packs it, at N = 6: its
-    x_meas columns copy x_true on all, some or none of its rows, and on some
-    rows x_true is 0.0 and x_meas -0.0."""
+    """A block of floats and their ranks as the CSV writer's child formats
+    it, at N = 6: its x_meas columns copy x_true on all, some or none of its
+    rows, and on some rows x_true is 0.0 and x_meas -0.0."""
     n = draw(st.integers(0, 300))
     values = draw(hnp.arrays(np.float64, (n, csv_header(6).count(",")),
                              elements=CSV_FLOATS))
@@ -302,9 +303,7 @@ def csv_blocks(draw):
     values[copied, 3:5] = values[copied, 1:3]
     zeros = draw(hnp.arrays(bool, n))
     values[zeros, 1:3], values[zeros, 3:5] = 0.0, -0.0
-    rows = np.empty(n, [("values", np.float64, values.shape[1]), ("rank", np.int64)])
-    rows["values"], rows["rank"] = values, draw(hnp.arrays(np.int64, n))
-    return rows
+    return values, draw(hnp.arrays(np.int64, n))
 
 
 class TestStreamedIo:
@@ -316,8 +315,7 @@ class TestStreamedIo:
     def test_csv_lines_match_row_loop(self, rows):
         # the columnar formatting, x_meas's reuse of x_true's text included,
         # gives the row loop's text
-        assert cli._csv_lines(rows["values"], rows["rank"]) == \
-            row_loop_lines(rows["values"], rows["rank"])
+        assert cli._csv_lines(*rows) == row_loop_lines(*rows)
 
     def test_blocks_stay_under_the_mmap_threshold(self, tmp_path):
         # a block of CSV text at N = 6, every float at the widest repr (24
@@ -423,9 +421,9 @@ class TestStreamedIo:
             return pid
 
         def timed(on_rows):
-            def on_rows_timed(log, start, stop):
+            def on_rows_timed(block):
                 began = time.monotonic()
-                on_rows(log, start, stop)
+                on_rows(block)
                 sends.append((began, time.monotonic()))
             return on_rows_timed
 
@@ -444,6 +442,34 @@ class TestStreamedIo:
         write_csv_row_loop(log, tmp_path / "rows.csv")
         assert (tmp_path / "s1_iadp_seed0.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
+
+    def test_pipe_carries_each_engine_block_unchanged(self, tmp_path, monkeypatch):
+        # each block the engine hands on_rows goes down the pipe as its own
+        # bytes, rank column included, in that block's one send, and nothing
+        # is written to the pipe outside a send
+        writes, sends, write, run = [], [], os.write, cli.run_scenario
+
+        def piping(fd, data):
+            n = write(fd, data)
+            if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                writes.append(bytes(data[:n]))
+            return n
+
+        def recorded(on_rows):
+            def on_rows_recorded(block):
+                assert writes == []
+                on_rows(block)
+                sends.append((block.tobytes(), b"".join(writes)))
+                writes.clear()
+            return on_rows_recorded
+
+        monkeypatch.setattr(os, "write", piping)
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, on_rows: run(cfg, recorded(on_rows)))
+        assert main(["run", "--scenario", "s1", "--t-end", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert writes == [] and len(sends) == 8
+        for block, piped in sends:
+            assert piped == block
 
     @pytest.mark.parametrize("name", ["long", "diverged", "noisy"])
     def test_plot_data_equals_csv_columns(self, tmp_path, io_logs, name):
@@ -631,8 +657,8 @@ class TestMain:
 
     def test_fault_mid_stream_leaves_nothing(self, tmp_path, capsys, monkeypatch):
         # the fault comes at t = 2.001 s, after the episode has handed its
-        # first 1,792 rows to the writer in 7 blocks, and the writer has put
-        # all of them down the pipe to its child
+        # first 1,792 rows to the writer in 7 blocks of 256, and the writer
+        # has put all of them down the pipe to its child
         from iadp.controllers import IadpLaw
         control, calls = IadpLaw.control, []
 
@@ -643,12 +669,12 @@ class TestMain:
         handed, run = [], cli.run_scenario
         monkeypatch.setattr(IadpLaw, "control", faulting)
         monkeypatch.setattr(cli, "run_scenario", lambda cfg, on_rows: run(
-            cfg, lambda log, start, stop: handed.append(stop) or on_rows(log, start, stop)))
+            cfg, lambda block: handed.append(len(block)) or on_rows(block)))
         piped, _ = record_shares(monkeypatch)
         rc = main(["run", "--scenario", "s1", "--t-end", "5",
                    "--out-dir", str(tmp_path)])
         size = 1792 * record_bytes(cached_run(t_end=5.0))
-        assert rc == 4 and handed == list(range(256, 1793, 256))
+        assert rc == 4 and handed == [256] * 7
         assert sum(piped) == size
         assert capsys.readouterr().err.startswith(
             "error: saturation invariant violated at t=2.001")
@@ -836,6 +862,18 @@ class TestMain:
                    "--out-dir", str(tmp_path)])
         out, err = capsys.readouterr()
         assert rc == 1 and len(err.splitlines()) == 1 and message in err, err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_run_too_long_to_allocate_exit_one(self, tmp_path, capsys):
+        # 1e15 steps: the log's first array would take 7.11 PiB, more than a
+        # process's address space, so numpy refuses it at once and touches
+        # no memory
+        rc = main(["run", "--t-end", "1e12", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: Unable to allocate 7.11 PiB"), err
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

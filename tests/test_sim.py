@@ -8,7 +8,7 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from helpers import cached_run, law_pair
 from iadp import checks, kernels, sim
@@ -602,41 +602,38 @@ class TestStepPath:
 
 
 class RowsRecorder:
-    """An ``on_rows`` callback that keeps a copy of each range it is handed,
-    read from the log arrays at the time of the call."""
+    """An ``on_rows`` callback that keeps each block it is handed."""
 
     def __init__(self):
-        self.ranges = []
-        self.copies = []
+        self.blocks = []
 
-    def __call__(self, log, start, stop):
-        self.ranges.append((start, stop))
-        self.copies.append({name: value[start:stop].copy()
-                            for name, value in vars(log).items()
-                            if isinstance(value, np.ndarray)})
+    def __call__(self, block):
+        self.blocks.append(block)
 
-    def check(self, log):
-        """The ranges tile [0, rows) in order, and each copy is the final log's
-        rows, bit for bit."""
-        assert self.ranges[0][0] == 0 and self.ranges[-1][1] == log.rows()
-        for (_, stop), (start, _) in zip(self.ranges, self.ranges[1:]):
-            assert stop == start
-        for (start, stop), copy in zip(self.ranges, self.copies):
-            assert start < stop
-            for name, rows in copy.items():
-                assert rows.tobytes() == getattr(log, name)[start:stop].tobytes(), name
+    def lengths(self):
+        return [len(block) for block in self.blocks]
+
+    def check(self, log, dt=1e-3):
+        """Each block is read-only, the blocks together are the final log's
+        rows, every array's columns in order, bit for bit, and the t column
+        is np.arange(rows) * dt, bit for bit."""
+        assert all(not block.flags.writeable for block in self.blocks)
+        assert 0 not in self.lengths()
+        stacked = np.column_stack([getattr(log, name) for name in TrajectoryLog.ARRAYS])
+        assert np.concatenate(self.blocks).tobytes() == stacked.tobytes()
+        assert log.t.tobytes() == (np.arange(log.rows()) * dt).tobytes()
 
 
 class TestOnRows:
-    """``run_episode``'s ``on_rows`` callback hands over each flushed range of
-    rows once, in order, after the rows are written, and leaves the log as it
-    is without one."""
+    """``run_episode``'s ``on_rows`` callback hands over each flushed block
+    of rows once, in order, after the rows are written, and leaves the log
+    as it is without one."""
 
     def test_full_episode(self):
         rec = RowsRecorder()
         log = run_scenario(SimConfig(t_end=1.0), rec)
         assert not log.diverged and log.rows() == 1001
-        assert rec.ranges == [(0, 256), (256, 512), (512, 768), (768, 1001)]
+        assert rec.lengths() == [256, 256, 256, 233]
         rec.check(log)
 
     def test_nonfinite_weights_stop(self, monkeypatch):
@@ -644,7 +641,7 @@ class TestOnRows:
                             lambda w, *args: [math.inf] * len(w))
         rec = RowsRecorder()
         log = run_scenario(SimConfig(t_end=1.0), rec)
-        assert log.stop_cause == "nonfinite_weights" and rec.ranges == [(0, 3)]
+        assert log.stop_cause == "nonfinite_weights" and rec.lengths() == [3]
         rec.check(log)
 
     def test_state_norm_stop(self):
@@ -667,16 +664,75 @@ SKEWED = dict(Q=[[2.0, 0.3], [0.3, 0.5]], g_bar=[[0.05], [0.1]],
               Gamma=np.diag([1e-4, 3e-4, 5e-5, 2e-4, 1e-4, 4e-4]), x0=[1.5, -0.7])
 
 
+def assert_mirror_holds(cfg, world):
+    """The run from -x0, with the disturbance's w1 and square-wave amplitude
+    negated, is cfg's run mirrored, bit for bit: the states, u, du, xi and d
+    and the odd-degree weights negated, and every other column equal."""
+    d = world.disturbance
+    a = run_episode(cfg, world)
+    b = run_episode(replace(cfg, x0=-cfg.x0),
+                    replace(world, disturbance=replace(d, w1=-d.w1, amplitude=-d.amplitude)))
+    for name in ("x_true", "x_meas", "u", "du", "xi", "d"):
+        assert np.array_equal(getattr(b, name), -getattr(a, name)), name
+    for name in ("t", "theta_tilde", "E_u", "E_x", "rank"):
+        assert np.array_equal(getattr(b, name), getattr(a, name)), name
+    odd = cfg.basis_exponents.sum(axis=1) % 2 == 1
+    assert np.array_equal(b.w[:, ~odd], a.w[:, ~odd])
+    assert np.array_equal(b.w[:, odd], -a.w[:, odd])
+    for name in ("diverged", "diverged_step", "stop_cause",
+                 "insufficient_excitation", "fired_events"):
+        assert getattr(b, name) == getattr(a, name), name
+
+
+# the exponent pairs of the features of total degree 1 to 6
+MIRROR_EXPONENTS = [(k, degree - k) for degree in range(1, 7) for k in range(degree + 1)]
+
+
+@st.composite
+def mirror_cases(draw):
+    """A noise-free config off the defaults and a 0.2-0.5 s World with a
+    square wave and s3's plant swap inside it: a full Q, both g_bar entries
+    non-zero, a basis of 2-7 features of degree 1-6, and a Gamma that
+    couples weights of equal degree parity only, as the mirror relation
+    needs; every other symmetric positive definite Gamma breaks it."""
+    exponents = np.array(draw(st.lists(st.sampled_from(MIRROR_EXPONENTS), min_size=2,
+                                       max_size=7, unique=True)))
+    N = len(exponents)
+    odd = exponents.sum(axis=1) % 2 == 1
+    # positive definite by Gershgorin, as in spd
+    off = np.triu(draw(hnp.arrays(float, (N, N), elements=st.floats(-0.5 / N, 0.5 / N))), 1)
+    off[odd[:, None] != odd] = 0.0
+    diag = np.diag(draw(hnp.arrays(float, N, elements=st.floats(1.0, 2.0))))
+    q01 = draw(st.floats(-0.9, 0.9))
+    cfg = SimConfig(
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        xdot_source=draw(st.sampled_from(XDOT_SOURCES)),
+        t_end=draw(st.integers(200, 500)) / 1000,
+        x0=[draw(scaled(-1, 0.3)) for _ in range(2)],
+        g_bar=[[draw(scaled(-2, 0))] for _ in range(2)],
+        Q=[[draw(st.floats(1.0, 2.0)), q01], [q01, draw(st.floats(1.0, 2.0))]],
+        Gamma=10.0 ** draw(st.floats(-5, -3)) * (diag + off + off.T),
+        buffer_size=draw(st.integers(1, 8)), basis_exponents=exponents)
+    t_on = draw(st.floats(0.0, 0.1))
+    disturbance = replace(WORLDS["s1"].disturbance, w1=draw(scaled(-2, 0)),
+                          amplitude=draw(scaled(-2, 0)), period=draw(st.floats(0.01, 0.1)),
+                          t_on=t_on, t_off=draw(st.floats(t_on + 0.05, cfg.t_end)))
+    swap = replace(WORLDS["s3"].events[0], time=draw(st.floats(cfg.dt, 0.2)))
+    return cfg, replace(WORLDS["s1"], disturbance=disturbance, events=(swap,))
+
+
 class TestMirror:
     """The closed loop is odd in x: started from -x0, with the disturbance's
-    w1 negated, s1 logs every state, u, du, xi and d negated and the odd
-    weights negated, bit for bit. s1 has no noise and its square wave has
-    amplitude 0, so nothing else breaks the symmetry.
+    w1 and square-wave amplitude negated, a noise-free world logs every
+    state, u, du, xi and d negated and the odd weights negated, bit for bit.
+    s1 has no noise and no square wave; the drawn worlds have no noise, a
+    square wave and a plant swap.
 
     Odd and even parts are only told apart here, so an error that keeps
-    parity goes unseen: a Q01<->Q10 swap, or a Gamma applied transposed
-    (Gamma must not couple even- and odd-degree weights for the relation to
-    hold, and here it is diagonal)."""
+    parity goes unseen: a Q01<->Q10 swap, or a Gamma applied transposed.
+    Gamma must not couple even- and odd-degree weights for the relation to
+    hold: here it is diagonal, and the drawn Gammas are block-diagonal by
+    degree parity."""
 
     @pytest.mark.parametrize("skewed", [False, True], ids=["default", "skewed"])
     @pytest.mark.parametrize("xdot_source", ["backward_difference", "ground_truth"])
@@ -684,19 +740,14 @@ class TestMirror:
     def test_mirror_run_is_negated(self, controller, xdot_source, skewed):
         cfg = SimConfig(controller=controller, xdot_source=xdot_source, t_end=2.0,
                         **(SKEWED if skewed else {}))
-        world = WORLDS["s1"]
-        d = world.disturbance
-        a = run_episode(cfg, world)
-        b = run_episode(replace(cfg, x0=-cfg.x0),
-                        replace(world, disturbance=replace(d, w1=-d.w1)))
-        for name in ("x_true", "x_meas", "u", "du", "xi", "d"):
-            assert np.array_equal(getattr(b, name), -getattr(a, name)), name
-        for name in ("t", "theta_tilde", "E_u", "E_x", "rank"):
-            assert np.array_equal(getattr(b, name), getattr(a, name)), name
-        odd = cfg.basis_exponents.sum(axis=1) % 2 == 1
-        assert list(odd) == [False] * 3 + [True] * 3
-        assert np.array_equal(b.w[:, ~odd], a.w[:, ~odd])
-        assert np.array_equal(b.w[:, odd], -a.w[:, odd])
-        for name in ("diverged", "diverged_step", "stop_cause",
-                     "insufficient_excitation", "fired_events"):
-            assert getattr(b, name) == getattr(a, name), name
+        assert list(cfg.basis_exponents.sum(axis=1) % 2) == [0] * 3 + [1] * 3
+        assert_mirror_holds(cfg, WORLDS["s1"])
+
+    # no shrink phase: a failing draw shows its config, and shrinking reruns
+    # two episodes per try
+    @settings(max_examples=100, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(mirror_cases())
+    def test_mirror_holds_on_drawn_configs(self, case):
+        assert_mirror_holds(*case)
+
