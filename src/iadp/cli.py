@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .plant import ConfigurationError
 from .scenarios import WORLDS, run_scenario
-from .sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
+from .sim import CONTROLLERS, LOG_CHUNK_ROWS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 CSV_SCHEMA_VERSION = 1
 
@@ -140,12 +140,6 @@ def csv_header(N: int) -> str:
                      "theta_tilde", "xi_1", "d", "E_u", "E_x", "rank"])
 
 
-# rows the CSV writer's child reads and formats, and lines `iadp plots`
-# copies, at a time: each block (39 KB as float64, at most 121 KB as text at
-# N = 6, as the tests check) stays under glibc's 128 KiB mmap threshold,
-# which a freed larger block raises, and later log arrays then come from the
-# heap (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
-CSV_BLOCK_ROWS = 256
 # the CSV writer's pipe, whose rows the child still has to format when the
 # episode ends; a send waits only while it is full. 1 MiB is Linux's default
 # pipe-max-size, the most an unprivileged process may set; at 256 KiB the
@@ -153,17 +147,18 @@ CSV_BLOCK_ROWS = 256
 CSV_PIPE_BYTES = 1 << 20
 
 
-def _csv_lines(values: np.ndarray, ranks: np.ndarray) -> str:
-    """CSV lines of rows of floats and their ranks, a column at a time;
-    ``repr`` of a Python float is its shortest round-trip decimal. A block
-    whose x_meas holds x_true's bits, as wherever noise is off, reuses
-    x_true's text: the bits decide, so -0.0 never takes 0.0's text."""
-    cols = values.T.tolist()
-    same = np.array_equal(values[:, 1:3].view(np.int64), values[:, 3:5].view(np.int64))
+def _csv_lines(rows: np.ndarray) -> str:
+    """CSV lines of an engine block of rows, a column at a time; ``repr`` of
+    a Python float is its shortest round-trip decimal, and the rank, last,
+    is written as an integer. A block whose x_meas holds x_true's bits, as
+    wherever noise is off, reuses x_true's text: the bits decide, so -0.0
+    never takes 0.0's text."""
+    *cols, ranks = rows.T.tolist()
+    same = np.array_equal(rows[:, 1:3].view(np.int64), rows[:, 3:5].view(np.int64))
     text = [list(map(repr, col)) for col in (cols[:3] + cols[5:] if same else cols)]
     if same:
         text[3:3] = text[1:3]
-    text.append(list(map(str, ranks.tolist())))
+    text.append(list(map(str, map(int, ranks))))
     return "\n".join([*map(",".join, zip(*text)), ""])
 
 
@@ -178,9 +173,10 @@ def csv_writer(path, N: int):
     blocks. The caller sends every row once, in order. ``send`` writes the
     array's bytes to the pipe, waiting only while the pipe is full; its
     write loop also finishes a write that a signal cut short. The child
-    writes the schema line and the header, then reads CSV_BLOCK_ROWS rows at
-    a time and formats them into a temporary file beside ``path``:
-    formatting the floats, at most one ``repr`` each, is the CSV's cost.
+    writes the schema line and the header, then reads LOG_CHUNK_ROWS rows,
+    one engine block, at a time and formats each with ``_csv_lines`` into a
+    temporary file beside ``path``: formatting the floats, at most one
+    ``repr`` each, is the CSV's cost.
 
     When the with-block ends, this process closes the pipe, waits for the
     child and, once the child has exited 0, moves the file onto ``path``,
@@ -207,9 +203,8 @@ def csv_writer(path, N: int):
                     try:
                         pipe.close()
                         f.write(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n")
-                        while data := src.read(CSV_BLOCK_ROWS * columns * 8):
-                            rows = np.frombuffer(data).reshape(-1, columns)
-                            f.write(_csv_lines(rows[:, :-1], rows[:, -1].astype(np.int64)))
+                        while data := src.read(LOG_CHUNK_ROWS * columns * 8):
+                            f.write(_csv_lines(np.frombuffer(data).reshape(-1, columns)))
                         f.close()
                         code = 0
                     finally:
@@ -391,7 +386,7 @@ def _write_figure_data(path, out: Path, stem: str) -> dict:
     """Copy each figure's columns of a trajectory CSV into its .dat file.
 
     The fields pass through as the CSV's text, so each value keeps its
-    shortest round-trip decimal. CSV_BLOCK_ROWS lines at a time become one
+    shortest round-trip decimal. LOG_CHUNK_ROWS lines at a time become one
     flat list of fields, and each figure takes its columns from it as
     slices. A row whose field count is not the header's is a configuration
     error. Returns {figure: column names after t}.
@@ -407,7 +402,7 @@ def _write_figure_data(path, out: Path, stem: str) -> dict:
                 f = stack.enter_context(open(out / f"{stem}_{fig}.dat", "w"))
                 f.write("# " + " ".join(names[j] for j in idx) + "\n")
                 sinks.append((f, idx))
-            while block := list(itertools.islice(src, CSV_BLOCK_ROWS)):
+            while block := list(itertools.islice(src, LOG_CHUNK_ROWS)):
                 block[-1] = block[-1].rstrip("\n") + "\n"  # the file may end without it
                 lines = [ln for ln in block if ln != "\n" and ln[0] != "#"]
                 fields = ",".join(lines).split(",") if lines else []

@@ -3,10 +3,10 @@
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
 ``try_insert`` appends until the buffer is full, then replaces a point only
-where that raises sigma_min; the engine offers one on the fixed schedule
-``sim.BUFFER_EVERY``, ``sim.BUFFER_UNTIL`` and ``sim.RANK_DEADLINE``, and
-logs the buffer's ``rank`` and final ``sigma_min``, which ``ExperienceBuffer``
-defines and keeps from the singular values each storing offer computed.
+where that raises sigma_min. The engine's fixed schedule (``sim.BUFFER_EVERY``,
+``sim.BUFFER_UNTIL`` and ``sim.RANK_DEADLINE``) reads the buffer's own
+``rank``, length, ``capacity`` and ``enriched``, and the engine logs ``rank``
+and the final ``sigma_min``, kept from each storing offer's singular values.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
@@ -30,11 +30,13 @@ class ExperienceBuffer:
     sum_l Theta_l Y_l, zeros while the buffer is empty. ``rank`` is the
     numerical rank of the stacked rows (singular values above 1e-8 times the
     largest) and ``sigma_min`` their N-th singular value, 0.0 while fewer
-    than N points are stored: the rank condition holds once rank == N."""
+    than N points are stored: the rank condition holds once rank == N.
+    ``enriched`` is set once a candidate is offered to the full buffer."""
 
     def __init__(self, capacity: int, N: int):
         self.capacity = capacity
         self.N = N
+        self.enriched = False
         self.Y: list[list[float]] = []
         self.Theta: list[float] = []
         self._summarise(np.zeros(0))
@@ -59,14 +61,16 @@ def try_insert(buf: ExperienceBuffer, Y, Theta: float) -> tuple[bool, int, float
     buf.sigma_min); the flag comes first, as insertion counters read
     ``result[0]``.
 
-    A non-finite candidate is refused. Until the buffer is full the
-    candidate is appended. Once it is full, it replaces the first stored
+    An offer to a full buffer sets ``buf.enriched``, a refused one too. A
+    non-finite candidate is refused. Until the buffer is full the candidate
+    is appended. Once it is full, it replaces the first stored
     point whose substitution most increases the smallest singular value of
     the stacked Y matrix, and only if that increase is strict. A finite
     offer makes one SVD call, batched over the P swaps when full.
     """
     Y = [float(v) for v in Y]
     Theta = float(Theta)
+    buf.enriched = buf.enriched or len(buf) == buf.capacity
     if not (all(map(math.isfinite, Y)) and math.isfinite(Theta)):
         return False, buf.rank, buf.sigma_min
     if len(buf) < buf.capacity:

@@ -30,7 +30,12 @@ BUFFER_EVERY = 10
 BUFFER_UNTIL = 2.0
 RANK_DEADLINE = 5.0
 # log rows are staged as flat tuples and written into the log arrays this
-# many at a time; a larger chunk holds more Python objects alive (~700 B per row)
+# many at a time, a larger chunk holding more Python objects alive (~700 B a
+# row); the CSV writer's child formats, and `iadp plots` copies, as many rows
+# at a time. Each block (39 KB as float64, at most 121 KB as text at N = 6,
+# as the tests check) stays under glibc's 128 KiB mmap threshold, which a
+# freed larger block raises, and later log arrays then come from the heap
+# (compare-s3's peak RSS read 97-104 MB, not 80-81 MB)
 LOG_CHUNK_ROWS = 256
 CONTROLLERS = ("iadp", "zsadp", "tadp", "zero")
 XDOT_SOURCES = ("backward_difference", "ground_truth")
@@ -270,7 +275,6 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     g_bar_pinv = cfg.g_bar_pinv
     gamma, k_c, k_e = cfg.Gamma.tolist(), cfg.k_c, cfg.k_e
     buf = ExperienceBuffer(cfg.buffer_size, N)
-    capacity = buf.capacity
 
     # the baselines' model: the true g and k as columns, kept through plant swaps
     g_ctrl, k_ctrl = (0.0, world.plant.g2), (world.plant.k1, world.plant.k2)
@@ -304,9 +308,6 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     clamp = cfg.beta - kernels.SATURATION_MARGIN
 
     cause = ""  # the stop cause, set once, on the stop row
-    rank_val = 0
-    rank_complete = False
-    enriching = False  # offered a candidate while full and rank-short
     E_u = E_x = 0.0
     u_sq = 0.0
     x0, x1 = x
@@ -395,16 +396,14 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                     cause = "nonfinite_weights"
                 w = w_next
 
-                # buffer collection: cadence while the rank condition is
-                # unmet, and during the excitation phase while the buffer
-                # fills or enriches
+                # buffer collection: cadence while the buffer's rank is short
+                # of N, and during the excitation phase while it fills or
+                # once it has enriched (been offered a candidate while full)
                 if i % buffer_every == 0:
-                    if not rank_complete or t < buffer_until and (
-                            len(buf) < capacity or enriching):
-                        enriching = enriching or len(buf) >= capacity
-                        rank_val = try_insert(buf, Y, theta)[1]
-                        rank_complete = rank_val >= N
-                if not rank_complete and t >= rank_deadline:
+                    if buf.rank < N or t < buffer_until and (
+                            len(buf) < buf.capacity or buf.enriched):
+                        try_insert(buf, Y, theta)
+                if buf.rank < N and t >= rank_deadline:
                     log.insufficient_excitation = True
 
         # --- saturation fault, which a nan u fails; a critic stop row is exempt
@@ -417,7 +416,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
         if i > 0:
             E_u += 0.5 * dt * (prev_u_sq + u_sq)
             E_x += 0.5 * dt * (prev_x_sq + x_sq)
-        stage((t, *x, *xm, u, du, *w, theta_tilde, xi, d_val, E_u, E_x, rank_val))
+        stage((t, *x, *xm, u, du, *w, theta_tilde, xi, d_val, E_u, E_x, buf.rank))
         # the next step's sample one delay L = dt back
         xm_prev, xdot_prev, u_prev = xm, xdot, u
         if len(staged) >= chunk:
@@ -447,7 +446,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
 
             if cause:
                 # record the diverged state row, then stop
-                stage((t_next, *x, *x, 0.0, 0.0, *w, 0.0, 0.0, 0.0, E_u, E_x, rank_val))
+                stage((t_next, *x, *x, 0.0, 0.0, *w, 0.0, 0.0, 0.0, E_u, E_x, buf.rank))
                 break
 
     flush()

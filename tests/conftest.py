@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left unreaped (waitpid: pid {pid}, status {status})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread running, a pending timer included."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"a thread was left running: {left}")
 
 
 @pytest.fixture

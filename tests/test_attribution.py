@@ -24,6 +24,14 @@ same E_u at 60 s to 2e-3, relative.
 - With g_bar = (0, 0.25), the plant's true input column, in place of the
   default (0, 0.1), zsadp's E_u is below iadp's: c07's zsadp ordering does
   not hold.
+
+In scenario s2, where c08 orders the controllers' E_x at 80 s: how little
+input a law applies, as the plants are stable open-loop. Each episode runs
+the 80 s that c08 reads; iadp's and zsadp's default episodes are c08's own.
+
+- u = 0's E_x is below iadp's on every row.
+- With g_bar = (0, 0.25), iadp's E_x is above zsadp's: c08's zsadp
+  ordering does not hold.
 """
 
 from dataclasses import replace
@@ -88,3 +96,22 @@ def test_true_input_column_reverses_zsadp_ordering():
     cfg = SimConfig(t_end=20.0, g_bar=[[0.0], [0.25]])
     zsadp, iadp = (run_scenario(replace(cfg, controller=c)) for c in ("zsadp", "iadp"))
     assert zsadp.E_u[-1] / iadp.E_u[-1] < 1.0
+
+
+def test_zero_input_is_below_iadp_on_s2():
+    # measured at 80 s: 179.400 against 180.405; the gap is 1.40 at 20 s,
+    # where s2 is still s1, and no row has u = 0's E_x above iadp's
+    zero = run_scenario(SimConfig(scenario="s2", controller="zero"))
+    iadp = cached_run(scenario="s2")
+    assert zero.rows() == iadp.rows() == 80001
+    assert np.all(zero.E_x <= iadp.E_x) and zero.E_x[-1] < iadp.E_x[-1]
+
+
+def test_true_input_column_reverses_c08_zsadp_ordering():
+    # c08's zsadp margin at the default g_bar is 1.18 (181.583 against
+    # 180.405); with the true input column iadp's E_u rises from 0.0697 to
+    # 0.432 and its E_x to 181.607, above zsadp's
+    iadp = run_scenario(SimConfig(scenario="s2", g_bar=[[0.0], [0.25]]))
+    zsadp = cached_run(scenario="s2", controller="zsadp")
+    assert iadp.rows() == zsadp.rows() == 80001
+    assert iadp.E_x[-1] > zsadp.E_x[-1]

@@ -22,14 +22,14 @@ from hypothesis import Phase, given, settings, strategies as st
 from helpers import cached_run
 import iadp
 from iadp import cli, kernels
-from iadp.cli import (CONFIG_KEYS, CSV_BLOCK_ROWS, CSV_PIPE_BYTES, CSV_SCHEMA_VERSION,
+from iadp.cli import (CONFIG_KEYS, CSV_PIPE_BYTES, CSV_SCHEMA_VERSION,
                       FIGURES, _format_value, _parse_value, _resolved_cfg, build_parser,
                       config_dict, csv_header, emit_plots, main, parse_config,
                       read_config_file, read_csv, write_csv, write_manifest)
 from iadp.critic import MAX_DEGREE
 from iadp.plant import ConfigurationError
 from iadp.scenarios import WORLDS, run_scenario
-from iadp.sim import CONTROLLERS, XDOT_SOURCES, SimConfig, TrajectoryLog
+from iadp.sim import CONTROLLERS, LOG_CHUNK_ROWS, XDOT_SOURCES, SimConfig, TrajectoryLog
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)
 # what a manifest holds: ints, config strings, and floats, vectors and
@@ -174,21 +174,21 @@ class TestCsv:
         assert path.read_text().splitlines()[0].startswith("# iadp csv schema v")
 
 
-def row_loop_lines(values, ranks):
-    """The per-row formatting: each float through repr(float(v)), one line
-    per row."""
-    return "".join(",".join(repr(float(v)) for v in values[i]) + f",{int(ranks[i])}\n"
-                   for i in range(values.shape[0]))
+def row_loop_lines(rows):
+    """The per-row formatting: each float through repr(float(v)) and the
+    last, the rank, through int, one line per row."""
+    return "".join(",".join(repr(float(v)) for v in row[:-1]) + f",{int(row[-1])}\n"
+                   for row in rows)
 
 
 def write_csv_row_loop(log, path):
     """The per-row writer. The streamed writer must give the same bytes."""
     block = np.column_stack([
         log.t, log.x_true, log.x_meas, log.u, log.du, log.w,
-        log.theta_tilde, log.xi, log.d, log.E_u, log.E_x,
+        log.theta_tilde, log.xi, log.d, log.E_u, log.E_x, log.rank,
     ])
     Path(path).write_text(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n"
-                          f"{csv_header(log.w.shape[1])}\n" + row_loop_lines(block, log.rank))
+                          f"{csv_header(log.w.shape[1])}\n" + row_loop_lines(block))
 
 
 # row counts around multiples of the block size, where the writer's child
@@ -221,10 +221,10 @@ def record_shares(monkeypatch):
             piped.append(n)
         return n
 
-    def formatting(values, ranks):
+    def formatting(rows):
         if os.getpid() == parent:
-            formatted.append(len(ranks))
-        return lines(values, ranks)
+            formatted.append(len(rows))
+        return lines(rows)
 
     monkeypatch.setattr(os, "write", piping)
     monkeypatch.setattr(cli, "_csv_lines", formatting)
@@ -259,7 +259,7 @@ def io_logs():
     long_log = cached_run(t_end=5.0)
     diverged = cached_run(scenario="s3", controller="zsadp")
     noisy = cached_run(scenario="s3", t_end=21.0)
-    assert long_log.rows() > CSV_BLOCK_ROWS
+    assert long_log.rows() > LOG_CHUNK_ROWS
     assert diverged.diverged and diverged.rows() < 80001
     assert not np.all(np.isfinite(diverged.theta_tilde))
     # x_meas is x_true's bits up to t = 20 s and noisy after
@@ -292,18 +292,20 @@ CSV_FLOATS = st.one_of(
 
 @st.composite
 def csv_blocks(draw):
-    """A block of floats and their ranks as the CSV writer's child formats
-    it, at N = 6: its x_meas columns copy x_true on all, some or none of its
-    rows, and on some rows x_true is 0.0 and x_meas -0.0."""
+    """A block of rows as the CSV writer's child formats it, at N = 6, the
+    rank last as an integral float within +-2^53: its x_meas columns copy
+    x_true on all, some or none of its rows, and on some rows x_true is 0.0
+    and x_meas -0.0."""
     n = draw(st.integers(0, 300))
-    values = draw(hnp.arrays(np.float64, (n, csv_header(6).count(",")),
+    values = draw(hnp.arrays(np.float64, (n, csv_header(6).count(",") + 1),
                              elements=CSV_FLOATS))
     copied = draw(st.sampled_from([np.ones(n, bool), np.zeros(n, bool),
                                    draw(hnp.arrays(bool, n))]))
     values[copied, 3:5] = values[copied, 1:3]
     zeros = draw(hnp.arrays(bool, n))
     values[zeros, 1:3], values[zeros, 3:5] = 0.0, -0.0
-    return values, draw(hnp.arrays(np.int64, n))
+    values[:, -1] = draw(hnp.arrays(np.int64, n, elements=st.integers(-2**53, 2**53)))
+    return values
 
 
 class TestStreamedIo:
@@ -315,7 +317,7 @@ class TestStreamedIo:
     def test_csv_lines_match_row_loop(self, rows):
         # the columnar formatting, x_meas's reuse of x_true's text included,
         # gives the row loop's text
-        assert cli._csv_lines(*rows) == row_loop_lines(*rows)
+        assert cli._csv_lines(rows) == row_loop_lines(rows)
 
     def test_blocks_stay_under_the_mmap_threshold(self, tmp_path):
         # a block of CSV text at N = 6, every float at the widest repr (24
@@ -323,16 +325,17 @@ class TestStreamedIo:
         # what iadp plots joins from one block of such lines is that text
         # and 255 commas, and the .dat text it copies is under 128 KiB too
         header = csv_header(6)
-        values = np.full((CSV_BLOCK_ROWS, header.count(",")), -2.2250738585072014e-308)
-        text = cli._csv_lines(values, np.full(CSV_BLOCK_ROWS, np.iinfo(np.int64).min))
-        assert len(text.encode()) == CSV_BLOCK_ROWS * (18 * 25 + 21) < 1 << 17
+        values = np.full((LOG_CHUNK_ROWS, header.count(",") + 1), -2.2250738585072014e-308)
+        values[:, -1] = np.iinfo(np.int64).min
+        text = cli._csv_lines(values)
+        assert len(text.encode()) == LOG_CHUNK_ROWS * (18 * 25 + 21) < 1 << 17
         csv = tmp_path / "widest.csv"
         csv.write_text(f"# iadp csv schema v{CSV_SCHEMA_VERSION}\n{header}\n{text}")
         emit_plots([csv], tmp_path / "figs")
         for fig in FIGURES:
             dat = (tmp_path / "figs" / f"widest_{fig}.dat").read_bytes()
             body = dat.split(b"\n", 1)[1]
-            assert body.count(b"\n") == CSV_BLOCK_ROWS and len(body) < 1 << 17
+            assert body.count(b"\n") == LOG_CHUNK_ROWS and len(body) < 1 << 17
 
     @pytest.mark.parametrize("name", ["long", "diverged", "noisy",
                                       *(f"rows{k}" for k in CUT_ROWS)])
@@ -403,10 +406,12 @@ class TestStreamedIo:
         # then. A 10 s episode's 10,001 rows are 1.5 MB packed, so the 1 MiB
         # pipe fills and a send waits on the stopped child, within two
         # blocks of a full pipe; it returns once the child reads again, and
-        # the run completes with the row loop's bytes
+        # the run completes with the row loop's bytes. The writer's reap
+        # first ends the timer, so that a run which fails before the timer
+        # fires leaves no timer to signal a reaped, or reused, pid
         piped, _ = record_shares(monkeypatch)
         sends, resumed, timers = [], [], []
-        real_fork, run = os.fork, cli.run_scenario
+        real_fork, real_waitpid, run = os.fork, os.waitpid, cli.run_scenario
 
         def resume(pid):
             resumed.append((time.monotonic(), sum(piped)))
@@ -420,6 +425,15 @@ class TestStreamedIo:
                 timers[-1].start()
             return pid
 
+        def waitpid(pid, options):
+            for timer in timers:
+                timer.cancel()
+                timer.join(10)  # a timer still alive fails no_thread_left
+            # the child is not reaped yet, so pid is still its own: resume it
+            # in case the timer had not fired
+            os.kill(pid, signal.SIGCONT)
+            return real_waitpid(pid, options)
+
         def timed(on_rows):
             def on_rows_timed(block):
                 began = time.monotonic()
@@ -428,14 +442,13 @@ class TestStreamedIo:
             return on_rows_timed
 
         monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(cli, "run_scenario", lambda cfg, on_rows: run(cfg, timed(on_rows)))
         rc = main(["run", "--scenario", "s1", "--t-end", "10", "--out-dir", str(tmp_path)])
-        for timer in timers:
-            timer.join()
         assert rc == 0 and len(resumed) == 1
         (at, during), = resumed
         log = cached_run(t_end=10.0)
-        block = CSV_BLOCK_ROWS * record_bytes(log)
+        block = LOG_CHUNK_ROWS * record_bytes(log)
         assert log.rows() * record_bytes(log) > CSV_PIPE_BYTES
         assert CSV_PIPE_BYTES - 2 * block < during <= CSV_PIPE_BYTES
         assert any(began < at < ended for began, ended in sends)
@@ -515,7 +528,7 @@ class TestStreamedIo:
             text = text[:-1]
         else:
             lines = text.splitlines(keepends=True)
-            lines[2 + CSV_BLOCK_ROWS:2 + CSV_BLOCK_ROWS] = ["\n", "# a note\n"]
+            lines[2 + LOG_CHUNK_ROWS:2 + LOG_CHUNK_ROWS] = ["\n", "# a note\n"]
             lines[600:600] = ["# another note\n", "\n"]
             text = "".join(lines)
         (tmp_path / "edited" / "rows.csv").parent.mkdir()
