@@ -419,7 +419,9 @@ def _write_figure_data(path, out: Path, stem: str) -> dict:
 def emit_plots(log_paths, out_dir) -> list:
     """Write per-figure data files plus gnuplot scripts for each log.
 
-    With multiple logs an extra overlay figure compares their E_u curves.
+    With multiple logs an extra overlay figure compares their E_u curves. A
+    log whose copy fails (a ragged row, say) leaves none of its data files,
+    so no truncated one passes for complete; earlier logs' files stay.
     """
     stems = {}
     for path in log_paths:
@@ -432,7 +434,12 @@ def emit_plots(log_paths, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for stem, path in stems.items():
-        figures = _write_figure_data(path, out, stem)
+        try:
+            figures = _write_figure_data(path, out, stem)
+        except BaseException:
+            for fig in FIGURES:
+                (out / f"{stem}_{fig}.dat").unlink(missing_ok=True)
+            raise
         for fig, (_, title) in FIGURES.items():
             dat = out / f"{stem}_{fig}.dat"
             gp = out / f"{stem}_{fig}.gp"

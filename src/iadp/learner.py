@@ -3,10 +3,9 @@
 The buffer stores raw (Y_l, Theta_l) pairs and their Gram summary
 M = sum_l Y_l Y_l^T, b = sum_l Theta_l Y_l, rebuilt whenever a pair is stored.
 ``try_insert`` appends until the buffer is full, then replaces a point only
-where that raises sigma_min. The engine's fixed schedule (``sim.BUFFER_EVERY``,
-``sim.BUFFER_UNTIL`` and ``sim.RANK_DEADLINE``) reads the buffer's own
-``rank``, length, ``capacity`` and ``enriched``, and the engine logs ``rank``
-and the final ``sigma_min``, kept from each storing offer's singular values.
+where that raises sigma_min. The buffer owns the replay schedule below; the
+engine logs ``rank`` and the final ``sigma_min``, kept from each storing
+offer's singular values.
 The summed squared replay residuals are an exact quadratic in w with
 gradient b + M w, so the update law (``kernels.weight_derivative_kernel``)
 stays the exact gradient flow on them without re-forming each residual on
@@ -22,6 +21,13 @@ import numpy as np
 
 from . import kernels
 
+# the replay schedule, in seconds: a candidate every BUFFER_PERIOD while the
+# rank is short of N, and before BUFFER_UNTIL while the buffer fills or has
+# enriched; a rank short of N at RANK_DEADLINE is insufficient excitation
+BUFFER_PERIOD = 0.01
+BUFFER_UNTIL = 2.0
+RANK_DEADLINE = 5.0
+
 
 class ExperienceBuffer:
     """Fixed-capacity replay store of (Y_l, Theta_l) regression points: ``Y``
@@ -31,7 +37,7 @@ class ExperienceBuffer:
     numerical rank of the stacked rows (singular values above 1e-8 times the
     largest) and ``sigma_min`` their N-th singular value, 0.0 while fewer
     than N points are stored: the rank condition holds once rank == N.
-    ``enriched`` is set once a candidate is offered to the full buffer."""
+    ``enriched`` is set once a candidate is offered to the full buffer; ``wants`` reads it."""
 
     def __init__(self, capacity: int, N: int):
         self.capacity = capacity
@@ -43,6 +49,11 @@ class ExperienceBuffer:
 
     def __len__(self) -> int:
         return len(self.Y)
+
+    def wants(self, t: float) -> bool:
+        """Whether a candidate on a cadence step at time t is offered."""
+        return self.rank < self.N or t < BUFFER_UNTIL and (
+            len(self.Y) < self.capacity or self.enriched)
 
     def _summarise(self, sv) -> None:
         """Rebuild M and b from the stored rows, summing in row order from 0.0,

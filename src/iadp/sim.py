@@ -19,16 +19,12 @@ from . import kernels, tde
 from .controllers import IadpLaw, TadpLaw, ZeroLaw, ZsadpLaw
 from .critic import DEFAULT_EXPONENTS, BasisSet
 from .kernels import disturbance_value
-from .learner import ExperienceBuffer, try_insert
+from .learner import BUFFER_PERIOD, RANK_DEADLINE, ExperienceBuffer, try_insert
 from .plant import (ConfigurationError, NoiseState, World, add_measurement_noise,
                     apply_event_schedule)
 from .scenarios import WORLDS
 
 DIVERGENCE_NORM = 1e6
-# the replay schedule (steps, s, s); see the buffer collection in run_episode
-BUFFER_EVERY = 10
-BUFFER_UNTIL = 2.0
-RANK_DEADLINE = 5.0
 # log rows are staged as flat tuples and written into the log arrays this
 # many at a time, a larger chunk holding more Python objects alive (~700 B a
 # row); the CSV writer's child formats, and `iadp plots` copies, as many rows
@@ -92,14 +88,16 @@ class SimConfig:
     episode stops on leaving.
 
     The replay schedule and the baselines' gamma and rho are not fields:
-    they are constants of this module (``BUFFER_EVERY``, ``BUFFER_UNTIL``,
-    ``RANK_DEADLINE``) and of the laws in ``controllers``.
+    they are constants of ``learner``, in seconds, and of the laws in
+    ``controllers``. dt must divide ``learner.BUFFER_PERIOD`` (to 1e-6 of a
+    step), as it must divide t_end: a rounded cadence would silently move
+    the period (3 ms would offer every 9 ms, and 20 ms has no whole step).
 
     Construction also resolves what the loop reads, as plain attributes that
     are not config keys: ``basis``, the ``BasisSet`` of ``basis_exponents``;
-    ``g_bar_col``, the one input's surrogate column g_bar as 2 floats; and
-    ``g_bar_pinv``, its left pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1),
-    2 floats.
+    ``cadence``, the steps in one ``BUFFER_PERIOD``; ``g_bar_col``, the one
+    input's surrogate column g_bar as 2 floats; and ``g_bar_pinv``, its left
+    pseudo-inverse g_bar^+ (g_bar^+ . g_bar = 1), 2 floats.
     """
 
     scenario: str = "s1"
@@ -140,6 +138,10 @@ class SimConfig:
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6):
             raise ConfigurationError("t_end must be a multiple of dt")
+        period = BUFFER_PERIOD / self.dt
+        if not (math.isfinite(period) and period > 0.5 and abs(period - round(period)) <= 1e-6):
+            raise ConfigurationError(f"dt must divide the replay period {BUFFER_PERIOD!r} s")
+        self.cadence = round(period)
         if self.seed < 0:
             raise ConfigurationError("sim.seed must be >= 0")
         if self.scenario not in WORLDS:
@@ -201,7 +203,7 @@ class TrajectoryLog:
     """The per-step record of one episode, one C-contiguous array per signal:
     (S, 2) for the states, (S, N) for the weights, and (S,) for the rest.
     ``insufficient_excitation`` is set when the buffer's rank is still short
-    of N at RANK_DEADLINE seconds of a learning law's episode.
+    of N at ``learner.RANK_DEADLINE`` seconds of a learning law's episode.
 
     The divergence contract: a log has all S rows, ``stop_cause`` "" and
     ``diverged_step`` -1, or it ends on its stop row, row ``diverged_step``,
@@ -313,7 +315,7 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
     x0, x1 = x
     x_sq = 0.0 + x0 * x0 + x1 * x1
     ground_truth = cfg.xdot_source == "ground_truth"
-    buffer_every, buffer_until, rank_deadline = BUFFER_EVERY, BUFFER_UNTIL, RANK_DEADLINE
+    cadence = cfg.cadence
 
     # the kernel arguments of the current plant and of the disturbance
     coeffs, dist = world.plant.params, world.disturbance.packed()
@@ -396,14 +398,10 @@ def run_episode(cfg: SimConfig, world: World, on_rows=None) -> TrajectoryLog:
                     cause = "nonfinite_weights"
                 w = w_next
 
-                # buffer collection: cadence while the buffer's rank is short
-                # of N, and during the excitation phase while it fills or
-                # once it has enriched (been offered a candidate while full)
-                if i % buffer_every == 0:
-                    if buf.rank < N or t < buffer_until and (
-                            len(buf) < buf.capacity or buf.enriched):
-                        try_insert(buf, Y, theta)
-                if buf.rank < N and t >= rank_deadline:
+                # buffer collection: on each cadence step the buffer wants
+                if i % cadence == 0 and buf.wants(t):
+                    try_insert(buf, Y, theta)
+                if buf.rank < N and t >= RANK_DEADLINE:
                     log.insufficient_excitation = True
 
         # --- saturation fault, which a nan u fails; a critic stop row is exempt

@@ -32,6 +32,8 @@ the 80 s that c08 reads; iadp's and zsadp's default episodes are c08's own.
 - u = 0's E_x is below iadp's on every row.
 - With g_bar = (0, 0.25), iadp's E_x is above zsadp's: c08's zsadp
   ordering does not hold.
+- c08's margins are set in the first 20 s, where s2 is still s1: over the
+  stress window [20, 60), both baselines accrue less E_x than iadp.
 """
 
 from dataclasses import replace
@@ -115,3 +117,14 @@ def test_true_input_column_reverses_c08_zsadp_ordering():
     zsadp = cached_run(scenario="s2", controller="zsadp")
     assert iadp.rows() == zsadp.rows() == 80001
     assert iadp.E_x[-1] > zsadp.E_x[-1]
+
+
+def test_baselines_accrue_less_e_x_in_the_s2_stress_window():
+    # measured E_x increments over [20, 60): iadp 100.47, zsadp 99.54 and
+    # tadp 96.87; at 20 s iadp leads by 2.10 and 3.99, and at 40 s tadp's
+    # E_x (97.20) is below iadp's (98.10)
+    logs = {c: cached_run(scenario="s2", controller=c) for c in ("iadp", *BASELINES)}
+    assert all(log.t[20000] == 20.0 and log.t[60000] == 60.0 for log in logs.values())
+    stress = {c: log.E_x[60000] - log.E_x[20000] for c, log in logs.items()}
+    assert stress["zsadp"] < stress["iadp"] and stress["tadp"] < stress["iadp"]
+    assert logs["tadp"].E_x[40000] < logs["iadp"].E_x[40000]

@@ -516,6 +516,8 @@ class TestStreamedIo:
         assert main(["plots", str(csv), "--out-dir", str(tmp_path / "figs")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {csv}: ") and len(err.splitlines()) == 1, err
+        # no truncated data file is left to pass for a complete one
+        assert not list((tmp_path / "figs").glob("ragged_*"))
 
     @pytest.mark.parametrize("edit", ["no_last_newline", "blank_and_comment_lines"])
     def test_plots_reads_an_edited_csv(self, tmp_path, io_logs, edit):

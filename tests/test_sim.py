@@ -60,6 +60,11 @@ class TestConfig:
             SimConfig(seed=-1)
         with pytest.raises(ConfigurationError):
             SimConfig(scenario="s9")
+        # the replay cadence is a whole number of steps, never rounded
+        for dt in (3e-3, 0.02):
+            with pytest.raises(ConfigurationError,
+                               match=r"^dt must divide the replay period 0\.01 s$"):
+                SimConfig(dt=dt, t_end=6.0)
 
     @pytest.mark.parametrize("bad", [
         dict(seed=1.5), dict(buffer_size=2.5), dict(beta=math.inf), dict(k_c=math.inf),
@@ -234,11 +239,24 @@ class TestEpisode:
 
     def test_enrichment_continues_through_excitation_phase(self, monkeypatch):
         # 6 points fill short of rank 6 and replacements complete it; offers
-        # then go on at every cadence step while t < sim.BUFFER_UNTIL = 2 s
+        # then go on at every cadence step while t < learner.BUFFER_UNTIL = 2 s
         results = self.offers(monkeypatch)
         log = run_scenario(SimConfig(t_end=3.0, buffer_size=6))
         assert log.rank[-1] == 6
         assert len(results) == 199
+
+    @pytest.mark.parametrize("controller", ["iadp", "tadp"])
+    def test_results_converge_as_dt_halves(self, controller):
+        # the replay schedule is in seconds, so dt = 5e-4 refines the dt =
+        # 1e-3 episode: over 20 s of s1, E_u moved 0.2% (iadp) and 0.06%
+        # (tadp), and each quadratic weight at most 1.2%; a cadence of 10
+        # steps at both dt gives tadp 9.5 times the E_u at 5e-4, and flips
+        # the signs of iadp's weights
+        coarse, fine = (run_scenario(SimConfig(controller=controller, dt=dt, t_end=20.0))
+                        for dt in (1e-3, 5e-4))
+        assert not (coarse.diverged or fine.diverged)
+        assert fine.E_u[-1] == pytest.approx(coarse.E_u[-1], rel=0.01)
+        assert fine.w[-1, :3] == pytest.approx(coarse.w[-1, :3], rel=0.05)
 
     def test_ground_truth_xdot_close_to_backward_difference(self):
         a = cached_run(t_end=2.0)
